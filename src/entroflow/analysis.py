@@ -193,9 +193,7 @@ def classify_growth(
     i_decade = int(np.searchsorted(t, t[-1] / 10.0))
     theta_inf = bool(ep[-1] >= 2.0 * max(ep[i_decade], tol_theta) and ep[-1] > tol_theta)
 
-    coeffs = np.polyfit(t, e, 1)
-    resid = e - np.polyval(coeffs, t)
-    fit_residual = float(np.sqrt(np.mean(resid**2)) / (1.0 + np.max(np.abs(e))))
+    fit_residual = _linear_fit_residual(t, e)
 
     flat = float(np.max(ep[i_third:]) - np.min(ep[i_third:]))
     increasing = ep[-1] - ep[i_third] > max(0.05 * theta, 10.0 * tol_theta)
@@ -220,6 +218,13 @@ def classify_growth(
         fit_residual=fit_residual, tol_theta=tol_theta,
         inconsistent=inconsistent, evidence=curve,
     )
+
+
+def _linear_fit_residual(t, e):
+    """RMS residual of the least-squares line through (t, e), relative to
+    1 + max |e|."""
+    resid = e - np.polyval(np.polyfit(t, e, 1), t)
+    return float(np.sqrt(np.mean(resid**2)) / (1.0 + np.max(np.abs(e))))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +318,7 @@ def rigidity_check(
     e_vals = np.array(
         [entropy_q(sol, kernel, model, t, level=level) for t in t_grid]
     )
-    coeffs = np.polyfit(t_grid, e_vals, 1)
-    resid = e_vals - np.polyval(coeffs, t_grid)
-    fit_residual = float(np.sqrt(np.mean(resid**2)) / (1.0 + np.max(np.abs(e_vals))))
+    fit_residual = _linear_fit_residual(t_grid, e_vals)
     entropy_linear = fit_residual <= linear_rtol
 
     max_grad_log = 0.0

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -53,7 +55,7 @@ ANALYSES = (
 _KEY_ORDER = (
     "id", "model", "window.min", "window.max", "solution", "kernel", "x",
     "t.min", "t.max", "t.count", "t.spacing",
-    "mc.paths", "mc.dt", "mc.seed", "mc.scheme",
+    "mc.paths", "mc.dt", "mc.seed",
     "domains", "analyses", "bounds.delta",
 )
 
@@ -186,9 +188,8 @@ class Scenario:
             if "mc.paths" in m:
                 mc = SdeConfig(
                     dt=float(m.pop("mc.dt")),
-                    n_paths=int(m.pop("mc.paths")),
-                    seed=int(m.pop("mc.seed", DEFAULT_SEED)),
-                    scheme=str(m.pop("mc.scheme", "auto")),
+                    n_paths=_whole("mc.paths", m.pop("mc.paths")),
+                    seed=_whole("mc.seed", m.pop("mc.seed", DEFAULT_SEED)),
                 )
             sc = cls(
                 id=str(m.pop("id")),
@@ -198,7 +199,7 @@ class Scenario:
                 x=tuple(float(v) for v in m.pop("x")),
                 t_min=float(m.pop("t.min")),
                 t_max=float(m.pop("t.max")),
-                t_count=int(m.pop("t.count", 16)),
+                t_count=_whole("t.count", m.pop("t.count", 16)),
                 t_spacing=str(m.pop("t.spacing", "log")),
                 window=window,
                 mc=mc,
@@ -234,7 +235,6 @@ class Scenario:
             m["mc.paths"] = self.mc.n_paths
             m["mc.dt"] = self.mc.dt
             m["mc.seed"] = self.mc.seed
-            m["mc.scheme"] = self.mc.scheme
         m["domains"] = list(self.domains)
         m["analyses"] = list(self.analyses)
         m["bounds.delta"] = self.bounds_delta
@@ -286,6 +286,15 @@ class Scenario:
             kern = kernels.parse_kernel(self.kernel, model, x)
         doms = [stochastic.parse_domain(d) for d in self.domains]
         return model, sol, kern, x, doms
+
+
+def _whole(key, value):
+    """An integer config value; integral floats such as 2.5e4 are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _needs_kernel(analyses):
@@ -345,9 +354,10 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
     """Execute a scenario's analyses and write CSV/JSON artifacts."""
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
+    level = DEFAULT_CURVE_LEVEL
     if overrides:
         scenario = _apply_overrides(scenario, overrides)
-    level = int(overrides.get("refine", DEFAULT_CURVE_LEVEL)) if overrides else DEFAULT_CURVE_LEVEL
+        level = _whole("refine", overrides.get("refine", level))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -366,108 +376,99 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
 
     ensemble = None
     if scenario.mc is not None:
-        t0 = time.perf_counter()
-        dt = scenario.mc.dt
-        horizon = math.ceil(scenario.t_max / dt - 1e-9) * dt
-        # snap requested times onto the step grid (within half a step)
-        record = sorted(
-            {round(t / dt) * dt for t in np.concatenate([t_grid, t_grid / 2.0])}
-        )
-        record = [t for t in record if 0.0 < t <= horizon + 1e-12]
-        ensemble = stochastic.simulate(
-            model, x, horizon, scenario.mc, record_times=record
-        )
-        if doms:
-            ensemble.ensure_exits(doms)
-        clocks["simulate"] = time.perf_counter() - t0
-
-    if "entropy-curve" in scenario.analyses or "conditions" in scenario.analyses:
-        t0 = time.perf_counter()
-        with_conds = "conditions" in scenario.analyses
-        curve = entropy.entropy_curve(
-            sol, model, kern, t_grid, method="quadrature",
-            level=level, with_conditions=with_conds,
-        )
-        curve.to_csv(outdir / "entropy.csv")
-        outputs.append("entropy.csv")
-        if ensemble is not None:
-            mc_curve = entropy.entropy_curve(
-                sol, model, kern, _mc_times(t_grid, ensemble),
-                method="monte-carlo", ensemble=ensemble,
-                level=level, with_conditions=False,
+        with _timed(clocks, "simulate"):
+            dt = scenario.mc.dt
+            horizon = math.ceil(scenario.t_max / dt - 1e-9) * dt
+            # snap requested times onto the step grid (within half a step)
+            record = sorted(
+                {round(t / dt) * dt for t in np.concatenate([t_grid, t_grid / 2.0])}
             )
-            mc_curve.to_csv(outdir / "entropy_mc.csv")
-            outputs.append("entropy_mc.csv")
-        clocks["entropy-curve"] = time.perf_counter() - t0
-    else:
-        curve = None
+            record = [t for t in record if 0.0 < t <= horizon + 1e-12]
+            ensemble = stochastic.simulate(
+                model, x, horizon, scenario.mc, record_times=record
+            )
+            if doms:
+                ensemble.ensure_exits(doms)
+
+    curve = None
+    if "entropy-curve" in scenario.analyses or "conditions" in scenario.analyses:
+        with _timed(clocks, "entropy-curve"):
+            with_conds = "conditions" in scenario.analyses
+            curve = entropy.entropy_curve(
+                sol, model, kern, t_grid, method="quadrature",
+                level=level, with_conditions=with_conds,
+            )
+            curve.to_csv(outdir / "entropy.csv")
+            outputs.append("entropy.csv")
+            if ensemble is not None:
+                mc_curve = entropy.entropy_curve(
+                    sol, model, kern, _mc_times(t_grid, ensemble),
+                    method="monte-carlo", ensemble=ensemble,
+                    level=level, with_conditions=False,
+                )
+                mc_curve.to_csv(outdir / "entropy_mc.csv")
+                outputs.append("entropy_mc.csv")
 
     if "local" in scenario.analyses:
         if ensemble is None or not doms:
             raise ConfigError("the local analysis needs mc.* settings and domains")
-        t0 = time.perf_counter()
-        table = entropy.local_entropy(sol, ensemble, doms, _mc_times(t_grid, ensemble))
-        table.to_csv(outdir / "local.csv")
-        outputs.append("local.csv")
-        report["local"] = {
-            "monotone_t_z": table.monotone_t_z,
-            "monotone_D_z": table.monotone_D_z,
-            "E_M": table.E_M.tolist(),
-            "E_M_stabilized": table.E_M_stabilized.tolist(),
-            "exit_values": [_jsonable(asdict(e)) for e in table.E_D_exit],
-        }
-        clocks["local"] = time.perf_counter() - t0
+        with _timed(clocks, "local"):
+            table = entropy.local_entropy(sol, ensemble, doms, _mc_times(t_grid, ensemble))
+            table.to_csv(outdir / "local.csv")
+            outputs.append("local.csv")
+            report["local"] = {
+                "monotone_t_z": table.monotone_t_z,
+                "monotone_D_z": table.monotone_D_z,
+                "E_M": table.E_M.tolist(),
+                "E_M_stabilized": table.E_M_stabilized.tolist(),
+                "exit_values": [_jsonable(asdict(e)) for e in table.E_D_exit],
+            }
 
     t_ref = float(t_grid[len(t_grid) // 2])
     if "bounds" in scenario.analyses:
-        t0 = time.perf_counter()
-        gb = analysis.gradient_entropy_check(sol, model, kern, x, t_ref, level=level)
-        cb = analysis.corollary_bounds(
-            sol, model, x, t_ref, scenario.bounds_delta, kernel=kern, level=level
-        )
-        report["bounds"] = {
-            "t": t_ref,
-            "gradient": _jsonable(asdict(gb)),
-            "corollaries": _jsonable(asdict(cb)),
-        }
-        clocks["bounds"] = time.perf_counter() - t0
+        with _timed(clocks, "bounds"):
+            gb = analysis.gradient_entropy_check(sol, model, kern, x, t_ref, level=level)
+            cb = analysis.corollary_bounds(
+                sol, model, x, t_ref, scenario.bounds_delta, kernel=kern, level=level
+            )
+            report["bounds"] = {
+                "t": t_ref,
+                "gradient": _jsonable(asdict(gb)),
+                "corollaries": _jsonable(asdict(cb)),
+            }
 
     if "classify" in scenario.analyses:
-        t0 = time.perf_counter()
-        if curve is None:
-            curve = entropy.entropy_curve(
-                sol, model, kern, t_grid, level=level, with_conditions=False
-            )
-        sup_grad = _sup_grad_sample(sol, model, kern, t_grid, level)
-        ok = _super_ricci_verified(model, x, t_grid)
-        rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
-        d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
-        report["classify"] = _jsonable(d)
-        clocks["classify"] = time.perf_counter() - t0
+        with _timed(clocks, "classify"):
+            if curve is None:
+                curve = entropy.entropy_curve(
+                    sol, model, kern, t_grid, level=level, with_conditions=False
+                )
+            sup_grad = _sup_grad_sample(sol, model, kern, t_grid, level)
+            ok = _super_ricci_verified(model, x, t_grid)
+            rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
+            d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
+            report["classify"] = _jsonable(d)
 
     if "separation" in scenario.analyses:
-        t0 = time.perf_counter()
-        ts = np.linspace(scenario.t_min, min(scenario.t_max, scenario.t_min + 1.0), 6)
-        rep = analysis.separation_test(sol, ts, _default_ygrid(model))
-        report["separation"] = _jsonable(
-            {k: v for k, v in asdict(rep).items() if k not in ("psi", "phi")}
-        )
-        clocks["separation"] = time.perf_counter() - t0
+        with _timed(clocks, "separation"):
+            ts = np.linspace(scenario.t_min, min(scenario.t_max, scenario.t_min + 1.0), 6)
+            rep = analysis.separation_test(sol, ts, _default_ygrid(model))
+            report["separation"] = _jsonable(
+                {k: v for k, v in asdict(rep).items() if k not in ("psi", "phi")}
+            )
 
     if "rigidity" in scenario.analyses:
-        t0 = time.perf_counter()
-        rep = analysis.rigidity_check(
-            model, sol, x, t_grid[:: max(1, len(t_grid) // 8)],
-            _default_ygrid(model), kernel=kern, level=level,
-        )
-        report["rigidity"] = _jsonable(asdict(rep))
-        clocks["rigidity"] = time.perf_counter() - t0
+        with _timed(clocks, "rigidity"):
+            rep = analysis.rigidity_check(
+                model, sol, x, t_grid[:: max(1, len(t_grid) // 8)],
+                _default_ygrid(model), kernel=kern, level=level,
+            )
+            report["rigidity"] = _jsonable(asdict(rep))
 
     if "divergence" in scenario.analyses:
-        t0 = time.perf_counter()
-        rep = analysis.divergence_demo(t_ref if 0 < t_ref else 1.0)
-        report["divergence"] = _jsonable(asdict(rep))
-        clocks["divergence"] = time.perf_counter() - t0
+        with _timed(clocks, "divergence"):
+            rep = analysis.divergence_demo(t_ref if 0 < t_ref else 1.0)
+            report["divergence"] = _jsonable(asdict(rep))
 
     if len(report) > 1:
         with open(outdir / "analysis.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -487,14 +488,21 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     return manifest
 
 
+@contextmanager
+def _timed(clocks, stage):
+    """Store the wall time of the block in ``clocks[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    clocks[stage] = time.perf_counter() - t0
+
+
 def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     mc = sc.mc
     if mc is not None:
         mc = SdeConfig(
             dt=float(overrides.get("dt", mc.dt)),
-            n_paths=int(overrides.get("paths", mc.n_paths)),
-            seed=int(overrides.get("seed", mc.seed)),
-            scheme=mc.scheme,
+            n_paths=_whole("paths", overrides.get("paths", mc.n_paths)),
+            seed=_whole("seed", overrides.get("seed", mc.seed)),
         )
     return replace(sc, mc=mc)
 

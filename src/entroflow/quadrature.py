@@ -64,13 +64,7 @@ def truncation_radius(t, growth=0.0):
 
 def _composite_gl(a, b, panels):
     """Composite 16-point Gauss-Legendre nodes/weights on [a, b]."""
-    xs, ws = _GL16
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * ws[None, :]).ravel()
-    return pts, w
+    return _gl_on_edges(np.linspace(a, b, panels + 1))
 
 
 def _grid_line(model, x, t, level, growth):

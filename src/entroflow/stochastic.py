@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,29 +33,28 @@ _MAGIC = b"ENSEMBLEv1\n"
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Step size, ensemble size, seed and scheme selection."""
+    """Step size, ensemble size and seed.
+
+    The scheme follows from the model: projected steps on the sphere,
+    Euler-Maruyama elsewhere.
+    """
 
     dt: float
     n_paths: int
     seed: int = DEFAULT_SEED
-    scheme: str = "auto"  # "euler" | "projected-sphere" | "auto"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy ints are not JSON
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.scheme not in ("auto", "euler", "projected-sphere"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    def resolve_scheme(self, model: MetricModel) -> str:
-        if self.scheme == "auto":
-            return "projected-sphere" if model.kind == geometry.SPHERE_2 else "euler"
-        if self.scheme == "projected-sphere" and model.kind != geometry.SPHERE_2:
-            raise ValueError("the projected scheme only applies to the sphere")
-        if self.scheme == "euler" and model.kind == geometry.SPHERE_2:
-            raise ValueError("the sphere requires the projected scheme")
-        return self.scheme
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def validate_against(self, model: MetricModel):
         t0, t1 = model.time_window
@@ -227,15 +227,6 @@ class PathEnsemble:
         return self.cfg.n_paths
 
     @property
-    def path_seeds(self):
-        """Derived per-path keys: the hashed (seed, path index) pairs that
-        seed each path's counter stream."""
-        idx = np.arange(self.cfg.n_paths, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            base = rng._mix(np.uint64(self.cfg.seed) + rng._GOLD)
-            return rng._mix(base ^ rng._mix(idx + rng._GOLD))
-
-    @property
     def blowup_fraction(self):
         return float(np.mean(self.blowup))
 
@@ -286,75 +277,103 @@ def _frozen_mask(model: MetricModel, states):
     return None
 
 
-def _draw_increment(model, cfg, idx, k, n, dim):
-    cols = [rng.normals(cfg.seed, idx, k, stream=d) for d in range(dim)]
+def _draw_increment(seed, idx, k, dim):
+    cols = [rng.normals(seed, idx, k, stream=d) for d in range(dim)]
     return np.stack(cols, axis=-1) if dim > 1 else cols[0][:, None]
 
 
-def _advance(model, scheme, states, t, dt, xi, blown):
-    """One step of the chosen scheme, in place; returns updated blown mask."""
-    if scheme == "euler":
-        sig = _diffusion_scale(model, t, states)
-        step = math.sqrt(2.0 * dt) * xi
-        if np.ndim(sig):
-            step = step * sig[:, None]
-        else:
-            step = step * sig
-        if blown is not None and blown.any():
-            step[blown] = 0.0
-        states += step
-        fresh = _frozen_mask(model, states)
-        if fresh is not None:
-            return np.logical_or(blown, fresh) if blown is not None else fresh
+def _advance(model, states, t, dt, xi, blown):
+    """One step in place (projected on the sphere, Euler elsewhere);
+    returns the updated blown mask."""
+    if model.kind == geometry.SPHERE_2:
+        c = float(model.conformal(t))
+        tang = xi - (np.sum(xi * states, axis=-1, keepdims=True)) * states
+        cand = states + math.sqrt(2.0 * dt / c) * tang
+        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        states[...] = cand
         return blown
-    # projected scheme on the unit sphere
-    c = float(model.conformal(t))
-    tang = xi - (np.sum(xi * states, axis=-1, keepdims=True)) * states
-    cand = states + math.sqrt(2.0 * dt / c) * tang
-    cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-    states[...] = cand
+    sig = _diffusion_scale(model, t, states)
+    step = math.sqrt(2.0 * dt) * xi
+    if np.ndim(sig):
+        step = step * sig[:, None]
+    else:
+        step = step * sig
+    if blown is not None and blown.any():
+        step[blown] = 0.0
+    states += step
+    fresh = _frozen_mask(model, states)
+    if fresh is not None:
+        return np.logical_or(blown, fresh) if blown is not None else fresh
     return blown
+
+
+def _march(model, x, cfg, n_steps, record, domains):
+    """Step the ensemble from x, keeping snapshots and first grid exits.
+
+    ``record`` holds the sorted step indices whose states are kept and
+    ``domains`` the domains whose first exits are wanted.  Stepping stops
+    once no snapshot is pending and no path is inside any domain, so an
+    exit replay ends at the last exit.  Returns the snapshots
+    ``(n_paths, len(record), dim)``, the blow-up mask and one ExitRecord
+    per domain.
+    """
+    n, dim = cfg.n_paths, model.dim_chart
+    idx = np.arange(n, dtype=np.uint64)
+    states = np.tile(x, (n, 1))
+    blown = np.zeros(n, dtype=bool) if _frozen_mask(model, states) is not None else None
+    snaps = np.empty((n, len(record), dim))
+    taus = [np.full(n, np.inf) for _ in domains]
+    exit_states = [np.tile(x, (n, 1)) for _ in domains]
+    open_mask = [np.ones(n, dtype=bool) for _ in domains]
+    cursor = 0
+    for k in range(n_steps + 1):
+        if k:
+            xi = _draw_increment(cfg.seed, idx, k - 1, dim)
+            blown = _advance(model, states, (k - 1) * cfg.dt, cfg.dt, xi, blown)
+        for j, d in enumerate(domains):
+            m = open_mask[j]
+            if not m.any():
+                continue
+            left = m & ~d.contains(model, states)
+            if left.any():
+                taus[j][left] = k * cfg.dt
+                exit_states[j][left] = states[left]
+                m &= ~left
+        if cursor < len(record) and record[cursor] == k:
+            snaps[:, cursor, :] = states
+            cursor += 1
+        if cursor == len(record) and not any(m.any() for m in open_mask):
+            break
+    if blown is None:
+        blown = np.zeros(n, dtype=bool)
+    exits = [
+        ExitRecord(domain=d, tau=tau, state=st, censored=~np.isfinite(tau))
+        for d, tau, st in zip(domains, taus, exit_states)
+    ]
+    return snaps, blown, exits
 
 
 def simulate(model: MetricModel, x, horizon, cfg: SdeConfig, record_times=None) -> PathEnsemble:
     """Run the ensemble to the horizon, recording states at snapshot times."""
     cfg.validate_against(model)
-    scheme = cfg.resolve_scheme(model)
     x = model.check_point(x)
     model.check_time(horizon)
     n_steps = int(round(horizon / cfg.dt))
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a whole number of steps")
+    if n_steps > rng.MAX_STEPS:
+        raise ValueError(
+            f"{n_steps} steps exceed the counter capacity of {rng.MAX_STEPS} steps"
+        )
     record = _snap_indices(record_times, horizon, cfg.dt, n_steps)
-    record_set = set(record)
-    dim = model.dim_chart
-
-    idx = np.arange(cfg.n_paths, dtype=np.uint64)
-    states = np.tile(x, (cfg.n_paths, 1))
-    blown = np.zeros(cfg.n_paths, dtype=bool) if _frozen_mask(model, states) is not None else None
-    out = np.empty((cfg.n_paths, len(record), dim))
-    snap_times = np.empty(len(record))
-    cursor = 0
-    if 0 in record_set:
-        out[:, cursor, :] = states
-        snap_times[cursor] = 0.0
-        cursor += 1
-    for k in range(n_steps):
-        xi = _draw_increment(model, cfg, idx, k, cfg.n_paths, dim)
-        blown = _advance(model, scheme, states, k * cfg.dt, cfg.dt, xi, blown)
-        if (k + 1) in record_set:
-            out[:, cursor, :] = states
-            snap_times[cursor] = (k + 1) * cfg.dt
-            cursor += 1
-    if blown is None:
-        blown = np.zeros(cfg.n_paths, dtype=bool)
+    states, blown, _ = _march(model, x, cfg, n_steps, record, ())
     return PathEnsemble(
         model=model,
         x=x,
         cfg=cfg,
         horizon=n_steps * cfg.dt,
-        times=snap_times,
-        states=out,
+        times=np.asarray(record, dtype=float) * cfg.dt,
+        states=states,
         blowup=blown,
     )
 
@@ -382,44 +401,8 @@ def replay_exits(ensemble: PathEnsemble, domains) -> list[ExitRecord]:
     model, cfg = ensemble.model, ensemble.cfg
     for d in domains:
         d.validate_against(model)
-    scheme = cfg.resolve_scheme(model)
-    n = cfg.n_paths
-    dim = model.dim_chart
-    idx = np.arange(n, dtype=np.uint64)
-    states = np.tile(ensemble.x, (n, 1))
-    blown = np.zeros(n, dtype=bool) if _frozen_mask(model, states) is not None else None
     n_steps = int(round(ensemble.horizon / cfg.dt))
-
-    taus = [np.full(n, np.inf) for _ in domains]
-    exit_states = [np.tile(ensemble.x, (n, 1)) for _ in domains]
-    open_mask = []
-    for j, d in enumerate(domains):
-        inside0 = d.contains(model, states)
-        taus[j][~inside0] = 0.0
-        open_mask.append(inside0.copy())
-
-    for k in range(n_steps):
-        if not any(m.any() for m in open_mask):
-            break
-        xi = _draw_increment(model, cfg, idx, k, n, dim)
-        blown = _advance(model, scheme, states, k * cfg.dt, cfg.dt, xi, blown)
-        t_next = (k + 1) * cfg.dt
-        for j, d in enumerate(domains):
-            m = open_mask[j]
-            if not m.any():
-                continue
-            left = m & ~d.contains(model, states)
-            if left.any():
-                taus[j][left] = t_next
-                exit_states[j][left] = states[left]
-                open_mask[j] &= ~left
-    records = []
-    for j, d in enumerate(domains):
-        censored = ~np.isfinite(taus[j])
-        records.append(
-            ExitRecord(domain=d, tau=taus[j], state=exit_states[j], censored=censored)
-        )
-    return records
+    return _march(model, ensemble.x, cfg, n_steps, (), domains)[2]
 
 
 def first_exit(ensemble: PathEnsemble, domain: DomainSpec) -> ExitRecord:
@@ -500,7 +483,6 @@ def save_ensemble(ensemble: PathEnsemble, path):
         "seed": ensemble.cfg.seed,
         "dt": ensemble.cfg.dt,
         "n_paths": ensemble.cfg.n_paths,
-        "scheme": ensemble.cfg.scheme,
         "horizon": ensemble.horizon,
         "times": ensemble.times.tolist(),
         "blowup_paths": np.nonzero(ensemble.blowup)[0].tolist(),
@@ -527,9 +509,7 @@ def load_ensemble(path) -> PathEnsemble:
     states = np.frombuffer(body, dtype="<f8").reshape(n, k, dim).astype(float)
     blowup = np.zeros(n, dtype=bool)
     blowup[np.asarray(header["blowup_paths"], dtype=int)] = True
-    cfg = SdeConfig(
-        dt=header["dt"], n_paths=n, seed=header["seed"], scheme=header["scheme"]
-    )
+    cfg = SdeConfig(dt=header["dt"], n_paths=n, seed=header["seed"])
     return PathEnsemble(
         model=model,
         x=np.asarray(header["x"], dtype=float),

@@ -1,14 +1,16 @@
 import filecmp
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import stochastic
+from entroflow import geometry, stochastic
 from entroflow.errors import ConfigError
 from entroflow.harness import (
     Scenario,
+    _apply_overrides,
     bundled_scenarios,
     load_scenario,
     parse_config_text,
@@ -107,6 +109,48 @@ t.max = 3.0
     assert "window" in str(err.value)
 
 
+MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=100.7), ValueError, "n_paths"),
+        (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=1.5), ValueError, "seed"),
+        (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=-1), ValueError, "seed"),
+        (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=2**64), ValueError, "seed"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 100.7")),
+         ConfigError, "mc.paths"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.seed = 12648430", "mc.seed = 7.9")),
+         ConfigError, "mc.seed"),
+        (lambda: parse_scenario(MINIMAL + "t.count = 8.5\n"), ConfigError, "t.count"),
+        (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"paths": 100.7}),
+         ConfigError, "paths"),
+        # one step past the counter capacity, refused before any step is taken
+        (lambda: stochastic.simulate(
+            geometry.line(), [0.0], (2**24 + 1) * 2.0**-24,
+            stochastic.SdeConfig(dt=2.0**-24, n_paths=1)),
+         ValueError, "steps exceed the counter capacity"),
+    ],
+    ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
+         "mc.paths", "mc.seed", "t.count", "paths-override", "steps-beyond-counter"],
+)
+def test_invalid_integer_inputs_fail_at_once(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_integral_float_counts_are_accepted():
+    sc = parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 2.5e4"))
+    assert sc.mc.n_paths == 25_000 and type(sc.mc.n_paths) is int
+
+
+def test_scheme_key_is_rejected():
+    # the scheme follows from the model; mc.scheme is no longer a setting
+    with pytest.raises(ConfigError, match="mc.scheme"):
+        parse_scenario(MC_BLOCK + 'mc.scheme = "euler"\n')
+
+
 def test_duplicate_and_malformed_lines():
     with pytest.raises(ConfigError):
         parse_config_text("a = 1\na = 2\n")
@@ -170,8 +214,8 @@ def test_wrong_diffusion_scale_fails_the_marginal_law(line_model, monkeypatch):
 
     original = stoch._advance
 
-    def slowed(model, scheme, states, t, dt, xi, blown):
-        return original(model, scheme, states, t, dt / 2.0, xi, blown)
+    def slowed(model, states, t, dt, xi, blown):
+        return original(model, states, t, dt / 2.0, xi, blown)
 
     monkeypatch.setattr(stoch, "_advance", slowed)
     cfg = stochastic.SdeConfig(dt=1e-3, n_paths=20_000, seed=4)
