@@ -368,18 +368,6 @@ def dg_dt_scale(model: MetricModel, t, pts):
     return np.broadcast_to(0.0, _tshape(t, n)).copy()
 
 
-def sqrt_det_scale(model: MetricModel, t, pts):
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    if model.kind == CIRCLE:
-        return np.broadcast_to(np.sqrt(model.conformal(t)), _tshape(t, n)).copy()
-    if model.kind == SPHERE_2:
-        return np.broadcast_to(model.conformal(t), _tshape(t, n)).copy()
-    if model.kind == HYPERBOLIC:
-        return np.broadcast_to(1.0 / pts[:, 1] ** 2, _tshape(t, n)).copy()
-    return np.broadcast_to(1.0, _tshape(t, n)).copy()
-
-
 def _tshape(t, n):
     return np.broadcast_shapes(np.shape(np.asarray(t)), (n,))
 

@@ -263,6 +263,10 @@ class Scenario:
             raise ConfigError(f"scenario {self.id!r}: t.min must be positive")
         if self.t_spacing not in ("log", "linear"):
             raise ConfigError(f"scenario {self.id!r}: bad spacing {self.t_spacing!r}")
+        if isinstance(self.t_count, bool) or not isinstance(self.t_count, numbers.Integral):
+            raise ConfigError(
+                f"scenario {self.id!r}: t.count must be a whole number, got {self.t_count!r}"
+            )
         if self.t_count < 2:
             raise ConfigError(f"scenario {self.id!r}: need at least two grid points")
         unknown = set(self.analyses) - set(ANALYSES)

@@ -184,14 +184,6 @@ def parse_kernel(spec: str, model: MetricModel, x) -> HeatKernelField:
     raise ValueError(f"unknown kernel id {spec!r}")
 
 
-def kernel_id(kernel: HeatKernelField) -> str:
-    return {
-        GaussianKernel: "gaussian",
-        WrappedGaussianKernel: "wrapped-gaussian",
-        SphereHeatKernel: "sphere-series",
-    }[type(kernel)]
-
-
 def adjoint_residual(kernel: HeatKernelField, model: MetricModel, t, y) -> float:
     """|dp/dt - Lap p + (1/2) tr(dg/dt) p| at (t, y).
 

@@ -78,9 +78,6 @@ class SolutionField:
             raise LogOfZero("solution vanishes at a queried point")
         return u
 
-    def _check_positive(self, t, pts):
-        self._positive_values(t, pts)
-
 
 @dataclass(frozen=True)
 class ValueJet:

@@ -284,7 +284,7 @@ def _draw_increment(seed, idx, k, dim):
 
 def _advance(model, states, t, dt, xi, blown):
     """One step in place (projected on the sphere, Euler elsewhere);
-    returns the updated blown mask."""
+    returns the updated blown mask.  The Euler step overwrites xi."""
     if model.kind == geometry.SPHERE_2:
         c = float(model.conformal(t))
         tang = xi - (np.sum(xi * states, axis=-1, keepdims=True)) * states
@@ -293,14 +293,14 @@ def _advance(model, states, t, dt, xi, blown):
         states[...] = cand
         return blown
     sig = _diffusion_scale(model, t, states)
-    step = math.sqrt(2.0 * dt) * xi
+    xi *= math.sqrt(2.0 * dt)
     if np.ndim(sig):
-        step = step * sig[:, None]
-    else:
-        step = step * sig
-    if blown is not None and blown.any():
-        step[blown] = 0.0
-    states += step
+        xi *= sig[:, None]
+    elif sig != 1.0:
+        xi *= sig
+    if blown is not None:
+        xi[np.flatnonzero(blown)] = 0.0
+    states += xi
     fresh = _frozen_mask(model, states)
     if fresh is not None:
         return np.logical_or(blown, fresh) if blown is not None else fresh
@@ -325,24 +325,27 @@ def _march(model, x, cfg, n_steps, record, domains):
     taus = [np.full(n, np.inf) for _ in domains]
     exit_states = [np.tile(x, (n, 1)) for _ in domains]
     open_mask = [np.ones(n, dtype=bool) for _ in domains]
+    n_open = [n for _ in domains]
     cursor = 0
     for k in range(n_steps + 1):
         if k:
             xi = _draw_increment(cfg.seed, idx, k - 1, dim)
             blown = _advance(model, states, (k - 1) * cfg.dt, cfg.dt, xi, blown)
         for j, d in enumerate(domains):
-            m = open_mask[j]
-            if not m.any():
+            if not n_open[j]:
                 continue
-            left = m & ~d.contains(model, states)
-            if left.any():
+            # by index: boolean-mask row scatters take numpy's slow path
+            m = open_mask[j]
+            left = np.flatnonzero(m & ~d.contains(model, states))
+            if left.size:
                 taus[j][left] = k * cfg.dt
                 exit_states[j][left] = states[left]
-                m &= ~left
+                m[left] = False
+                n_open[j] -= left.size
         if cursor < len(record) and record[cursor] == k:
             snaps[:, cursor, :] = states
             cursor += 1
-        if cursor == len(record) and not any(m.any() for m in open_mask):
+        if cursor == len(record) and not any(n_open):
             break
     if blown is None:
         blown = np.zeros(n, dtype=bool)

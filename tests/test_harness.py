@@ -124,6 +124,9 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
         (lambda: parse_scenario(MC_BLOCK.replace("mc.seed = 12648430", "mc.seed = 7.9")),
          ConfigError, "mc.seed"),
         (lambda: parse_scenario(MINIMAL + "t.count = 8.5\n"), ConfigError, "t.count"),
+        (lambda: Scenario(id="direct", model="euclidean-line", solution="expline:1,1",
+                          x=(0.0,), t_min=0.25, t_max=4.0, t_count=8.5).validate(),
+         ConfigError, "t.count"),
         (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"paths": 100.7}),
          ConfigError, "paths"),
         # one step past the counter capacity, refused before any step is taken
@@ -133,7 +136,8 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
          ValueError, "steps exceed the counter capacity"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
-         "mc.paths", "mc.seed", "t.count", "paths-override", "steps-beyond-counter"],
+         "mc.paths", "mc.seed", "t.count", "t.count-direct", "paths-override",
+         "steps-beyond-counter"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -243,6 +243,21 @@ def test_chart_exit_paths_are_flagged_not_dropped():
     assert np.all(frozen[:, 1] <= 0.0)
 
 
+def test_euler_step_leaves_frozen_paths_bit_unchanged():
+    model = geometry.hyperbolic()
+    gen = np.random.default_rng(12)
+    states = np.column_stack([gen.normal(size=400), gen.uniform(-0.5, 2.0, size=400)])
+    blown = states[:, 1] <= 0.0
+    assert 0 < blown.sum() < blown.size
+    before = states.copy()
+    xi = gen.normal(size=states.shape)
+    want = before + (math.sqrt(2.0 * 0.01) * xi) * before[:, 1:2]
+    out = stochastic._advance(model, states, 0.0, 0.01, xi.copy(), blown.copy())
+    assert np.array_equal(states[blown].view(np.uint64), before[blown].view(np.uint64))
+    assert np.array_equal(states[~blown], want[~blown])
+    assert np.array_equal(out, blown | (states[:, 1] <= 0.0))
+
+
 @pytest.mark.parametrize(
     "model, x, horizon, dt, domain",
     [
