@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import ChartViolation, OutOfWindow
 
@@ -305,6 +304,9 @@ def super_ricci_gap(model: MetricModel, t, y) -> float:
     a = data.dg_dt - 2.0 * data.ricci
     if model.dim == 1:
         return float(a[0, 0] / data.g[0, 0])
+    # a deferred import: start-up skips scipy.linalg, which 1-D models never need
+    from scipy.linalg import eigh
+
     vals = eigh(a, data.g, eigvals_only=True)
     return float(vals[-1])
 

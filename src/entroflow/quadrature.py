@@ -21,6 +21,7 @@ by more than 10%.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,20 @@ from . import geometry
 from .errors import QuadratureDivergence
 from .geometry import MetricModel
 
-_GL16 = leggauss(16)
+
+@functools.lru_cache(maxsize=32)  # the grids use fewer than ten sizes
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once.
+
+    The arrays are shared between callers, so they are made read-only.
+    """
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+_GL16 = _gauss_legendre(16)
 _GROWTH_FRACTION = 0.10
 _GROWTH_STREAK = 3
 
@@ -84,7 +98,7 @@ def _grid_circle(model, x, t, level, growth):
 def _grid_sphere(model, x, t, level, growth):
     nmu = 64 * 2**level
     nphi = 96 * 2**level
-    mus, wmu = leggauss(nmu)
+    mus, wmu = _gauss_legendre(nmu)
     phis = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
     wphi = 2.0 * np.pi / nphi
     sin = np.sqrt(1.0 - mus**2)
@@ -132,7 +146,7 @@ def _grid_punctured(model, x, t, level, growth, outer_scale=1.0, mesh_scale=1):
     rs_out, wr_out = _composite_gl(1.0, r_out, lin_panels * mesh_scale)
     rs = np.concatenate([rs_in, rs_out])
     wr = np.concatenate([wr_in, wr_out])
-    mus, wmu = leggauss(48 * mesh_scale)
+    mus, wmu = _gauss_legendre(48 * mesh_scale)
     axis = x / nx
     perp = np.zeros(3)
     perp[int(np.argmin(np.abs(axis)))] = 1.0

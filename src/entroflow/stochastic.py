@@ -69,6 +69,13 @@ class SdeConfig:
                 )
 
 
+def _finite_params(what, values):
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} must be finite numbers, got {values!r}")
+    return tuple(float(v) for v in vals)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """A relatively compact domain in the chart.
@@ -83,24 +90,33 @@ class DomainSpec:
 
     @staticmethod
     def interval(a, b):
+        a, b = _finite_params("interval ends", (a, b))
         if not a < b:
             raise ValueError("interval needs a < b")
-        return DomainSpec("interval", (float(a), float(b)))
+        return DomainSpec("interval", (a, b))
 
     @staticmethod
     def ball(center, radius):
-        center = tuple(float(c) for c in np.atleast_1d(center))
+        center = _finite_params("ball center", np.atleast_1d(center))
+        (radius,) = _finite_params("ball radius", (radius,))
+        if not center:
+            raise ValueError("ball needs a center")
         if radius <= 0:
             raise ValueError("ball needs a positive radius")
-        return DomainSpec("ball", center + (float(radius),))
+        return DomainSpec("ball", center + (radius,))
 
     @staticmethod
     def cap(axis, angle):
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        axis = np.array(_finite_params("cap axis", axis))
+        (angle,) = _finite_params("cap angle", (angle,))
+        if axis.shape != (3,):
+            raise ValueError("cap needs a 3-component axis")
+        norm = np.linalg.norm(axis)
+        if norm == 0.0:
+            raise ValueError("cap needs a nonzero axis")
         if angle <= 0:
             raise ValueError("cap needs a positive opening angle")
-        return DomainSpec("cap", tuple(axis) + (float(angle),))
+        return DomainSpec("cap", tuple(axis / norm) + (angle,))
 
     def validate_against(self, model: MetricModel):
         if self.kind == "interval":
@@ -153,18 +169,31 @@ class DomainSpec:
         return (self.kind,) + self.params
 
 
+_DOMAIN_GRAMMAR = {  # kind: (fewest, most parameters, usage)
+    "interval": (2, 2, "interval:a,b"),
+    "ball": (2, math.inf, "ball:c1,..,cn,r"),
+    "cap": (4, 4, "cap:ax,ay,az,angle"),
+}
+
+
 def parse_domain(spec: str) -> DomainSpec:
     """Grammar: ``interval:a,b`` | ``ball:c1,..,cn,r`` | ``cap:ax,ay,az,angle``."""
     head, _, args = spec.partition(":")
-    vals = [float(v) for v in args.split(",")]
     head = head.strip()
+    if head not in _DOMAIN_GRAMMAR:
+        raise ValueError(f"unknown domain id {spec!r}")
+    fewest, most, usage = _DOMAIN_GRAMMAR[head]
+    try:
+        vals = [float(v) for v in args.split(",")]
+    except ValueError:
+        vals = []
+    if not fewest <= len(vals) <= most:
+        raise ValueError(f"domain {spec!r} does not read {usage}")
     if head == "interval":
         return DomainSpec.interval(*vals)
     if head == "ball":
         return DomainSpec.ball(vals[:-1], vals[-1])
-    if head == "cap":
-        return DomainSpec.cap(vals[:3], vals[3])
-    raise ValueError(f"unknown domain id {spec!r}")
+    return DomainSpec.cap(vals[:3], vals[3])
 
 
 def domain_id(d: DomainSpec) -> str:

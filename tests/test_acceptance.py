@@ -19,7 +19,11 @@ if any row fails.  Criteria covered:
 12. the two pointwise evolution identities on randomized samples.
 """
 
+import math
+
+import numpy as np
 import pytest
+from scipy import stats
 
 from entroflow import acceptance
 
@@ -52,3 +56,18 @@ def test_suite_selection():
     assert groups == {"1", "2", "3", "9"}
     with pytest.raises(ValueError):
         acceptance.verify("nope")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20_000])
+@pytest.mark.parametrize("law", ["on", "off"])
+def test_ks_distance_equals_scipy_kstest_bit_for_bit(n, law):
+    t = 0.25
+    sigma = math.sqrt(2 * t)
+    gen = np.random.default_rng(n)
+    if law == "on":
+        samples = gen.normal(0.0, sigma, size=n)
+    else:
+        samples = gen.standard_t(3, size=n) + 0.3
+    want = stats.kstest(samples, stats.norm(scale=sigma).cdf).statistic
+    got = np.float64(acceptance._ks_distance(samples, sigma))
+    assert got.view(np.uint64) == np.float64(want).view(np.uint64)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from entroflow import geometry, kernels, solutions
+from entroflow import geometry, kernels, quadrature, solutions
 from entroflow.entropy import first_variation_integrand, ulogu_integrand
 from entroflow.errors import QuadratureDivergence
 from entroflow.quadrature import (
@@ -113,6 +114,29 @@ def test_sphere_grid_weights_integrate_volume(sphere_model):
     c = float(sphere_model.conformal(t))
     assert float(np.sum(w)) == pytest.approx(4 * np.pi * c, rel=1e-12)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+
+def test_gauss_legendre_rules_are_cached_read_only():
+    xs, ws = quadrature._gauss_legendre(64)
+    assert quadrature._gauss_legendre(64)[0] is xs
+    assert not xs.flags.writeable and not ws.flags.writeable
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_cached_rules_leave_grids_bit_unchanged(sphere_model, level, monkeypatch):
+    punctured = geometry.punctured3()
+    cases = [
+        (sphere_model, np.array([1.0, 0.0, 0.0]), 0.5, {}),
+        (punctured, np.array([0.0, 0.0, 1.0]), 0.5, {"mesh_scale": 2}),
+    ]
+    cached = [build_grid(m, x, t, level, **opts) for m, x, t, opts in cases]
+    monkeypatch.setattr(quadrature, "_gauss_legendre", leggauss)
+    for (m, x, t, opts), (pts, w) in zip(cases, cached):
+        ref_pts, ref_w = build_grid(m, x, t, level, **opts)
+        assert np.array_equal(pts.view(np.uint64), ref_pts.view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
 
 
 def test_flat_space_radial_grid_mass():

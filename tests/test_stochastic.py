@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entroflow import geometry, stochastic
-from entroflow.errors import CensoredDominates
+from entroflow import geometry, harness, stochastic
+from entroflow.errors import CensoredDominates, ConfigError
 from entroflow.stochastic import (
     AtExit,
     AtTime,
@@ -224,6 +224,47 @@ def test_domain_validation():
     d = parse_domain("interval:-1,1")
     assert d.kind == "interval" and d.params == (-1.0, 1.0)
     assert stochastic.domain_id(d) == "interval:-1,1"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cap:0,0,0,0.5",  # a zero axis has no direction
+        "interval:1",
+        "cap:1,0,0",
+        "ball:0.5",  # a radius and no center
+        "interval:a,b",
+        "interval:-1,nan",
+        "interval:-inf,1",
+        "ball:nan,1",
+        "ball:0,inf",
+        "cap:inf,0,0,0.5",
+        "cap:1,0,0,nan",
+    ],
+)
+def test_malformed_domain_specs_raise_value_error(spec):
+    with pytest.raises(ValueError, match="domain|finite|axis|center"):
+        parse_domain(spec)
+
+
+def test_malformed_domain_constructors_raise_value_error():
+    for build in (
+        lambda: DomainSpec.cap([0.0, 0.0, 0.0], 0.5),
+        lambda: DomainSpec.cap([1.0, 0.0], 0.5),
+        lambda: DomainSpec.cap([[1.0, 0.0, 0.0]], 0.5),
+        lambda: DomainSpec.ball([], 1.0),
+        lambda: DomainSpec.ball([0.0], math.nan),
+        lambda: DomainSpec.interval(0.0, math.inf),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_zero_cap_axis_is_a_config_error():
+    # normalising a zero axis gives NaNs, and every path would "exit" at tau = 0
+    text = harness.bundled_scenarios()["sphere_ricci_flow"].read_text()
+    with pytest.raises(ConfigError, match="nonzero axis"):
+        harness.parse_scenario(text + 'domains = ["cap:0,0,0,0.5"]\n')
 
 
 def test_snapshot_lookup_errors(line_ensemble):
