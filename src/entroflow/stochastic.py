@@ -80,8 +80,8 @@ def _finite_params(what, values):
 class DomainSpec:
     """A relatively compact domain in the chart.
 
-    kinds: ``interval`` (line: a < y < b, circle: arc a < theta < b within
-    one period), ``ball`` (flat models: |y - center| < r; circle: arc
+    kinds: ``interval`` (line: a < y < b, circle: arc a < theta < b with
+    0 <= a < b <= 2 pi), ``ball`` (flat models: |y - center| < r; circle: arc
     distance < r), ``cap`` (sphere: angle(y, axis) < angle).
     """
 
@@ -122,6 +122,10 @@ class DomainSpec:
         if self.kind == "interval":
             if model.kind not in (geometry.EUCLIDEAN_LINE, geometry.CIRCLE):
                 raise ValueError("intervals apply to the line and the circle")
+            # contains() reduces angles into [0, 2 pi) before comparing
+            a, b = self.params
+            if model.kind == geometry.CIRCLE and not 0.0 <= a < b <= 2.0 * np.pi:
+                raise ValueError("circle intervals need 0 <= a < b <= 2 pi")
         elif self.kind == "ball":
             center, radius = np.array(self.params[:-1]), self.params[-1]
             if model.kind == geometry.CIRCLE:

@@ -1,3 +1,6 @@
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -118,3 +121,95 @@ def test_uniforms_stay_inside_the_open_interval_at_both_ends(seed, x, u_want):
     u = rng.uniforms(seed, idx, step, stream)
     assert u[0] == u_want and 0.0 < u[0] < 1.0
     assert np.isfinite(rng.normals(seed, idx, step, stream)[0])
+
+
+class _CountingPool(ThreadPoolExecutor):
+    # a one-thread helper that counts the work handed to it
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class _NoPool:
+    # stands in for the helper where none may be used
+    def submit(self, *args, **kwargs):
+        raise AssertionError("the helper thread was used")
+
+
+@pytest.fixture
+def helper():
+    pool = _CountingPool()
+    yield pool
+    pool.shutdown(wait=True)
+
+
+def _path_orders(n):
+    idx = np.arange(n, dtype=np.uint64)
+    shuffled = np.random.default_rng(n).permutation(idx)
+    return {
+        "sorted": idx,
+        "shuffled": shuffled,
+        "reversed": idx[::-1],
+        "2-D": shuffled[: n - n % 2].reshape(-1, 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "n", [rng._SPLIT_MIN - 1, rng._SPLIT_MIN, 25_000, rng._BLOCK + 1, 100_003]
+)
+def test_split_normals_equal_serial_normals_bit_for_bit(n, helper, monkeypatch):
+    for step, stream in ((7, 2), (rng.MAX_STEPS - 1, rng.MAX_STREAMS - 1)):
+        for order, idx in _path_orders(n).items():
+            monkeypatch.setattr(rng, "_pool", False)
+            serial = rng.normals(SEED, idx, step, stream)
+            monkeypatch.setattr(rng, "_pool", helper)
+            before = helper.submitted
+            split = rng.normals(SEED, idx, step, stream)
+            assert helper.submitted - before == (idx.size >= rng._SPLIT_MIN), order
+            _assert_bits_equal(split, serial)
+
+
+def test_uniforms_never_use_the_helper(monkeypatch):
+    monkeypatch.setattr(rng, "_pool", _NoPool())
+    for n in (rng._SPLIT_MIN, 100_003):
+        idx = np.arange(n, dtype=np.uint64)
+        _assert_bits_equal(rng.uniforms(SEED, idx, 7, 2), _reference(SEED, idx, 7, 2, False))
+    with pytest.raises(AssertionError, match="helper thread was used"):
+        rng.normals(SEED, idx, 7, 2)
+
+
+def _draw_in_child(conn, n, step):
+    conn.send_bytes(rng.normals(SEED, np.arange(n, dtype=np.uint64), step).tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
+    # the parent's helper thread is not copied into a forked child; a child
+    # that kept its parent's executor would wait forever for its first split
+    monkeypatch.setattr(rng, "_pool", helper)
+    n, step = 25_000, 5
+    want = rng.normals(SEED, np.arange(n, dtype=np.uint64), step)
+    assert helper.submitted == 1  # the helper thread is running at the fork
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_in_child, args=(send, n, step))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(30), "the forked child did not finish its draw"
+        got = np.frombuffer(recv.recv_bytes(), dtype=np.float64)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0
+    _assert_bits_equal(got, want)

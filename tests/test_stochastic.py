@@ -267,6 +267,22 @@ def test_zero_cap_axis_is_a_config_error():
         harness.parse_scenario(text + 'domains = ["cap:0,0,0,0.5"]\n')
 
 
+@pytest.mark.parametrize(
+    "spec", ["interval:-1,1", "interval:1,9"], ids=["negative-end", "over-a-period"]
+)
+def test_circle_intervals_must_lie_in_one_period(spec):
+    # contains() reduces angles into [0, 2 pi): interval:-1,1 would act as the
+    # arc [0, 1), and interval:1,9 as [1, 2 pi)
+    with pytest.raises(ValueError, match="0 <= a < b <= 2 pi"):
+        parse_domain(spec).validate_against(geometry.circle(1.0, -0.1))
+    parse_domain(spec).validate_against(geometry.line())  # fine on the line
+    text = harness.bundled_scenarios()["circle_shrinking"].read_text()
+    with pytest.raises(ConfigError, match="0 <= a < b <= 2 pi"):
+        harness.parse_scenario(text + f'domains = ["{spec}"]\n')
+    for a, b in ((0.0, 1.0), (0.1, 3.0), (1.0, 2.0 * np.pi)):
+        DomainSpec.interval(a, b).validate_against(geometry.circle(1.0, -0.1))
+
+
 def test_snapshot_lookup_errors(line_ensemble):
     with pytest.raises(ValueError):
         line_ensemble.state_at(0.123456)
