@@ -316,7 +316,8 @@ def entropy_curve(
 
     Condition integrals are always evaluated by refinement quadrature.
     The quadrature entries use a fixed refinement level so the curve is a
-    smooth deterministic function of t.
+    smooth deterministic function of t; E, E' and E'' then share the node
+    set of each time.  With ``level=None`` each entry is refined on its own.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
@@ -334,10 +335,13 @@ def entropy_curve(
     d0 = np.zeros(n, dtype=bool)
     methods = []
     for i, t in enumerate(t_grid):
-        if method == "quadrature":
-            E[i] = entropy_q(sol, kernel, model, t, level=level)
-            Ep[i] = entropy_prime(sol, kernel, t, model=model, level=level)
-            Es[i] = entropy_second(sol, model, kernel, t, level=level)
+        if method == "quadrature" and level is not None:
+            E[i], Ep[i], Es[i] = _quadrature_row(sol, model, kernel, t, level)
+            methods.append("quadrature")
+        elif method == "quadrature":
+            E[i] = entropy_q(sol, kernel, model, t)
+            Ep[i] = entropy_prime(sol, kernel, t, model=model)
+            Es[i] = entropy_second(sol, model, kernel, t)
             methods.append("quadrature")
         elif method == "monte-carlo":
             if ensemble is None:
@@ -364,6 +368,26 @@ def entropy_curve(
         method=methods,
         cond1=c1, cond2=c2, cond0a=c0,
         cond1_divergent=d1, cond2_divergent=d2, cond0a_divergent=d0,
+    )
+
+
+def _quadrature_row(sol, model, kernel, t, level):
+    """E, E', E'' at time t on one node set, which is dropped on return.
+
+    Equal bit for bit to `entropy_q`, `entropy_prime` and `entropy_second`
+    at the same level: the three integrands share the growth rate, so the
+    grid and the kernel density are the same for all three.
+    """
+    if t <= 0:
+        raise ValueError("the kernel measure needs t > 0")
+    nodes = quadrature.kernel_nodes(kernel, model, t, level, shared_growth(sol))
+    return tuple(
+        quadrature.kernel_expectation(f, kernel, model, t, nodes=nodes)
+        for f in (
+            ulogu_integrand(sol),
+            first_variation_integrand(sol),
+            second_variation_integrand(sol, model),
+        )
     )
 
 

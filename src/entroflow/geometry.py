@@ -202,17 +202,34 @@ def tangent_frame(y):
 
 
 def tangent_frames(pts):
-    """Vectorized `tangent_frame` for an (n, 3) array of unit points."""
+    """Vectorized `tangent_frame` for an (n, 3) array of unit points.
+
+    Works column by column: ``np.cross`` and a norm over a length-3 axis
+    are numpy's slowest paths, about three times the cost of the same
+    arithmetic on whole columns.  The bits are those of the ``np.cross`` /
+    ``np.linalg.norm`` form: `_cross_columns` forms the same products and
+    differences, and the squared norm is summed left to right,
+    ``(a0*a0 + a1*a1) + a2*a2``, the order numpy's length-3 sum takes.
+    The helper's zero component is multiplied out, not skipped, so the
+    signs of zero results match too.
+    """
     pts = np.asarray(pts, dtype=float)
-    helper = np.where(
-        (np.abs(pts[:, 2]) < 0.9)[:, None],
-        np.array([0.0, 0.0, 1.0]),
-        np.array([1.0, 0.0, 0.0]),
-    )
-    e1 = np.cross(helper, pts)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(pts, e1)
-    return e1, e2
+    p = tuple(pts.T)
+    # helper (0, 0, 1) away from the poles, (1, 0, 0) near them
+    h2 = (np.abs(p[2]) < 0.9).astype(float)
+    e1 = _cross_columns((1.0 - h2, 0.0, h2), p)
+    a = tuple(e1.T)
+    e1 /= np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])[:, None]
+    return e1, _cross_columns(p, a)
+
+
+def _cross_columns(a, b):
+    """``np.cross`` of the column triples a and b, as an (n, 3) array."""
+    out = np.empty((b[0].size, 3))
+    out[:, 0] = a[1] * b[2] - a[2] * b[1]
+    out[:, 1] = a[2] * b[0] - a[0] * b[2]
+    out[:, 2] = a[0] * b[1] - a[1] * b[0]
+    return out
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ class Scenario:
             mc = None
             if "mc.paths" in m:
                 mc = SdeConfig(
-                    dt=float(m.pop("mc.dt")),
+                    dt=_step("mc.dt", m.pop("mc.dt")),
                     n_paths=_whole("mc.paths", m.pop("mc.paths")),
                     seed=_whole("mc.seed", m.pop("mc.seed", DEFAULT_SEED)),
                 )
@@ -299,6 +299,17 @@ def _whole(key, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _step(key, value):
+    """A positive, finite step size; "nan" and "inf" parse as floats."""
+    try:
+        dt = float(value)
+    except (TypeError, ValueError):
+        dt = math.nan
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+    return dt
 
 
 def _needs_kernel(analyses):
@@ -504,7 +515,7 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     mc = sc.mc
     if mc is not None:
         mc = SdeConfig(
-            dt=float(overrides.get("dt", mc.dt)),
+            dt=_step("dt", overrides.get("dt", mc.dt)),
             n_paths=_whole("paths", overrides.get("paths", mc.n_paths)),
             seed=_whole("seed", overrides.get("seed", mc.seed)),
         )

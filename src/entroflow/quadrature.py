@@ -17,6 +17,16 @@ Summation order is fixed at a given refinement level, so values are
 bit-reproducible.  Refinement stops on stabilization, or declares the
 integral divergent when three successive refinements each grow the value
 by more than 10%.
+
+A node set (`kernel_nodes`) is the grid, its volume weights and the kernel
+density at the nodes for one kernel, model, time and level.  The grid and
+the density depend on neither integrand, so the integrals of one time step
+(E, E' and E'' of an entropy curve) or of one refinement level (the
+punctured divergence tables) share one set: building it, and above all
+summing the sphere's zonal kernel series, is most of the cost of a
+quadrature.  A set is built by the caller for that step or level and
+dropped before the next one; nothing caches it, so memory holds one set at
+a time whatever the length of the time grid.
 """
 
 from __future__ import annotations
@@ -187,14 +197,55 @@ def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
     raise ValueError(f"no quadrature rule for model kind {model.kind!r}")
 
 
-def kernel_expectation(f, kernel, model, t, level=0, growth=0.0, **grid_opts):
-    """Single-level quadrature of f against the kernel measure."""
+@dataclass(frozen=True, eq=False)
+class NodeSet:
+    """Nodes, volume weights and kernel density of one kernel, model and t.
+
+    The arrays are read-only: every integral evaluated on the set sees the
+    same nodes.
+    """
+
+    kernel: object
+    model: MetricModel
+    t: float
+    pts: np.ndarray
+    w: np.ndarray
+    dens: np.ndarray
+
+
+def kernel_nodes(kernel, model, t, level=0, growth=0.0, **grid_opts) -> NodeSet:
+    """The node set of a single-level quadrature against the kernel measure."""
     pts, w = build_grid(
         model, kernel.base_point, t, level=level, growth=growth, **grid_opts
     )
-    vals = np.asarray(f(t, pts), dtype=float)
     dens = np.asarray(kernel.density(t, pts), dtype=float)
-    return float(np.dot(vals * dens, w))
+    for a in (pts, w, dens):
+        a.flags.writeable = False
+    return NodeSet(kernel, model, t, pts, w, dens)
+
+
+def kernel_expectation(
+    f, kernel, model, t, level=None, growth=None, *, nodes=None, **grid_opts
+):
+    """Single-level quadrature of f against the kernel measure.
+
+    ``nodes`` is a `kernel_nodes` set for this kernel, model and t; it
+    replaces ``level``, ``growth`` and the grid options.  Without it the
+    set is built here (level 0 and growth 0 by default).
+    """
+    if nodes is None:
+        nodes = kernel_nodes(
+            kernel, model, t,
+            level=0 if level is None else level,
+            growth=0.0 if growth is None else growth,
+            **grid_opts,
+        )
+    elif level is not None or growth is not None or grid_opts:
+        raise ValueError("pass either a node set or level, growth and grid options")
+    elif nodes.kernel is not kernel or nodes.model is not model or nodes.t != t:
+        raise ValueError("the node set was built for another kernel, model or time")
+    vals = np.asarray(f(t, nodes.pts), dtype=float)
+    return float(np.dot(vals * nodes.dens, nodes.w))
 
 
 def refine_expectation(

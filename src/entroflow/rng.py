@@ -29,6 +29,7 @@ started it: a child made by ``os.fork`` forgets its parent's helper, whose
 thread does not exist in the child, and starts its own when it needs one.
 """
 
+import numbers
 import os
 import threading
 
@@ -133,11 +134,37 @@ def _fill(idx, out, base, low, normal, z_buf, tmp_buf):
             ndtri(u, out=u)
 
 
+def _whole(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must not be negative, got {value!r}")
+    return int(value)
+
+
+def _path_indices(path_idx):
+    # uint64 indices, the ones the stepping loop passes, are taken as they
+    # are; signed ones are scanned for negatives, and any other dtype (a
+    # float would be truncated, a Python int past 2**64 is an object) is
+    # refused rather than silently cast
+    path_idx = np.asarray(path_idx)
+    kind = path_idx.dtype.kind
+    if kind == "i":
+        if path_idx.size and path_idx.min() < 0:
+            raise ValueError("path indices must not be negative")
+    elif kind != "u" and path_idx.size:
+        raise ValueError(f"path indices must be integers, got dtype {path_idx.dtype}")
+    return path_idx.astype(np.uint64, copy=False)
+
+
 def _draws(seed, path_idx, step, stream, normal):
     """Uniforms on (0, 1), or normals, keyed by (seed, path, step, stream)."""
+    seed, step, stream = _whole("seed", seed), _whole("step", step), _whole("stream", stream)
+    if seed >= 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if step >= MAX_STEPS or stream >= MAX_STREAMS:
         raise ValueError("step or stream index exceeds counter capacity")
-    path_idx = np.asarray(path_idx, dtype=np.uint64)
+    path_idx = _path_indices(path_idx)
     low = np.uint64((step << _STREAM_BITS) | stream)
     base = np.array([seed], dtype=np.uint64) + _GOLD
     _mix(base, np.empty_like(base))

@@ -44,8 +44,8 @@ class SdeConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         for name in ("n_paths", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -317,13 +317,23 @@ def _draw_increment(seed, idx, k, dim):
 
 def _advance(model, states, t, dt, xi, blown):
     """One step in place (projected on the sphere, Euler elsewhere);
-    returns the updated blown mask.  The Euler step overwrites xi."""
+    returns the updated blown mask.  Both steps overwrite xi."""
     if model.kind == geometry.SPHERE_2:
-        c = float(model.conformal(t))
-        tang = xi - (np.sum(xi * states, axis=-1, keepdims=True)) * states
-        cand = states + math.sqrt(2.0 * dt / c) * tang
-        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-        states[...] = cand
+        # the projected step y + h (xi - <xi, y> y), renormalized, in place
+        # on column views: a sum or norm over a length-3 axis is numpy's
+        # slow path.  numpy sums that axis left to right, (q0 + q1) + q2,
+        # and so do the dot product and the squared norm here, which keeps
+        # every bit of the row-wise form
+        (y0, y1, y2), (x0, x1, x2) = states.T, xi.T
+        h = math.sqrt(2.0 * dt / float(model.conformal(t)))
+        dot = (x0 * y0 + x1 * y1) + x2 * y2
+        for xc, yc in ((x0, y0), (x1, y1), (x2, y2)):
+            xc -= dot * yc
+            xc *= h
+            yc += xc
+        norm = np.sqrt((y0 * y0 + y1 * y1) + y2 * y2)
+        for yc in (y0, y1, y2):
+            yc /= norm
         return blown
     sig = _diffusion_scale(model, t, states)
     xi *= math.sqrt(2.0 * dt)

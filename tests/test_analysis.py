@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import geometry, kernels, solutions
+from entroflow import geometry, kernels, quadrature, solutions
 from entroflow.analysis import (
     GROWTH_CONSTANT,
     GROWTH_LINEAR,
@@ -15,7 +15,7 @@ from entroflow.analysis import (
     rigidity_check,
     separation_test,
 )
-from entroflow.entropy import entropy_curve
+from entroflow.entropy import entropy_curve, first_variation_integrand, ulogu_integrand
 from entroflow.errors import InsufficientCurve
 from entroflow.solutions import Constant, ExponentialLine, SumOfExponentialsLine
 
@@ -243,3 +243,24 @@ def test_divergence_demo_tables():
     rate = math.log(10.0) * 4 * math.pi * (4 * math.pi) ** -1.5 * math.exp(-0.25)
     diffs = np.diff(rep.prime_values)
     assert diffs == pytest.approx(rate, rel=1e-3)
+
+
+def test_divergence_demo_equals_separate_integrals_bit_for_bit():
+    # E and E' of a level share one node set; each must equal the value of
+    # its own kernel_expectation call
+    t, x = 0.5, np.array([0.0, 0.8, 0.6])
+    rep = divergence_demo(t, x=x, levels=range(3))
+    model = geometry.punctured3()
+    sol = solutions.RadialHarmonic3(model)
+    kernel = kernels.GaussianKernel(x, model)
+    for lv in range(3):
+        e = quadrature.kernel_expectation(ulogu_integrand(sol), kernel, model, t, level=lv)
+        p = quadrature.kernel_expectation(
+            first_variation_integrand(sol), kernel, model, t, level=lv
+        )
+        assert np.float64(rep.entropy_values[lv]).view(np.uint64) == np.float64(e).view(np.uint64)
+        assert np.float64(rep.prime_values[lv]).view(np.uint64) == np.float64(p).view(np.uint64)
+    tail = quadrature.kernel_expectation(
+        ulogu_integrand(sol), kernel, model, t, level=0, outer_scale=2.0
+    )
+    assert rep.tail_shift == abs(tail - rep.entropy_values[0])

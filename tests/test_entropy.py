@@ -256,6 +256,41 @@ def test_quadrature_curve_is_deterministic(line_model, line_sol, line_kernel):
     assert a.method == ["quadrature"] * 6
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere"])
+@pytest.mark.parametrize("level", [0, entropy.DEFAULT_CURVE_LEVEL])
+def test_curve_shares_nodes_bit_for_bit(which, level, request):
+    # E, E', E'' of one time share a node set; each must equal its own
+    # single-integral quadrature bit for bit
+    model, sol, kernel = (request.getfixturevalue(f"{which}_{k}") for k in ("model", "sol", "kernel"))
+    grid = np.array([0.25, 0.5, 0.75])
+    curve = entropy_curve(sol, model, kernel, grid, level=level, with_conditions=False)
+    for i, t in enumerate(grid):
+        assert _bits(curve.E[i]) == _bits(entropy_q(sol, kernel, model, t, level=level))
+        assert _bits(curve.E_prime[i]) == _bits(
+            entropy_prime(sol, kernel, t, model=model, level=level)
+        )
+        assert _bits(curve.E_second[i]) == _bits(
+            entropy_second(sol, model, kernel, t, level=level)
+        )
+
+
+def test_refined_curve_refines_each_integral(line_model, line_sol, line_kernel):
+    grid = [0.5, 1.0]
+    curve = entropy_curve(line_sol, line_model, line_kernel, grid, level=None,
+                          with_conditions=False)
+    for i, t in enumerate(grid):
+        assert _bits(curve.E[i]) == _bits(entropy_q(line_sol, line_kernel, line_model, t))
+        assert _bits(curve.E_prime[i]) == _bits(
+            entropy_prime(line_sol, line_kernel, t, model=line_model)
+        )
+    with pytest.raises(ValueError, match="t > 0"):
+        entropy_curve(line_sol, line_model, line_kernel, [0.0], with_conditions=False)
+
+
 def test_curve_matches_exact_line(line_model, line_sol, line_kernel):
     grid = np.geomspace(0.25, 2.0, 6)
     curve = entropy_curve(line_sol, line_model, line_kernel, grid, with_conditions=True)

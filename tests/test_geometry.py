@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,50 @@ def test_tangent_frames_are_orthonormal():
     assert np.allclose(np.sum(e1 * pts, axis=1), 0.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(e1, axis=1), 1.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(e2, axis=1), 1.0, atol=1e-14)
+
+
+def _frames_with_np_cross(pts):
+    # the vectorized frame as first written: np.cross and np.linalg.norm
+    helper = np.where(
+        (np.abs(pts[:, 2]) < 0.9)[:, None],
+        np.array([0.0, 0.0, 1.0]),
+        np.array([1.0, 0.0, 0.0]),
+    )
+    e1 = np.cross(helper, pts)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, np.cross(pts, e1)
+
+
+def _signed_zero_points():
+    # exact +-0 components, and |z| just below, at and just above 0.9
+    pts = [[s0 * 0.0, s1 * 1.0, 0.0] for s0 in (1, -1) for s1 in (1, -1)]
+    pts += [[s0 * 1.0, 0.0, s2 * 0.0] for s0 in (1, -1) for s2 in (1, -1)]
+    pts += [[0.0, s1 * 0.0, s2 * 1.0] for s1 in (1, -1) for s2 in (1, -1)]
+    pts += [[-0.0, 0.6, -0.8], [0.6, -0.0, 0.8], [-0.8, 0.6, -0.0]]
+    for z in (np.nextafter(0.9, 0.0), 0.9, np.nextafter(0.9, 1.0)):
+        for sz in (1.0, -1.0):
+            r = math.sqrt(1.0 - z * z)
+            pts += [[r, 0.0, sz * z], [-0.0, -r, sz * z], [0.6 * r, 0.8 * r, sz * z]]
+    return np.array(pts)
+
+
+def test_tangent_frames_equal_the_np_cross_form_bit_for_bit():
+    from entroflow import quadrature
+
+    sphere = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
+    grid, _ = quadrature.build_grid(sphere, np.array([1.0, 0.0, 0.0]), 0.5, level=2)
+    gen = np.random.default_rng(3)
+    rand = gen.normal(size=(20_000, 3))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    special = _signed_zero_points()
+    assert np.any(np.signbit(special) & (special == 0.0))
+    assert np.any(np.abs(special[:, 2]) < 0.9) and np.any(np.abs(special[:, 2]) >= 0.9)
+    for pts in (grid, rand, special):
+        got = geometry.tangent_frames(pts)
+        want = _frames_with_np_cross(pts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == pts.shape
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_fd_laplacian_matches_analytic_laplacian():

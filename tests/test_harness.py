@@ -119,16 +119,26 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
         (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=1.5), ValueError, "seed"),
         (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=-1), ValueError, "seed"),
         (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=10, seed=2**64), ValueError, "seed"),
+        (lambda: stochastic.SdeConfig(dt=math.nan, n_paths=10), ValueError, "dt"),
+        (lambda: stochastic.SdeConfig(dt=math.inf, n_paths=10), ValueError, "dt"),
         (lambda: parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 100.7")),
          ConfigError, "mc.paths"),
         (lambda: parse_scenario(MC_BLOCK.replace("mc.seed = 12648430", "mc.seed = 7.9")),
          ConfigError, "mc.seed"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.dt = 0.001", 'mc.dt = "nan"')),
+         ConfigError, "mc.dt"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.dt = 0.001", 'mc.dt = "inf"')),
+         ConfigError, "mc.dt"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.dt = 0.001", "mc.dt = -0.001")),
+         ConfigError, "mc.dt"),
         (lambda: parse_scenario(MINIMAL + "t.count = 8.5\n"), ConfigError, "t.count"),
         (lambda: Scenario(id="direct", model="euclidean-line", solution="expline:1,1",
                           x=(0.0,), t_min=0.25, t_max=4.0, t_count=8.5).validate(),
          ConfigError, "t.count"),
         (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"paths": 100.7}),
          ConfigError, "paths"),
+        (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"dt": math.nan}),
+         ConfigError, "dt"),
         # one step past the counter capacity, refused before any step is taken
         (lambda: stochastic.simulate(
             geometry.line(), [0.0], (2**24 + 1) * 2.0**-24,
@@ -136,8 +146,9 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
          ValueError, "steps exceed the counter capacity"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
-         "mc.paths", "mc.seed", "t.count", "t.count-direct", "paths-override",
-         "steps-beyond-counter"],
+         "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
+         "mc.dt-negative", "t.count", "t.count-direct", "paths-override",
+         "dt-override-nan", "steps-beyond-counter"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

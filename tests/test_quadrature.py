@@ -13,6 +13,7 @@ from entroflow.quadrature import (
     inner_cutoff,
     kernel_expectation,
     kernel_integral,
+    kernel_nodes,
     refine_expectation,
     truncation_radius,
 )
@@ -137,6 +138,39 @@ def test_cached_rules_leave_grids_bit_unchanged(sphere_model, level, monkeypatch
         ref_pts, ref_w = build_grid(m, x, t, level, **opts)
         assert np.array_equal(pts.view(np.uint64), ref_pts.view(np.uint64))
         assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere"])
+def test_node_set_gives_the_single_integral_bit_for_bit(which, request):
+    model, sol, kernel = (request.getfixturevalue(f"{which}_{k}") for k in ("model", "sol", "kernel"))
+    nodes = kernel_nodes(kernel, model, 0.5, level=1, growth=2.0)
+    for arr in (nodes.pts, nodes.w, nodes.dens):
+        assert not arr.flags.writeable
+    for f in (ulogu_integrand(sol), first_variation_integrand(sol)):
+        shared = kernel_expectation(f, kernel, model, 0.5, nodes=nodes)
+        alone = kernel_expectation(f, kernel, model, 0.5, level=1, growth=2.0)
+        assert np.float64(shared).view(np.uint64) == np.float64(alone).view(np.uint64)
+
+
+def test_mismatched_node_sets_are_refused(line_model, line_kernel, circle_kernel):
+    one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
+    nodes = kernel_nodes(line_kernel, line_model, 0.5)
+    twin = kernels.GaussianKernel(np.array([0.0]), line_model)
+    mismatched = [
+        (twin, line_model, 0.5),                 # an equal but different kernel
+        (line_kernel, geometry.line(), 0.5),     # another model object
+        (line_kernel, line_model, 0.25),         # another time
+        (circle_kernel, circle_kernel.model, 0.5),
+    ]
+    for kernel, model, t in mismatched:
+        with pytest.raises(ValueError, match="another kernel, model or time"):
+            kernel_expectation(one, kernel, model, t, nodes=nodes)
+    for opts in ({"level": 0}, {"growth": 0.0}, {"outer_scale": 2.0}):
+        with pytest.raises(ValueError, match="either a node set or"):
+            kernel_expectation(one, line_kernel, line_model, 0.5, nodes=nodes, **opts)
+    assert kernel_expectation(one, line_kernel, line_model, 0.5, nodes=nodes) == (
+        kernel_expectation(one, line_kernel, line_model, 0.5)
+    )
 
 
 def test_flat_space_radial_grid_mass():

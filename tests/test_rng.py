@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -96,6 +97,46 @@ def test_counter_capacity_is_enforced():
         rng.normals(SEED, idx, rng.MAX_STEPS)
     with pytest.raises(ValueError, match="counter capacity"):
         rng.uniforms(SEED, idx, 0, stream=rng.MAX_STREAMS)
+
+
+@pytest.mark.parametrize(
+    "seed, path_idx, step, stream, message",
+    [
+        (1, [0, 1], -1, 0, "step must not be negative"),
+        (1, [0], 0, -1, "stream must not be negative"),
+        (-1, [0], 0, 0, "seed must not be negative"),
+        (2**64, [0], 0, 0, "seed must lie in [0, 2**64)"),
+        (1, [0], 0.5, 0, "step must be a whole number"),
+        (1, [0], 0, 1.0, "stream must be a whole number"),
+        (1.5, [0], 0, 0, "seed must be a whole number"),
+        (True, [0], 0, 0, "seed must be a whole number"),
+        (1, [0.5], 0, 0, "path indices must be integers"),
+        (1, np.array([-1]), 0, 0, "path indices must not be negative"),
+        (1, np.array([3, -2], dtype=np.int32), 0, 0, "path indices must not be negative"),
+        (1, [2**64], 0, 0, "path indices must be integers"),
+        (1, np.array([True]), 0, 0, "path indices must be integers"),
+    ],
+    ids=["step-negative", "stream-negative", "seed-negative", "seed-2**64",
+         "step-fraction", "stream-float", "seed-fraction", "seed-bool",
+         "path-fraction", "path-negative", "path-negative-int32", "path-2**64",
+         "path-bool"],
+)
+def test_invalid_keys_fail_at_once(seed, path_idx, step, stream, message):
+    for draw in (rng.uniforms, rng.normals):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            draw(seed, path_idx, step, stream)
+
+
+def test_valid_key_types_keep_their_draws():
+    # Python and numpy integers of either signedness key the same draws
+    want = _reference(SEED, np.array([0, 5, 2**40], dtype=np.uint64), 9, 3, True)
+    for idx in ([0, 5, 2**40], np.array([0, 5, 2**40], dtype=np.int64)):
+        for seed, step, stream in ((SEED, 9, 3), (np.uint64(SEED), np.int64(9), np.uint8(3))):
+            _assert_bits_equal(rng.normals(seed, idx, step, stream), want)
+    assert rng.normals(SEED, np.array([], dtype=float), 0).shape == (0,)
+    _assert_bits_equal(
+        rng.uniforms(2**64 - 1, [2**63], 0), _reference(2**64 - 1, [2**63], 0, 0, False)
+    )
 
 
 def test_top_uniform_is_clamped_below_one():

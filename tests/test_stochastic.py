@@ -64,6 +64,30 @@ def test_projected_scheme_stays_on_sphere(sphere_model):
     assert np.allclose(np.linalg.norm(ens.states, axis=-1), 1.0, atol=1e-12)
 
 
+def _projected_step_by_rows(model, states, t, dt, xi):
+    # the projected sphere step as first written, on whole rows
+    c = float(model.conformal(t))
+    tang = xi - (np.sum(xi * states, axis=-1, keepdims=True)) * states
+    cand = states + math.sqrt(2.0 * dt / c) * tang
+    cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+    states[...] = cand
+
+
+@pytest.mark.parametrize(
+    "x", [[1.0, 0.0, 0.0], [0.0, -0.0, -1.0], [0.36, 0.48, 0.8]], ids=["equator", "pole", "tilted"]
+)
+def test_projected_step_equals_the_row_form_bit_for_bit(sphere_model, x):
+    n, dt = 5_000, 1e-3
+    idx = np.arange(n, dtype=np.uint64)
+    columns = np.tile(np.array(x), (n, 1))
+    rows = columns.copy()
+    for k in range(60):
+        xi = stochastic._draw_increment(17, idx, k, 3)
+        _projected_step_by_rows(sphere_model, rows, k * dt, dt, xi.copy())
+        assert stochastic._advance(sphere_model, columns, k * dt, dt, xi, None) is None
+        assert np.array_equal(columns.view(np.uint64), rows.view(np.uint64)), k
+
+
 def test_sphere_marginal_mean_eigenmode(sphere_model):
     # E[P_1(X_t . a)] = exp(-2 s(t)) P_1(x . a) under the time-changed flow
     cfg = SdeConfig(dt=1e-3, n_paths=30_000, seed=9)
