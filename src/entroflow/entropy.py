@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry, quadrature
 from .errors import CensoredDominates, QuadratureDivergence
-from .solutions import SolutionField
+from .solutions import SolutionField, require_positive, sum_squares
 from .stochastic import (
     AtExit,
     AtTime,
@@ -58,15 +58,15 @@ def second_variation_integrand(sol, model=None):
     model = model if model is not None else sol.model
 
     def f(t, pts):
-        u = sol.value(t, pts)
-        gl = sol.grad(t, pts) / u[..., None]
-        hess = sol.hess_log(t, pts)
+        jet = sol.log_jet(t, pts)
+        u = require_positive(jet.u)
+        gl = [c / u for c in jet.du]
         scale = geometry.inv_metric_scale(model, t, pts)
-        hess_sq = scale**2 * np.sum(hess * hess, axis=(-2, -1))
+        hess_sq = scale**2 * sum_squares([h for row in jet.hess for h in row])
         curv = geometry.ricci_scale(model, t, pts) - 0.5 * geometry.dg_dt_scale(
             model, t, pts
         )
-        quad = curv * scale**2 * np.sum(gl * gl, axis=-1)
+        quad = curv * scale**2 * sum_squares(gl)
         return 2.0 * u * (hess_sq + quad)
 
     return f
@@ -76,8 +76,8 @@ def cond1_integrand(sol, model=None):
     """|grad(u log u)|^2 = (log u + 1)^2 |grad u|^2."""
 
     def f(t, pts):
-        u = sol.value(t, pts)
-        return (np.log(u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts)
+        jet = sol.log_jet(t, pts)
+        return (np.log(jet.u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts, jet)
 
     return f
 
@@ -91,16 +91,29 @@ def cond2_integrand(sol, model=None):
     model = model if model is not None else sol.model
 
     def f(t, pts):
-        u = sol.value(t, pts)
-        gl = sol.grad(t, pts) / u[..., None]
-        hess = sol.hess_log(t, pts)
+        jet = sol.log_jet(t, pts)
+        u = require_positive(jet.u)
+        gl = [c / u for c in jet.du]
         scale = geometry.inv_metric_scale(model, t, pts)
-        gl_sq = scale * np.sum(gl * gl, axis=-1)
-        hess_gl = np.einsum("...ij,...j->...i", hess, gl) * scale[..., None]
-        w = u[..., None] * (gl_sq[..., None] * gl + 2.0 * hess_gl)
-        return scale * np.sum(w * w, axis=-1)
+        gl_sq = scale * sum_squares(gl)
+        w = [
+            u * (gl_sq * g + 2.0 * (_row_times(row, gl) * scale))
+            for g, row in zip(gl, jet.hess)
+        ]
+        return scale * sum_squares(w)
 
     return f
+
+
+def _row_times(row, v):
+    """sum_j row[j] * v[j], in the order ``np.einsum("...ij,...j->...i")``
+    adds the products: left to right for two terms, the first and the last
+    before the middle one for three.
+    """
+    p = [h * c for h, c in zip(row, v)]
+    if len(p) == 3:
+        return (p[0] + p[2]) + p[1]
+    return sum(p[1:], p[0])
 
 
 def cond0a_integrand(sol, model=None):
@@ -166,18 +179,18 @@ class ConditionReport:
 
 
 def conditions(sol, kernel, model, t) -> ConditionReport:
-    """Refine the three condition integrals, recording divergence as a value."""
+    """Refine the three condition integrals, recording divergence as a value.
+
+    The three share one node set per refinement level; each stops at its own.
+    """
     vals = {}
     flags = {}
     tables = {}
-    for name, integrand in (
-        ("cond1", cond1_integrand(sol, model)),
-        ("cond2", cond2_integrand(sol, model)),
-        ("cond0a", cond0a_integrand(sol, model)),
-    ):
-        ref = quadrature.refine_expectation(
-            integrand, kernel, model, t, growth=shared_growth(sol)
-        )
+    refs = quadrature.refine_expectations(
+        (cond1_integrand(sol, model), cond2_integrand(sol, model), cond0a_integrand(sol, model)),
+        kernel, model, t, growth=shared_growth(sol),
+    )
+    for name, ref in zip(("cond1", "cond2", "cond0a"), refs):
         tables[name] = ref.values
         if ref.converged:
             vals[name], flags[name] = ref.value, False

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, entropy, geometry, kernels, quadrature, solutions, stochastic
+from . import analysis, entropy, geometry, kernels, quadrature, rng, solutions, stochastic
 from .acceptance import format_rows, verify  # re-exported: the verify op lives here
 from .entropy import DEFAULT_CURVE_LEVEL
 from .errors import ConfigError, EntroflowError
@@ -188,7 +188,7 @@ class Scenario:
             if "mc.paths" in m:
                 mc = SdeConfig(
                     dt=_step("mc.dt", m.pop("mc.dt")),
-                    n_paths=_whole("mc.paths", m.pop("mc.paths")),
+                    n_paths=_path_count("mc.paths", m.pop("mc.paths")),
                     seed=_whole("mc.seed", m.pop("mc.seed", DEFAULT_SEED)),
                 )
             sc = cls(
@@ -299,6 +299,14 @@ def _whole(key, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _path_count(key, value):
+    """A whole number of paths no larger than `rng.MAX_PATHS`."""
+    n = _whole(key, value)
+    if n > rng.MAX_PATHS:
+        raise ConfigError(f"{key} must not exceed 2**36 (rng.MAX_PATHS), got {n}")
+    return n
 
 
 def _step(key, value):
@@ -516,7 +524,7 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     if mc is not None:
         mc = SdeConfig(
             dt=_step("dt", overrides.get("dt", mc.dt)),
-            n_paths=_whole("paths", overrides.get("paths", mc.n_paths)),
+            n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
             seed=_whole("seed", overrides.get("seed", mc.seed)),
         )
     return replace(sc, mc=mc)

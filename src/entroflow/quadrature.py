@@ -27,6 +27,12 @@ summing the sphere's zonal kernel series, is most of the cost of a
 quadrature.  A set is built by the caller for that step or level and
 dropped before the next one; nothing caches it, so memory holds one set at
 a time whatever the length of the time grid.
+
+Refinement shares the same way: `refine_expectations` evaluates several
+integrands (the three condition integrals of one time) on one set per
+level.  Each keeps its own stopping level and divergence flag, so its
+values are those it gets refined alone, and a level's set is built only
+while one of them is still refining.
 """
 
 from __future__ import annotations
@@ -259,22 +265,52 @@ def refine_expectation(
     atol=1e-12,
 ) -> Refinement:
     """Refine until stabilization or until the divergence rule fires."""
+    return refine_expectations((f,), kernel, model, t, growth, levels, rtol, atol)[0]
+
+
+def refine_expectations(
+    fs,
+    kernel,
+    model,
+    t,
+    growth=0.0,
+    levels=None,
+    rtol=1e-10,
+    atol=1e-12,
+) -> tuple:
+    """`refine_expectation` of each integrand, on one node set per level.
+
+    Each integrand stops at its own level, so each `Refinement` is the one
+    it gets alone, bit for bit; a level's set is built only while some
+    integrand is still refining.
+    """
     if levels is None:
         levels = range(7) if model.kind == geometry.PUNCTURED_3 else range(5)
-    values = []
-    streak = 0
+    values = [[] for _ in fs]
+    streaks = [0] * len(fs)
+    ends = [None] * len(fs)  # (converged, divergent) once stopped
     for level in levels:
-        v = kernel_expectation(f, kernel, model, t, level=level, growth=growth)
-        values.append(v)
-        if len(values) >= 2:
-            prev = values[-2]
-            if abs(v - prev) <= atol + rtol * abs(v):
-                return Refinement(tuple(values), converged=True, divergent=False)
-            grew = (v - prev) / max(abs(prev), 1e-300)
-            streak = streak + 1 if grew > _GROWTH_FRACTION else 0
-            if streak >= _GROWTH_STREAK:
-                return Refinement(tuple(values), converged=False, divergent=True)
-    return Refinement(tuple(values), converged=False, divergent=False)
+        live = [i for i, end in enumerate(ends) if end is None]
+        if not live:
+            break
+        nodes = kernel_nodes(kernel, model, t, level, growth)
+        for i in live:
+            vals = values[i]
+            vals.append(kernel_expectation(fs[i], kernel, model, t, nodes=nodes))
+            if len(vals) >= 2:
+                v, prev = vals[-1], vals[-2]
+                if abs(v - prev) <= atol + rtol * abs(v):
+                    ends[i] = (True, False)
+                    continue
+                grew = (v - prev) / max(abs(prev), 1e-300)
+                streaks[i] = streaks[i] + 1 if grew > _GROWTH_FRACTION else 0
+                if streaks[i] >= _GROWTH_STREAK:
+                    ends[i] = (False, True)
+        del nodes  # one set in memory at a time
+    return tuple(
+        Refinement(tuple(vals), *(end or (False, False)))
+        for vals, end in zip(values, ends)
+    )
 
 
 def kernel_integral(f, kernel, model, t, growth=0.0, level=None, what="integral"):

@@ -45,6 +45,9 @@ _STEP_BITS = 24
 _STREAM_BITS = 4
 MAX_STEPS = 1 << _STEP_BITS
 MAX_STREAMS = 1 << _STREAM_BITS
+# path indices fill the other 36 bits; a larger index would wrap onto a
+# smaller one's counter and repeat its draws
+MAX_PATHS = 1 << (64 - _STEP_BITS - _STREAM_BITS)
 
 # paths per block: 256 KiB per uint64 buffer, so a block's working set
 # stays in a 2 MiB L2 cache
@@ -144,17 +147,20 @@ def _whole(name, value):
 
 def _path_indices(path_idx):
     # uint64 indices, the ones the stepping loop passes, are taken as they
-    # are; signed ones are scanned for negatives, and any other dtype (a
-    # float would be truncated, a Python int past 2**64 is an object) is
-    # refused rather than silently cast
+    # are (SdeConfig keeps them below MAX_PATHS); signed ones are scanned
+    # once, after the cast, where a negative index is above MAX_PATHS too;
+    # any other dtype (a float would be truncated, a Python int past 2**64
+    # is an object) is refused rather than silently cast
     path_idx = np.asarray(path_idx)
     kind = path_idx.dtype.kind
-    if kind == "i":
-        if path_idx.size and path_idx.min() < 0:
-            raise ValueError("path indices must not be negative")
-    elif kind != "u" and path_idx.size:
+    if kind not in "iu" and path_idx.size:
         raise ValueError(f"path indices must be integers, got dtype {path_idx.dtype}")
-    return path_idx.astype(np.uint64, copy=False)
+    idx = path_idx.astype(np.uint64, copy=False)
+    if kind == "i" and idx.size and idx.max() >= MAX_PATHS:
+        if path_idx.min() < 0:
+            raise ValueError("path indices must not be negative")
+        raise ValueError(f"path indices must be below MAX_PATHS = 2**36, got {path_idx.max()}")
+    return idx
 
 
 def _draws(seed, path_idx, step, stream, normal):

@@ -7,6 +7,19 @@ have independent oracles.  The equation being solved is
 
 All evaluation methods are vectorized: ``pts`` has shape ``(n, chart_dim)``
 and ``t`` may be a scalar or an ``(n,)`` array (needed along stopped paths).
+
+Each family computes its jet in one place, `SolutionField.log_jet`: u, the
+components of grad u and the entries of Hess log u, each an ``(n,)``
+column, from one evaluation of the shared parts (the sphere's zonal
+profile, ``mu`` and tangent frames; the radius of the radial harmonic).
+`grad`, `hess_log`, `grad_norm_sq` and `grad_term` stack or sum those
+columns, and the entropy integrands read one jet per call, so no part is
+evaluated twice for the same points.  Working on whole columns also avoids
+numpy's slow path for arithmetic on ``(n, 2, 2)`` arrays and for sums over
+an axis of length 2 or 3.  The bits are those of the stacked forms: every
+entry is the same sequence of elementwise operations, and `sum_squares`
+adds the squares in the order numpy's sum over a short last axis takes
+(left to right below eight terms; see there for nine).
 """
 
 from __future__ import annotations
@@ -35,22 +48,34 @@ class SolutionField:
     def du_dt(self, t, pts):
         raise NotImplementedError
 
+    def log_jet(self, t, pts) -> "LogJet":
+        """u, du and Hess log u at the points, as columns (see `LogJet`).
+
+        u > 0 is not checked here, so du is there wherever u is; the
+        Hessian entries mean nothing where u <= 0, and `hess_log` and the
+        integrands that read them raise LogOfZero there.
+        """
+        raise NotImplementedError
+
     def grad(self, t, pts):
         """Covector components du in the model's gauge, shape (n, dim)."""
-        raise NotImplementedError
+        return np.stack(self.log_jet(t, pts).du, axis=-1)
 
     def laplacian(self, t, pts):
         raise NotImplementedError
 
     def hess_log(self, t, pts):
         """Covariant Hessian of log u in the gauge, shape (n, dim, dim)."""
-        raise NotImplementedError
+        jet = self.log_jet(t, pts)
+        require_positive(jet.u)
+        return np.stack([np.stack(row, axis=-1) for row in jet.hess], axis=-2)
 
-    def grad_norm_sq(self, t, pts):
-        """|grad u|^2 in the time-t metric."""
-        g = self.grad(t, pts)
+    def grad_norm_sq(self, t, pts, jet=None):
+        """|grad u|^2 in the time-t metric; ``jet`` is `log_jet` at (t, pts)."""
+        if jet is None:
+            jet = self.log_jet(t, pts)
         scale = geometry.inv_metric_scale(self.model, t, pts)
-        return scale * np.sum(g * g, axis=-1)
+        return scale * sum_squares(jet.du)
 
     def ulogu(self, t, pts):
         """(u log u)(t, y) with the continuous extension 0*log(0) = 0."""
@@ -59,7 +84,8 @@ class SolutionField:
 
     def grad_term(self, t, pts):
         """|grad u|^2 / u, the first-variation integrand."""
-        return self.grad_norm_sq(t, pts) / self._positive_values(t, pts)
+        jet = self.log_jet(t, pts)
+        return self.grad_norm_sq(t, pts, jet) / require_positive(jet.u)
 
     # truncation support: fastest exponential growth rate along the chart
     growth_rate = 0.0
@@ -73,10 +99,55 @@ class SolutionField:
         return 1.0
 
     def _positive_values(self, t, pts):
-        u = self.value(t, pts)
-        if np.any(u <= 0.0):
-            raise LogOfZero("solution vanishes at a queried point")
-        return u
+        return require_positive(self.value(t, pts))
+
+
+def require_positive(u):
+    """u itself; LogOfZero where any entry is <= 0."""
+    if np.any(u <= 0.0):
+        raise LogOfZero("solution vanishes at a queried point")
+    return u
+
+
+def sum_squares(cols):
+    """Sum of ``c * c`` over the columns, as numpy sums a short last axis.
+
+    ``np.sum(a * a, axis=-1)`` of an (n, k) array, and the sum of an
+    (n, d, d) array over its last two axes with the d * d entries in row
+    order, take each row's k terms as one run: fewer than eight are added
+    left to right, ``((s0 + s1) + s2) + ...``; eight to fifteen go into
+    eight partial sums added as a tree, the rest after it,
+    ``(((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + s8``.  Adding
+    the columns in that order gives the same bits without the (n, k)
+    array, whose short-axis sum is numpy's slow path.
+    """
+    sq = [c * c for c in cols]
+    if len(sq) >= 8:
+        for i in range(0, 8, 2):
+            sq[i] += sq[i + 1]
+        sq[0] += sq[2]
+        sq[4] += sq[6]
+        sq[0] += sq[4]
+        sq = [sq[0]] + sq[8:]
+    total = sq[0]
+    for s in sq[1:]:
+        total += s
+    return total
+
+
+@dataclass(frozen=True)
+class LogJet:
+    """u, du and Hess log u at n points, each component an (n,) column.
+
+    ``du[i]`` is the i-th covector component of grad u in the model's
+    gauge and ``hess[i][j]`` the (i, j) entry of Hess log u; symmetric
+    entries may be one array.  The columns may share memory, so they are
+    read, never written.
+    """
+
+    u: np.ndarray
+    du: tuple
+    hess: tuple
 
 
 @dataclass(frozen=True)
@@ -121,19 +192,14 @@ class Constant(SolutionField):
     def du_dt(self, t, pts):
         return np.zeros(_out_shape(t, pts))
 
-    def grad(self, t, pts):
-        n = np.asarray(pts).shape[0]
-        return np.zeros((n, self.model.dim))
+    def log_jet(self, t, pts):
+        u = self.value(t, pts)
+        d = self.model.dim
+        zero = np.zeros(u.shape)
+        return LogJet(u, (zero,) * d, ((zero,) * d,) * d)
 
     def laplacian(self, t, pts):
         return np.zeros(_out_shape(t, pts))
-
-    def hess_log(self, t, pts):
-        if self.c == 0.0:
-            raise LogOfZero("log-Hessian of the zero solution")
-        n = np.asarray(pts).shape[0]
-        d = self.model.dim
-        return np.zeros((n, d, d))
 
 
 class ExponentialLine(SolutionField):
@@ -167,15 +233,12 @@ class ExponentialLine(SolutionField):
     def du_dt(self, t, pts):
         return -self.b**2 * self.value(t, pts)
 
-    def grad(self, t, pts):
-        return (self.b * self.value(t, pts))[:, None]
+    def log_jet(self, t, pts):
+        u = self.value(t, pts)
+        return LogJet(u, (self.b * u,), ((np.zeros(u.shape),),))
 
     def laplacian(self, t, pts):
         return self.b**2 * self.value(t, pts)
-
-    def hess_log(self, t, pts):
-        n = np.asarray(pts).shape[0]
-        return np.zeros((n, 1, 1))
 
 
 class SumOfExponentialsLine(SolutionField):
@@ -213,21 +276,16 @@ class SumOfExponentialsLine(SolutionField):
         parts = self._parts(t, pts)
         return sum(-b * b * p for (_, b), p in zip(self.terms, parts))
 
-    def grad(self, t, pts):
-        parts = self._parts(t, pts)
-        return sum(b * p for (_, b), p in zip(self.terms, parts))[:, None]
-
-    def laplacian(self, t, pts):
-        parts = self._parts(t, pts)
-        return sum(b * b * p for (_, b), p in zip(self.terms, parts))
-
-    def hess_log(self, t, pts):
+    def log_jet(self, t, pts):
         parts = self._parts(t, pts)
         u = sum(parts)
         uy = sum(b * p for (_, b), p in zip(self.terms, parts))
         uyy = sum(b * b * p for (_, b), p in zip(self.terms, parts))
-        h = uyy / u - (uy / u) ** 2
-        return h[:, None, None]
+        return LogJet(u, (uy,), ((uyy / u - (uy / u) ** 2,),))
+
+    def laplacian(self, t, pts):
+        parts = self._parts(t, pts)
+        return sum(b * b * p for (_, b), p in zip(self.terms, parts))
 
 
 class CircleSpectral(SolutionField):
@@ -296,19 +354,14 @@ class CircleSpectral(SolutionField):
             d2 = d2 - k * k * amp * np.cos(k * th + phik)
         return d1, d2
 
-    def grad(self, t, pts):
-        d1, _ = self._dtheta(t, pts)
-        return d1[..., None]
+    def log_jet(self, t, pts):
+        u = self.value(t, pts)
+        d1, d2 = self._dtheta(t, pts)
+        return LogJet(u, (d1,), ((d2 / u - (d1 / u) ** 2,),))
 
     def laplacian(self, t, pts):
         _, d2 = self._dtheta(t, pts)
         return d2 / self.model.conformal(np.asarray(t, dtype=float))
-
-    def hess_log(self, t, pts):
-        u = self._positive_values(t, pts)
-        d1, d2 = self._dtheta(t, pts)
-        h = d2 / u - (d1 / u) ** 2
-        return h[..., None, None]
 
 
 class SphereSpectral(SolutionField):
@@ -383,13 +436,21 @@ class SphereSpectral(SolutionField):
             out = out + al * lam / c * np.exp(lam * s) * p(mu)
         return out
 
-    def grad(self, t, pts):
+    def log_jet(self, t, pts):
         pts = np.asarray(pts, dtype=float)
         mu = self._mu(pts)
-        _, d1, _ = self._profile(t, mu)
+        u, d1, d2 = self._profile(t, mu)
         e1, e2 = geometry.tangent_frames(pts)
         w1, w2 = e1 @ self.axis, e2 @ self.axis
-        return np.stack([d1 * w1, d1 * w2], axis=-1)
+        # round Hessian of a zonal profile: A'' w w^T - mu A' on the tangent
+        # plane; subtract the gradient square for the log-Hessian.  The
+        # identity's zero off the diagonal is multiplied out, as the (n, 2, 2)
+        # form did, so signed zeros and non-finite values carry over
+        coeff = d2 / u - (d1 / u) ** 2
+        iso = -mu * d1 / u
+        h12 = coeff * (w1 * w2) + iso * 0.0
+        hess = ((coeff * (w1 * w1) + iso, h12), (h12, coeff * (w2 * w2) + iso))
+        return LogJet(u, (d1 * w1, d1 * w2), hess)
 
     def laplacian(self, t, pts):
         mu = self._mu(pts)
@@ -397,21 +458,6 @@ class SphereSpectral(SolutionField):
         c = self.model.conformal(np.asarray(t, dtype=float))
         return ((1.0 - mu * mu) * d2 - 2.0 * mu * d1) / c
 
-    def hess_log(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        mu = self._mu(pts)
-        u, d1, d2 = self._profile(t, mu)
-        if np.any(u <= 0.0):
-            raise LogOfZero("solution vanishes at a queried point")
-        e1, e2 = geometry.tangent_frames(pts)
-        w = np.stack([e1 @ self.axis, e2 @ self.axis], axis=-1)
-        # round Hessian of a zonal profile: A'' w w^T - mu A' on the tangent
-        # plane; subtract the gradient square for the log-Hessian
-        coeff = d2 / u - (d1 / u) ** 2
-        iso = -mu * d1 / u
-        h = coeff[..., None, None] * (w[..., :, None] * w[..., None, :])
-        h = h + iso[..., None, None] * np.eye(2)
-        return h
 
 
 class RadialHarmonic3(SolutionField):
@@ -422,44 +468,42 @@ class RadialHarmonic3(SolutionField):
         if self.model.kind != geometry.PUNCTURED_3:
             raise ValueError("the radial harmonic lives on punctured 3-space")
 
-    def _r(self, pts):
-        return np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
+    def _r2(self, pts):
+        # |y|^2 summed as np.linalg.norm sums it, so sqrt gives its bits
+        return sum_squares(np.asarray(pts, dtype=float).T)
 
     def space_scale(self, t, y):
         r = float(np.linalg.norm(np.asarray(y, dtype=float)))
         return 6.0 / max(r, 1e-3)
 
     def value(self, t, pts):
-        return np.broadcast_to(1.0 / self._r(pts), _out_shape(t, pts)).copy()
+        return np.broadcast_to(1.0 / np.sqrt(self._r2(pts)), _out_shape(t, pts)).copy()
 
     def du_dt(self, t, pts):
         return np.zeros(_out_shape(t, pts))
 
-    def grad(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        r = self._r(pts)
-        return np.broadcast_to(-pts / r[:, None] ** 3, _grad_shape(t, pts)).copy()
+    def log_jet(self, t, pts):
+        p = np.asarray(pts, dtype=float).T
+        r2 = self._r2(pts)
+        r = np.sqrt(r2)
+        r3 = r**3
+        # Hess log u = -I / r^2 + 2 y y^T / r^4; adding the -0 / r^2 off the
+        # diagonal changes no value, so it is left out
+        diag = -1.0 / r2
+        r4 = r2 * r2
+        hess = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            hess[i][i] = diag + 2.0 * (p[i] * p[i]) / r4
+            for j in range(i + 1, 3):
+                hess[i][j] = hess[j][i] = 2.0 * (p[i] * p[j]) / r4
+        return LogJet(1.0 / r, tuple(-c / r3 for c in p), tuple(map(tuple, hess)))
 
     def laplacian(self, t, pts):
         return np.zeros(_out_shape(t, pts))
 
-    def hess_log(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
-        eye = np.eye(3)
-        h = -eye / r2[:, None, None] + 2.0 * (
-            pts[:, :, None] * pts[:, None, :]
-        ) / (r2 * r2)[:, None, None]
-        return np.broadcast_to(h, _grad_shape(t, pts)[:-1] + (3, 3)).copy()
-
 
 def _out_shape(t, pts):
     return np.broadcast_shapes(np.shape(np.asarray(t)), (np.asarray(pts).shape[0],))
-
-
-def _grad_shape(t, pts):
-    pts = np.asarray(pts)
-    return _out_shape(t, pts) + (pts.shape[-1],)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ class SdeConfig:
             object.__setattr__(self, name, int(value))  # numpy ints are not JSON
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if self.n_paths > rng.MAX_PATHS:
+            raise ValueError(
+                f"n_paths must not exceed rng.MAX_PATHS = 2**36, got {self.n_paths}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -507,6 +511,8 @@ def mean_stderr(vals):
     """
     vals = np.asarray(vals, dtype=float)
     n = vals.size
+    if n == 0:
+        raise ValueError("mean_stderr needs at least one sample; the sample is empty")
     v0 = vals.flat[0]
     if not math.isfinite(v0):
         v0 = 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import entropy, geometry, kernels, solutions
+from entroflow import entropy, geometry, kernels, quadrature, solutions
 from entroflow.entropy import (
     EntropyCurve,
     along_path_second_identity,
@@ -333,3 +333,72 @@ def test_monte_carlo_curve(line_model, line_sol, line_kernel, line_ensemble):
     for i, t in enumerate(grid):
         assert abs(curve.E[i] - t) <= 3 * curve.E_stderr[i]
         assert curve.E_stderr[i] > 0
+
+
+def _condition_cases():
+    punctured = geometry.punctured3()
+    circle = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
+    sphere = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
+    line = geometry.line()
+    return {
+        "line": (ExponentialLine(1.0, 1.0, line),
+                 kernels.GaussianKernel(np.array([0.0]), line), 0.5),
+        "circle": (solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle),
+                   kernels.WrappedGaussianKernel(np.array([0.0]), circle), 0.5),
+        "sphere": (solutions.SphereSpectral(2.0, [(1, 0.5)], sphere),
+                   kernels.SphereHeatKernel(np.array([1.0, 0.0, 0.0]), sphere), 0.5),
+        "punctured": (solutions.RadialHarmonic3(punctured),
+                      kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), punctured), 1.0),
+    }
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere", "punctured"])
+def test_conditions_share_nodes_bit_for_bit(which, monkeypatch):
+    # one node set per level serves all three integrals; each must end where
+    # and as it ends when refined alone, with the same bits
+    sol, kern, t = _condition_cases()[which]
+    model = sol.model
+    alone = {
+        name: quadrature.refine_expectation(
+            f(sol, model), kern, model, t, growth=entropy.shared_growth(sol)
+        )
+        for name, f in (
+            ("cond1", entropy.cond1_integrand),
+            ("cond2", entropy.cond2_integrand),
+            ("cond0a", entropy.cond0a_integrand),
+        )
+    }
+    built = []
+    build_grid = quadrature.build_grid
+
+    def counted(model, x, t, level=0, growth=0.0, **opts):
+        built.append(level)
+        return build_grid(model, x, t, level=level, growth=growth, **opts)
+
+    monkeypatch.setattr(quadrature, "build_grid", counted)
+    rep = conditions(sol, kern, model, t)
+    deepest = max(len(ref.values) for ref in alone.values())
+    assert built == list(range(deepest))  # one build per level
+    for name, ref in alone.items():
+        assert tuple(_bits(rep.tables[name])) == tuple(_bits(ref.values))
+        assert getattr(rep, f"{name}_divergent") == ref.divergent
+        value = math.inf if ref.divergent else ref.value
+        assert _bits(getattr(rep, name)) == _bits(value)
+    if which == "punctured":
+        assert not rep.all_finite
+    else:
+        assert rep.all_finite
+
+
+def test_refinements_stop_at_their_own_levels(line_model, line_kernel):
+    # a constant settles at level 1; a kink inside a panel never settles and
+    # runs through every level without it
+    one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
+    kink = lambda tt, p: np.abs(p[:, 0] - 0.1)  # noqa: E731
+    refs = quadrature.refine_expectations((one, kink), line_kernel, line_model, 0.5)
+    assert refs == (
+        quadrature.refine_expectation(one, line_kernel, line_model, 0.5),
+        quadrature.refine_expectation(kink, line_kernel, line_model, 0.5),
+    )
+    assert len(refs[0].values) == 2 and refs[0].converged
+    assert len(refs[1].values) == 5 and not (refs[1].converged or refs[1].divergent)

@@ -139,6 +139,12 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
          ConfigError, "paths"),
         (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"dt": math.nan}),
          ConfigError, "dt"),
+        # path indices from 2**36 on would wrap onto smaller ones in the counter
+        (lambda: stochastic.SdeConfig(dt=1e-3, n_paths=2**36 + 1), ValueError, "n_paths"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 68719476737")),
+         ConfigError, "mc.paths must not exceed 2**36"),
+        (lambda: _apply_overrides(parse_scenario(MC_BLOCK), {"paths": 2**36 + 1}),
+         ConfigError, "paths must not exceed 2**36"),
         # one step past the counter capacity, refused before any step is taken
         (lambda: stochastic.simulate(
             geometry.line(), [0.0], (2**24 + 1) * 2.0**-24,
@@ -148,7 +154,8 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
          "mc.dt-negative", "t.count", "t.count-direct", "paths-override",
-         "dt-override-nan", "steps-beyond-counter"],
+         "dt-override-nan", "paths-2**36", "mc.paths-2**36", "paths-override-2**36",
+         "steps-beyond-counter"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -129,8 +129,10 @@ def test_invalid_keys_fail_at_once(seed, path_idx, step, stream, message):
 
 def test_valid_key_types_keep_their_draws():
     # Python and numpy integers of either signedness key the same draws
-    want = _reference(SEED, np.array([0, 5, 2**40], dtype=np.uint64), 9, 3, True)
-    for idx in ([0, 5, 2**40], np.array([0, 5, 2**40], dtype=np.int64)):
+    # (up to the largest valid path index; signed ones past it are refused)
+    top = rng.MAX_PATHS - 1
+    want = _reference(SEED, np.array([0, 5, top], dtype=np.uint64), 9, 3, True)
+    for idx in ([0, 5, top], np.array([0, 5, top], dtype=np.int64)):
         for seed, step, stream in ((SEED, 9, 3), (np.uint64(SEED), np.int64(9), np.uint8(3))):
             _assert_bits_equal(rng.normals(seed, idx, step, stream), want)
     assert rng.normals(SEED, np.array([], dtype=float), 0).shape == (0,)
@@ -254,3 +256,16 @@ def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
             child.join(10)
     assert not child.is_alive() and child.exitcode == 0
     _assert_bits_equal(got, want)
+
+
+def test_path_indices_past_the_counter_are_refused():
+    # path << 28 wraps in uint64 from 2**36 on: these keys used to return
+    # path 0's draw twice and path 5's draw twice
+    assert rng.MAX_PATHS == 2**36
+    for draw in (rng.uniforms, rng.normals):
+        with pytest.raises(ValueError, match=re.escape("below MAX_PATHS = 2**36")):
+            draw(1, [0, 2**36, 2**36 + 5, 5], 3)
+        with pytest.raises(ValueError, match="must not be negative"):
+            draw(1, [2**36, -1], 3)
+    top = np.array([rng.MAX_PATHS - 1, 0])
+    _assert_bits_equal(rng.normals(1, top, 3), _reference(1, top, 3, 0, True))

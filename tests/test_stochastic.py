@@ -373,3 +373,10 @@ def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     assert np.array_equal(rec.tau, tau)
     assert np.array_equal(rec.state, state)
     assert np.array_equal(rec.censored, censored)
+
+
+def test_mean_stderr_refuses_an_empty_sample():
+    for empty in ([], np.empty(0), np.empty((0, 3))):
+        with pytest.raises(ValueError, match="empty"):
+            stochastic.mean_stderr(empty)
+    assert stochastic.mean_stderr([2.5]) == (2.5, 0.0)
