@@ -76,7 +76,7 @@ def cond1_integrand(sol, model=None):
     """|grad(u log u)|^2 = (log u + 1)^2 |grad u|^2."""
 
     def f(t, pts):
-        jet = sol.log_jet(t, pts)
+        jet = sol.log_jet(t, pts, hess=False)
         return (np.log(jet.u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts, jet)
 
     return f

@@ -48,18 +48,20 @@ class SolutionField:
     def du_dt(self, t, pts):
         raise NotImplementedError
 
-    def log_jet(self, t, pts) -> "LogJet":
+    def log_jet(self, t, pts, hess=True) -> "LogJet":
         """u, du and Hess log u at the points, as columns (see `LogJet`).
 
-        u > 0 is not checked here, so du is there wherever u is; the
-        Hessian entries mean nothing where u <= 0, and `hess_log` and the
-        integrands that read them raise LogOfZero there.
+        With ``hess=False`` the Hessian is left out (``None``): callers that
+        need only u and du do not pay for it in time or memory.  u > 0 is
+        not checked here, so du is there wherever u is; the Hessian entries
+        mean nothing where u <= 0, and `hess_log` and the integrands that
+        read them raise LogOfZero there.
         """
         raise NotImplementedError
 
     def grad(self, t, pts):
         """Covector components du in the model's gauge, shape (n, dim)."""
-        return np.stack(self.log_jet(t, pts).du, axis=-1)
+        return np.stack(self.log_jet(t, pts, hess=False).du, axis=-1)
 
     def laplacian(self, t, pts):
         raise NotImplementedError
@@ -73,7 +75,7 @@ class SolutionField:
     def grad_norm_sq(self, t, pts, jet=None):
         """|grad u|^2 in the time-t metric; ``jet`` is `log_jet` at (t, pts)."""
         if jet is None:
-            jet = self.log_jet(t, pts)
+            jet = self.log_jet(t, pts, hess=False)
         scale = geometry.inv_metric_scale(self.model, t, pts)
         return scale * sum_squares(jet.du)
 
@@ -84,7 +86,7 @@ class SolutionField:
 
     def grad_term(self, t, pts):
         """|grad u|^2 / u, the first-variation integrand."""
-        jet = self.log_jet(t, pts)
+        jet = self.log_jet(t, pts, hess=False)
         return self.grad_norm_sq(t, pts, jet) / require_positive(jet.u)
 
     # truncation support: fastest exponential growth rate along the chart
@@ -140,8 +142,8 @@ class LogJet:
     """u, du and Hess log u at n points, each component an (n,) column.
 
     ``du[i]`` is the i-th covector component of grad u in the model's
-    gauge and ``hess[i][j]`` the (i, j) entry of Hess log u; symmetric
-    entries may be one array.  The columns may share memory, so they are
+    gauge and ``hess[i][j]`` the (i, j) entry of Hess log u (``None`` when
+    the jet was taken without it); symmetric entries may be one array.  The columns may share memory, so they are
     read, never written.
     """
 
@@ -192,11 +194,11 @@ class Constant(SolutionField):
     def du_dt(self, t, pts):
         return np.zeros(_out_shape(t, pts))
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         u = self.value(t, pts)
         d = self.model.dim
         zero = np.zeros(u.shape)
-        return LogJet(u, (zero,) * d, ((zero,) * d,) * d)
+        return LogJet(u, (zero,) * d, ((zero,) * d,) * d if hess else None)
 
     def laplacian(self, t, pts):
         return np.zeros(_out_shape(t, pts))
@@ -233,9 +235,9 @@ class ExponentialLine(SolutionField):
     def du_dt(self, t, pts):
         return -self.b**2 * self.value(t, pts)
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         u = self.value(t, pts)
-        return LogJet(u, (self.b * u,), ((np.zeros(u.shape),),))
+        return LogJet(u, (self.b * u,), ((np.zeros(u.shape),),) if hess else None)
 
     def laplacian(self, t, pts):
         return self.b**2 * self.value(t, pts)
@@ -276,10 +278,12 @@ class SumOfExponentialsLine(SolutionField):
         parts = self._parts(t, pts)
         return sum(-b * b * p for (_, b), p in zip(self.terms, parts))
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         parts = self._parts(t, pts)
         u = sum(parts)
         uy = sum(b * p for (_, b), p in zip(self.terms, parts))
+        if not hess:
+            return LogJet(u, (uy,), None)
         uyy = sum(b * b * p for (_, b), p in zip(self.terms, parts))
         return LogJet(u, (uy,), ((uyy / u - (uy / u) ** 2,),))
 
@@ -354,10 +358,10 @@ class CircleSpectral(SolutionField):
             d2 = d2 - k * k * amp * np.cos(k * th + phik)
         return d1, d2
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         u = self.value(t, pts)
         d1, d2 = self._dtheta(t, pts)
-        return LogJet(u, (d1,), ((d2 / u - (d1 / u) ** 2,),))
+        return LogJet(u, (d1,), ((d2 / u - (d1 / u) ** 2,),) if hess else None)
 
     def laplacian(self, t, pts):
         _, d2 = self._dtheta(t, pts)
@@ -436,21 +440,25 @@ class SphereSpectral(SolutionField):
             out = out + al * lam / c * np.exp(lam * s) * p(mu)
         return out
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         pts = np.asarray(pts, dtype=float)
         mu = self._mu(pts)
         u, d1, d2 = self._profile(t, mu)
         e1, e2 = geometry.tangent_frames(pts)
         w1, w2 = e1 @ self.axis, e2 @ self.axis
+        du = (d1 * w1, d1 * w2)
+        if not hess:
+            return LogJet(u, du, None)
         # round Hessian of a zonal profile: A'' w w^T - mu A' on the tangent
         # plane; subtract the gradient square for the log-Hessian.  The
         # identity's zero off the diagonal is multiplied out, as the (n, 2, 2)
         # form did, so signed zeros and non-finite values carry over
         coeff = d2 / u - (d1 / u) ** 2
         iso = -mu * d1 / u
+        h11 = coeff * (w1 * w1) + iso
         h12 = coeff * (w1 * w2) + iso * 0.0
-        hess = ((coeff * (w1 * w1) + iso, h12), (h12, coeff * (w2 * w2) + iso))
-        return LogJet(u, (d1 * w1, d1 * w2), hess)
+        h22 = coeff * (w2 * w2) + iso
+        return LogJet(u, du, ((h11, h12), (h12, h22)))
 
     def laplacian(self, t, pts):
         mu = self._mu(pts)
@@ -482,21 +490,24 @@ class RadialHarmonic3(SolutionField):
     def du_dt(self, t, pts):
         return np.zeros(_out_shape(t, pts))
 
-    def log_jet(self, t, pts):
+    def log_jet(self, t, pts, hess=True):
         p = np.asarray(pts, dtype=float).T
         r2 = self._r2(pts)
         r = np.sqrt(r2)
         r3 = r**3
+        du = tuple(-c / r3 for c in p)
+        if not hess:
+            return LogJet(1.0 / r, du, None)
         # Hess log u = -I / r^2 + 2 y y^T / r^4; adding the -0 / r^2 off the
         # diagonal changes no value, so it is left out
         diag = -1.0 / r2
         r4 = r2 * r2
-        hess = [[None] * 3 for _ in range(3)]
+        h = [[None] * 3 for _ in range(3)]
         for i in range(3):
-            hess[i][i] = diag + 2.0 * (p[i] * p[i]) / r4
+            h[i][i] = diag + 2.0 * (p[i] * p[i]) / r4
             for j in range(i + 1, 3):
-                hess[i][j] = hess[j][i] = 2.0 * (p[i] * p[j]) / r4
-        return LogJet(1.0 / r, tuple(-c / r3 for c in p), tuple(map(tuple, hess)))
+                h[i][j] = h[j][i] = 2.0 * (p[i] * p[j]) / r4
+        return LogJet(1.0 / r, du, tuple(map(tuple, h)))
 
     def laplacian(self, t, pts):
         return np.zeros(_out_shape(t, pts))
