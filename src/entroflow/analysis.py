@@ -323,11 +323,11 @@ def rigidity_check(
 
     max_grad_log = 0.0
     for t in t_grid:
-        u = np.asarray(sol.value(t, pts))
-        if np.any(u <= 0):
+        jet = sol.log_jet(t, pts, hess=False)
+        if np.any(jet.u <= 0):
             raise LogOfZero("rigidity check needs u > 0 on the grid")
-        gns = np.asarray(sol.grad_norm_sq(t, pts))
-        max_grad_log = max(max_grad_log, float(np.max(np.sqrt(gns) / u)))
+        gns = sol.grad_norm_sq(t, pts, jet)
+        max_grad_log = max(max_grad_log, float(np.max(np.sqrt(gns) / jet.u)))
     consistent = (not (antecedent and entropy_linear)) or max_grad_log <= grad_tol
     return RigidityReport(
         min_margin=float(margin), antecedent=antecedent,

@@ -58,11 +58,9 @@ def second_variation_integrand(sol, model=None):
     model = model if model is not None else sol.model
 
     def f(t, pts):
-        jet = sol.log_jet(t, pts)
-        u = require_positive(jet.u)
-        gl = [c / u for c in jet.du]
+        u, gl, hess = _log_parts(sol, t, pts)
         scale = geometry.inv_metric_scale(model, t, pts)
-        hess_sq = scale**2 * sum_squares([h for row in jet.hess for h in row])
+        hess_sq = scale**2 * sum_squares([h for row in hess for h in row])
         curv = geometry.ricci_scale(model, t, pts) - 0.5 * geometry.dg_dt_scale(
             model, t, pts
         )
@@ -70,6 +68,15 @@ def second_variation_integrand(sol, model=None):
         return 2.0 * u * (hess_sq + quad)
 
     return f
+
+
+def _log_parts(sol, t, pts):
+    """u (LogOfZero unless u > 0), the columns of grad log u and the rows of
+    Hess log u, from one jet; du itself is dropped here, not held to the end.
+    """
+    jet = sol.log_jet(t, pts)
+    u = require_positive(jet.u)
+    return u, [c / u for c in jet.du], jet.hess
 
 
 def cond1_integrand(sol, model=None):
@@ -91,14 +98,12 @@ def cond2_integrand(sol, model=None):
     model = model if model is not None else sol.model
 
     def f(t, pts):
-        jet = sol.log_jet(t, pts)
-        u = require_positive(jet.u)
-        gl = [c / u for c in jet.du]
+        u, gl, hess = _log_parts(sol, t, pts)
         scale = geometry.inv_metric_scale(model, t, pts)
         gl_sq = scale * sum_squares(gl)
         w = [
             u * (gl_sq * g + 2.0 * (_row_times(row, gl) * scale))
-            for g, row in zip(gl, jet.hess)
+            for g, row in zip(gl, hess)
         ]
         return scale * sum_squares(w)
 
@@ -186,9 +191,11 @@ def conditions(sol, kernel, model, t) -> ConditionReport:
     vals = {}
     flags = {}
     tables = {}
+    integrands = (
+        cond1_integrand(sol, model), cond2_integrand(sol, model), cond0a_integrand(sol, model)
+    )
     refs = quadrature.refine_expectations(
-        (cond1_integrand(sol, model), cond2_integrand(sol, model), cond0a_integrand(sol, model)),
-        kernel, model, t, growth=shared_growth(sol),
+        integrands, kernel, model, t, growth=shared_growth(sol)
     )
     for name, ref in zip(("cond1", "cond2", "cond0a"), refs):
         tables[name] = ref.values

@@ -76,8 +76,10 @@ class SolutionField:
         """|grad u|^2 in the time-t metric; ``jet`` is `log_jet` at (t, pts)."""
         if jet is None:
             jet = self.log_jet(t, pts, hess=False)
-        scale = geometry.inv_metric_scale(self.model, t, pts)
-        return scale * sum_squares(jet.du)
+        total = sum_squares(jet.du)
+        # in place: the bits of scale * total, without one more array alive
+        total *= geometry.inv_metric_scale(self.model, t, pts)
+        return total
 
     def ulogu(self, t, pts):
         """(u log u)(t, y) with the continuous extension 0*log(0) = 0."""
@@ -143,8 +145,8 @@ class LogJet:
 
     ``du[i]`` is the i-th covector component of grad u in the model's
     gauge and ``hess[i][j]`` the (i, j) entry of Hess log u (``None`` when
-    the jet was taken without it); symmetric entries may be one array.  The columns may share memory, so they are
-    read, never written.
+    the jet was taken without it).  Symmetric entries may be one array and
+    the columns may share memory, so they are read, never written.
     """
 
     u: np.ndarray
@@ -465,7 +467,6 @@ class SphereSpectral(SolutionField):
         _, d1, d2 = self._profile(t, mu)
         c = self.model.conformal(np.asarray(t, dtype=float))
         return ((1.0 - mu * mu) * d2 - 2.0 * mu * d1) / c
-
 
 
 class RadialHarmonic3(SolutionField):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflow import geometry
+from entroflow import entropy, geometry, quadrature, solutions
 from entroflow.errors import LogOfZero
 from entroflow.solutions import (
     CircleSpectral,
@@ -265,8 +265,6 @@ def test_solution_id_round_trip(spec, line_model, circle_model, sphere_model):
 #
 # The references are the (n, dim) / (n, dim, dim) row formulas the jets
 # replaced; every output must keep their bits, compared through uint64 views.
-
-from entroflow import entropy, quadrature, solutions  # noqa: E402
 
 
 def _ref_grad(sol, t, pts):
