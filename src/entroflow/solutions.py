@@ -102,9 +102,6 @@ class SolutionField:
         """Characteristic spatial frequency near y; scales FD space steps."""
         return 1.0
 
-    def _positive_values(self, t, pts):
-        return require_positive(self.value(t, pts))
-
 
 def require_positive(u):
     """u itself; LogOfZero where any entry is <= 0."""
@@ -560,7 +557,7 @@ def bochner_identities(sol: SolutionField, model, t, y, h_space=None):
     model.check_time(t)
     y = model.check_point(y)
     pts = y[None, :]
-    u = float(sol._positive_values(t, pts)[0])
+    u = float(require_positive(sol.value(t, pts))[0])
     ht = time_step(t) / max(1.0, sol.time_rate_scale)
 
     def ulogu_at(tt):
