@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import geometry, quadrature, solutions
 from .entropy import (
+    entropy_q,
     first_variation_integrand,
     shared_growth,
     ulogu_integrand,
@@ -57,8 +59,6 @@ def gradient_entropy_check(sol, model, target, x, t, level=None) -> GradientBoun
 
     def normalized(tt, pts):
         u = sol.value(tt, pts) / u0
-        from scipy.special import xlogy
-
         return xlogy(u, u)
 
     if isinstance(target, PathEnsemble):
@@ -313,8 +313,6 @@ def rigidity_check(
     antecedent = margin >= margin_eps
     if kernel is None:
         kernel = canonical_kernel(model, model.check_point(x))
-    from .entropy import entropy_q
-
     e_vals = np.array(
         [entropy_q(sol, kernel, model, t, level=level) for t in t_grid]
     )
@@ -366,11 +364,12 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
     sol = solutions.RadialHarmonic3(model)
     kernel = GaussianKernel(np.asarray(x, dtype=float), model)
     levels = list(levels)
+    fs = (ulogu_integrand(sol), first_variation_integrand(sol))
 
     def tables(mesh_scale):
-        # E and E' of one level share its node set, dropped before the next
+        # E and E' of one level share its grid, dropped before the next
         rows = [
-            _entropy_and_prime(sol, kernel, model, t, level=lv, mesh_scale=mesh_scale)
+            quadrature.kernel_expectations(fs, kernel, model, t, lv, mesh_scale=mesh_scale)
             for lv in levels
         ]
         return [e for e, _ in rows], [p for _, p in rows]
@@ -403,13 +402,4 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
         prime_divergent=divergent,
         tail_shift=abs(tail - e_vals[0]),
         stable_under_mesh_doubling=stable_mesh,
-    )
-
-
-def _entropy_and_prime(sol, kernel, model, t, **grid_opts):
-    """The entropy and first-variation integrals on one node set."""
-    nodes = quadrature.kernel_nodes(kernel, model, t, **grid_opts)
-    return tuple(
-        quadrature.kernel_expectation(f, kernel, model, t, nodes=nodes)
-        for f in (ulogu_integrand(sol), first_variation_integrand(sol))
     )

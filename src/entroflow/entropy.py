@@ -50,7 +50,7 @@ def ulogu_integrand(sol):
     return lambda t, pts: sol.ulogu(t, pts)
 
 
-def first_variation_integrand(sol, model=None):
+def first_variation_integrand(sol):
     return lambda t, pts: sol.grad_term(t, pts)
 
 
@@ -79,7 +79,7 @@ def _log_parts(sol, t, pts):
     return u, [c / u for c in jet.du], jet.hess
 
 
-def cond1_integrand(sol, model=None):
+def cond1_integrand(sol):
     """|grad(u log u)|^2 = (log u + 1)^2 |grad u|^2."""
 
     def f(t, pts):
@@ -121,7 +121,7 @@ def _row_times(row, v):
     return sum(p[1:], p[0])
 
 
-def cond0a_integrand(sol, model=None):
+def cond0a_integrand(sol):
     return lambda t, pts: sol.grad_norm_sq(t, pts)
 
 
@@ -186,14 +186,12 @@ class ConditionReport:
 def conditions(sol, kernel, model, t) -> ConditionReport:
     """Refine the three condition integrals, recording divergence as a value.
 
-    The three share one node set per refinement level; each stops at its own.
+    The three share one grid per refinement level; each stops at its own.
     """
     vals = {}
     flags = {}
     tables = {}
-    integrands = (
-        cond1_integrand(sol, model), cond2_integrand(sol, model), cond0a_integrand(sol, model)
-    )
+    integrands = (cond1_integrand(sol), cond2_integrand(sol, model), cond0a_integrand(sol))
     refs = quadrature.refine_expectations(
         integrands, kernel, model, t, growth=shared_growth(sol)
     )
@@ -336,8 +334,8 @@ def entropy_curve(
 
     Condition integrals are always evaluated by refinement quadrature.
     The quadrature entries use a fixed refinement level so the curve is a
-    smooth deterministic function of t; E, E' and E'' then share the node
-    set of each time.  With ``level=None`` each entry is refined on its own.
+    smooth deterministic function of t; E, E' and E'' share the grid of
+    each time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
@@ -354,14 +352,18 @@ def entropy_curve(
     d2 = np.zeros(n, dtype=bool)
     d0 = np.zeros(n, dtype=bool)
     methods = []
+    row = (
+        ulogu_integrand(sol),
+        first_variation_integrand(sol),
+        second_variation_integrand(sol, model),
+    )
     for i, t in enumerate(t_grid):
-        if method == "quadrature" and level is not None:
-            E[i], Ep[i], Es[i] = _quadrature_row(sol, model, kernel, t, level)
-            methods.append("quadrature")
-        elif method == "quadrature":
-            E[i] = entropy_q(sol, kernel, model, t)
-            Ep[i] = entropy_prime(sol, kernel, t, model=model)
-            Es[i] = entropy_second(sol, model, kernel, t)
+        if method == "quadrature":
+            if t <= 0:
+                raise ValueError("the kernel measure needs t > 0")
+            E[i], Ep[i], Es[i] = quadrature.kernel_expectations(
+                row, kernel, model, t, level, shared_growth(sol)
+            )
             methods.append("quadrature")
         elif method == "monte-carlo":
             if ensemble is None:
@@ -388,26 +390,6 @@ def entropy_curve(
         method=methods,
         cond1=c1, cond2=c2, cond0a=c0,
         cond1_divergent=d1, cond2_divergent=d2, cond0a_divergent=d0,
-    )
-
-
-def _quadrature_row(sol, model, kernel, t, level):
-    """E, E', E'' at time t on one node set, which is dropped on return.
-
-    Equal bit for bit to `entropy_q`, `entropy_prime` and `entropy_second`
-    at the same level: the three integrands share the growth rate, so the
-    grid and the kernel density are the same for all three.
-    """
-    if t <= 0:
-        raise ValueError("the kernel measure needs t > 0")
-    nodes = quadrature.kernel_nodes(kernel, model, t, level, shared_growth(sol))
-    return tuple(
-        quadrature.kernel_expectation(f, kernel, model, t, nodes=nodes)
-        for f in (
-            ulogu_integrand(sol),
-            first_variation_integrand(sol),
-            second_variation_integrand(sol, model),
-        )
     )
 
 

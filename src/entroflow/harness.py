@@ -381,6 +381,8 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
     if overrides:
         scenario = _apply_overrides(scenario, overrides)
         level = _whole("refine", overrides.get("refine", level))
+        if level < 0:
+            raise ConfigError(f"refine must not be negative, got {level}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -200,13 +200,9 @@ def adjoint_residual(kernel: HeatKernelField, model: MetricModel, t, y) -> float
     ht = time_step(t)
     dpdt = _fd_time(p_at, t, (max(1e-9, t - 2 * ht), model.time_window[1]), ht)
     lap = float(kernel.laplacian(t, pts)[0])
-    tr = geometry.metric_at(model, t, _vol_probe(model, y)).tr_dg_dt
-    return abs(dpdt - lap + 0.5 * tr * p_at(t))
-
-
-def _vol_probe(model, y):
     # tr(dg/dt) is spatially constant for the catalog; any chart point works
-    return y
+    tr = geometry.metric_at(model, t, y).tr_dg_dt
+    return abs(dpdt - lap + 0.5 * tr * p_at(t))
 
 
 def kernel_mass(kernel: HeatKernelField, model: MetricModel, t, level=None) -> float:
@@ -217,6 +213,4 @@ def kernel_mass(kernel: HeatKernelField, model: MetricModel, t, level=None) -> f
     def one(tt, pts):
         return np.ones(pts.shape[0])
 
-    if level is not None:
-        return quadrature.kernel_expectation(one, kernel, model, t, level=level)
-    return quadrature.kernel_integral(one, kernel, model, t, what="kernel mass")
+    return quadrature.kernel_integral(one, kernel, model, t, level=level, what="kernel mass")

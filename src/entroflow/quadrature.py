@@ -18,27 +18,23 @@ bit-reproducible.  Refinement stops on stabilization, or declares the
 integral divergent when three successive refinements each grow the value
 by more than 10%.
 
-A node set (`kernel_nodes`) is the grid, its volume weights and the kernel
-density at the nodes for one kernel, model, time and level.  The grid and
-the density depend on neither integrand, so the integrals of one time step
-(E, E' and E'' of an entropy curve) or of one refinement level (the
-punctured divergence tables) share one set: building it, and above all
-summing the sphere's zonal kernel series, is most of the cost of a
-quadrature.  A set is built by the caller for that step or level and
-dropped before the next one; nothing caches it, so memory holds one set at
-a time whatever the length of the time grid.
-
-Refinement shares the same way: `refine_expectations` evaluates several
-integrands (the three condition integrals of one time) on one set per
-level.  Each keeps its own stopping level and divergence flag, so its
-values are those it gets refined alone, and a level's set is built only
-while one of them is still refining.
+The grid, its volume weights and the kernel density at the nodes depend
+on the kernel, model, time and level but on no integrand, so
+`kernel_expectations` builds them once for several integrands (E, E' and
+E'' of one time step, or the integrals still refining at one level) and
+drops them on return: building the grid, and above all summing the
+sphere's zonal kernel series, is most of the cost of a quadrature.  Nothing
+caches them, so memory holds one grid at a time whatever the length of the
+time grid.  `refine_expectations` refines several integrands this way; each
+keeps its own stopping level and divergence flag, so its values are those
+it gets refined alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +184,8 @@ def _gl_on_edges(edges):
 
 def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
     """Quadrature nodes and volume weights for the model at time t."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
+        raise ValueError(f"level must be a non-negative integer, got {level!r}")
     model.check_time(t)
     x = model.check_point(x)
     if model.kind == geometry.EUCLIDEAN_LINE:
@@ -203,55 +201,27 @@ def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
     raise ValueError(f"no quadrature rule for model kind {model.kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class NodeSet:
-    """Nodes, volume weights and kernel density of one kernel, model and t.
+def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
+    """Single-level quadrature of each integrand against the kernel measure.
 
-    The arrays are read-only: every integral evaluated on the set sees the
-    same nodes.
+    The grid and the kernel density are built once and made read-only, so
+    every integrand sees the same nodes; each value equals the integrand's
+    own `kernel_expectation` bit for bit.
     """
-
-    kernel: object
-    model: MetricModel
-    t: float
-    pts: np.ndarray
-    w: np.ndarray
-    dens: np.ndarray
-
-
-def kernel_nodes(kernel, model, t, level=0, growth=0.0, **grid_opts) -> NodeSet:
-    """The node set of a single-level quadrature against the kernel measure."""
     pts, w = build_grid(
         model, kernel.base_point, t, level=level, growth=growth, **grid_opts
     )
     dens = np.asarray(kernel.density(t, pts), dtype=float)
     for a in (pts, w, dens):
         a.flags.writeable = False
-    return NodeSet(kernel, model, t, pts, w, dens)
+    return tuple(
+        float(np.dot(np.asarray(f(t, pts), dtype=float) * dens, w)) for f in fs
+    )
 
 
-def kernel_expectation(
-    f, kernel, model, t, level=None, growth=None, *, nodes=None, **grid_opts
-):
-    """Single-level quadrature of f against the kernel measure.
-
-    ``nodes`` is a `kernel_nodes` set for this kernel, model and t; it
-    replaces ``level``, ``growth`` and the grid options.  Without it the
-    set is built here (level 0 and growth 0 by default).
-    """
-    if nodes is None:
-        nodes = kernel_nodes(
-            kernel, model, t,
-            level=0 if level is None else level,
-            growth=0.0 if growth is None else growth,
-            **grid_opts,
-        )
-    elif level is not None or growth is not None or grid_opts:
-        raise ValueError("pass either a node set or level, growth and grid options")
-    elif nodes.kernel is not kernel or nodes.model is not model or nodes.t != t:
-        raise ValueError("the node set was built for another kernel, model or time")
-    vals = np.asarray(f(t, nodes.pts), dtype=float)
-    return float(np.dot(vals * nodes.dens, nodes.w))
+def kernel_expectation(f, kernel, model, t, level=0, growth=0.0, **grid_opts):
+    """Single-level quadrature of f against the kernel measure."""
+    return kernel_expectations((f,), kernel, model, t, level, growth, **grid_opts)[0]
 
 
 def refine_expectation(
@@ -278,10 +248,10 @@ def refine_expectations(
     rtol=1e-10,
     atol=1e-12,
 ) -> tuple:
-    """`refine_expectation` of each integrand, on one node set per level.
+    """`refine_expectation` of each integrand, on one grid per level.
 
     Each integrand stops at its own level, so each `Refinement` is the one
-    it gets alone, bit for bit; a level's set is built only while some
+    it gets alone, bit for bit; a level's grid is built only while some
     integrand is still refining.
     """
     if levels is None:
@@ -293,12 +263,12 @@ def refine_expectations(
         live = [i for i, end in enumerate(ends) if end is None]
         if not live:
             break
-        nodes = kernel_nodes(kernel, model, t, level, growth)
-        for i in live:
+        got = kernel_expectations([fs[i] for i in live], kernel, model, t, level, growth)
+        for i, v in zip(live, got):
             vals = values[i]
-            vals.append(kernel_expectation(fs[i], kernel, model, t, nodes=nodes))
+            vals.append(v)
             if len(vals) >= 2:
-                v, prev = vals[-1], vals[-2]
+                prev = vals[-2]
                 if abs(v - prev) <= atol + rtol * abs(v):
                     ends[i] = (True, False)
                     continue
@@ -306,7 +276,6 @@ def refine_expectations(
                 streaks[i] = streaks[i] + 1 if grew > _GROWTH_FRACTION else 0
                 if streaks[i] >= _GROWTH_STREAK:
                     ends[i] = (False, True)
-        del nodes  # one set in memory at a time
     return tuple(
         Refinement(tuple(vals), *(end or (False, False)))
         for vals, end in zip(values, ends)

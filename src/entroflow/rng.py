@@ -146,20 +146,23 @@ def _whole(name, value):
 
 
 def _path_indices(path_idx):
-    # uint64 indices, the ones the stepping loop passes, are taken as they
-    # are (SdeConfig keeps them below MAX_PATHS); signed ones are scanned
-    # once, after the cast, where a negative index is above MAX_PATHS too;
-    # any other dtype (a float would be truncated, a Python int past 2**64
-    # is an object) is refused rather than silently cast
+    # a uint64 array, what the stepping loop passes, is taken as it is
+    # (SdeConfig keeps its indices below MAX_PATHS); anything else is scanned
+    # once, after the cast, where a negative index lands above MAX_PATHS, as
+    # does a Python int of 2**63 or more, which numpy stores as uint64; any
+    # other dtype (a float would be truncated, a Python int past 2**64 is an
+    # object) is refused rather than silently cast
+    if isinstance(path_idx, np.ndarray) and path_idx.dtype == np.uint64:
+        return path_idx
     path_idx = np.asarray(path_idx)
     kind = path_idx.dtype.kind
     if kind not in "iu" and path_idx.size:
         raise ValueError(f"path indices must be integers, got dtype {path_idx.dtype}")
     idx = path_idx.astype(np.uint64, copy=False)
-    if kind == "i" and idx.size and idx.max() >= MAX_PATHS:
-        if path_idx.min() < 0:
+    if idx.size and idx.max() >= MAX_PATHS:
+        if kind == "i" and path_idx.min() < 0:
             raise ValueError("path indices must not be negative")
-        raise ValueError(f"path indices must be below MAX_PATHS = 2**36, got {path_idx.max()}")
+        raise ValueError(f"path indices must be below MAX_PATHS = 2**36, got {idx.max()}")
     return idx
 
 

@@ -246,7 +246,7 @@ def test_divergence_demo_tables():
 
 
 def test_divergence_demo_equals_separate_integrals_bit_for_bit():
-    # E and E' of a level share one node set; each must equal the value of
+    # E and E' of a level share one grid; each must equal the value of
     # its own kernel_expectation call
     t, x = 0.5, np.array([0.0, 0.8, 0.6])
     rep = divergence_demo(t, x=x, levels=range(3))

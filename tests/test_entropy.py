@@ -254,6 +254,8 @@ def test_quadrature_curve_is_deterministic(line_model, line_sol, line_kernel):
     assert np.array_equal(a.E, b.E)
     assert np.array_equal(a.E_prime, b.E_prime)
     assert a.method == ["quadrature"] * 6
+    with pytest.raises(ValueError, match="t > 0"):
+        entropy_curve(line_sol, line_model, line_kernel, [0.0], with_conditions=False)
 
 
 def _bits(a):
@@ -263,7 +265,7 @@ def _bits(a):
 @pytest.mark.parametrize("which", ["line", "circle", "sphere"])
 @pytest.mark.parametrize("level", [0, entropy.DEFAULT_CURVE_LEVEL])
 def test_curve_shares_nodes_bit_for_bit(which, level, request):
-    # E, E', E'' of one time share a node set; each must equal its own
+    # E, E', E'' of one time share a grid; each must equal its own
     # single-integral quadrature bit for bit
     model, sol, kernel = (request.getfixturevalue(f"{which}_{k}") for k in ("model", "sol", "kernel"))
     grid = np.array([0.25, 0.5, 0.75])
@@ -276,19 +278,6 @@ def test_curve_shares_nodes_bit_for_bit(which, level, request):
         assert _bits(curve.E_second[i]) == _bits(
             entropy_second(sol, model, kernel, t, level=level)
         )
-
-
-def test_refined_curve_refines_each_integral(line_model, line_sol, line_kernel):
-    grid = [0.5, 1.0]
-    curve = entropy_curve(line_sol, line_model, line_kernel, grid, level=None,
-                          with_conditions=False)
-    for i, t in enumerate(grid):
-        assert _bits(curve.E[i]) == _bits(entropy_q(line_sol, line_kernel, line_model, t))
-        assert _bits(curve.E_prime[i]) == _bits(
-            entropy_prime(line_sol, line_kernel, t, model=line_model)
-        )
-    with pytest.raises(ValueError, match="t > 0"):
-        entropy_curve(line_sol, line_model, line_kernel, [0.0], with_conditions=False)
 
 
 def test_curve_matches_exact_line(line_model, line_sol, line_kernel):
@@ -354,13 +343,13 @@ def _condition_cases():
 
 @pytest.mark.parametrize("which", ["line", "circle", "sphere", "punctured"])
 def test_conditions_share_nodes_bit_for_bit(which, monkeypatch):
-    # one node set per level serves all three integrals; each must end where
+    # one grid per level serves all three integrals; each must end where
     # and as it ends when refined alone, with the same bits
     sol, kern, t = _condition_cases()[which]
     model = sol.model
     alone = {
         name: quadrature.refine_expectation(
-            f(sol, model), kern, model, t, growth=entropy.shared_growth(sol)
+            f(sol), kern, model, t, growth=entropy.shared_growth(sol)
         )
         for name, f in (
             ("cond1", entropy.cond1_integrand),

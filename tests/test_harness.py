@@ -1,12 +1,15 @@
 import filecmp
 import math
+import os
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import geometry, stochastic
+from entroflow import geometry, kernels, quadrature, stochastic
 from entroflow.errors import ConfigError
 from entroflow.harness import (
     Scenario,
@@ -110,6 +113,7 @@ t.max = 3.0
 
 
 MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
+_LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
 
 
 @pytest.mark.parametrize(
@@ -150,12 +154,26 @@ MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
             geometry.line(), [0.0], (2**24 + 1) * 2.0**-24,
             stochastic.SdeConfig(dt=2.0**-24, n_paths=1)),
          ValueError, "steps exceed the counter capacity"),
+        # refused before the output directory is made, which here could not be
+        (lambda: run(parse_scenario(MINIMAL), Path(os.devnull) / "out",
+                     overrides={"refine": -1}),
+         ConfigError, "refine must not be negative"),
+        (lambda: run(parse_scenario(MINIMAL), Path(os.devnull) / "out",
+                     overrides={"refine": 1.5}),
+         ConfigError, "refine must be a whole number"),
+        (lambda: quadrature.build_grid(geometry.line(), [0.0], 0.5, level=-1),
+         ValueError, "level must be a non-negative integer"),
+        (lambda: quadrature.build_grid(geometry.line(), [0.0], 0.5, level=0.5),
+         ValueError, "level must be a non-negative integer"),
+        (lambda: kernels.kernel_mass(_LINE_KERNEL, _LINE_KERNEL.model, 0.5, level=True),
+         ValueError, "level must be a non-negative integer"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
          "mc.dt-negative", "t.count", "t.count-direct", "paths-override",
          "dt-override-nan", "paths-2**36", "mc.paths-2**36", "paths-override-2**36",
-         "steps-beyond-counter"],
+         "steps-beyond-counter", "refine-negative", "refine-fraction",
+         "level-negative", "level-fraction", "level-bool"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -12,8 +12,8 @@ from entroflow.quadrature import (
     build_grid,
     inner_cutoff,
     kernel_expectation,
+    kernel_expectations,
     kernel_integral,
-    kernel_nodes,
     refine_expectation,
     truncation_radius,
 )
@@ -140,37 +140,41 @@ def test_cached_rules_leave_grids_bit_unchanged(sphere_model, level, monkeypatch
         assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
 
 
-@pytest.mark.parametrize("which", ["line", "circle", "sphere"])
-def test_node_set_gives_the_single_integral_bit_for_bit(which, request):
-    model, sol, kernel = (request.getfixturevalue(f"{which}_{k}") for k in ("model", "sol", "kernel"))
-    nodes = kernel_nodes(kernel, model, 0.5, level=1, growth=2.0)
-    for arr in (nodes.pts, nodes.w, nodes.dens):
-        assert not arr.flags.writeable
-    for f in (ulogu_integrand(sol), first_variation_integrand(sol)):
-        shared = kernel_expectation(f, kernel, model, 0.5, nodes=nodes)
-        alone = kernel_expectation(f, kernel, model, 0.5, level=1, growth=2.0)
-        assert np.float64(shared).view(np.uint64) == np.float64(alone).view(np.uint64)
+def _bundle(which, request):
+    if which == "punctured":
+        model = geometry.punctured3()
+        kernel = kernels.GaussianKernel(np.array([0.0, 0.8, 0.6]), model)
+        return model, solutions.RadialHarmonic3(model), kernel
+    return (request.getfixturevalue(f"{which}_{k}") for k in ("model", "sol", "kernel"))
 
 
-def test_mismatched_node_sets_are_refused(line_model, line_kernel, circle_kernel):
+@pytest.mark.parametrize(
+    "which, grid_opts",
+    [("line", {}), ("circle", {}), ("sphere", {}),
+     ("punctured", {"mesh_scale": 2, "outer_scale": 2.0})],
+    ids=["line", "circle", "sphere", "punctured"],
+)
+def test_node_set_gives_the_single_integral_bit_for_bit(which, grid_opts, request):
+    # the integrands of one kernel_expectations call share its grid and
+    # kernel density; each value must equal its own single-integral call
+    model, sol, kernel = _bundle(which, request)
+    fs = (ulogu_integrand(sol), first_variation_integrand(sol))
+    shared = kernel_expectations(fs, kernel, model, 0.5, 1, 2.0, **grid_opts)
+    assert len(shared) == len(fs)
+    for f, got in zip(fs, shared):
+        alone = kernel_expectation(f, kernel, model, 0.5, level=1, growth=2.0, **grid_opts)
+        assert np.float64(got).view(np.uint64) == np.float64(alone).view(np.uint64)
+
+
+def test_shared_nodes_are_read_only(line_model, line_kernel):
+    # an integrand cannot change the nodes the next integrand sees
+    def scribble(tt, pts):
+        pts[0, 0] = 0.0
+        return np.ones(pts.shape[0])
+
     one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
-    nodes = kernel_nodes(line_kernel, line_model, 0.5)
-    twin = kernels.GaussianKernel(np.array([0.0]), line_model)
-    mismatched = [
-        (twin, line_model, 0.5),                 # an equal but different kernel
-        (line_kernel, geometry.line(), 0.5),     # another model object
-        (line_kernel, line_model, 0.25),         # another time
-        (circle_kernel, circle_kernel.model, 0.5),
-    ]
-    for kernel, model, t in mismatched:
-        with pytest.raises(ValueError, match="another kernel, model or time"):
-            kernel_expectation(one, kernel, model, t, nodes=nodes)
-    for opts in ({"level": 0}, {"growth": 0.0}, {"outer_scale": 2.0}):
-        with pytest.raises(ValueError, match="either a node set or"):
-            kernel_expectation(one, line_kernel, line_model, 0.5, nodes=nodes, **opts)
-    assert kernel_expectation(one, line_kernel, line_model, 0.5, nodes=nodes) == (
-        kernel_expectation(one, line_kernel, line_model, 0.5)
-    )
+    with pytest.raises(ValueError, match="read-only"):
+        kernel_expectations((one, scribble), line_kernel, line_model, 0.5)
 
 
 def test_flat_space_radial_grid_mass():

@@ -115,11 +115,15 @@ def test_counter_capacity_is_enforced():
         (1, np.array([3, -2], dtype=np.int32), 0, 0, "path indices must not be negative"),
         (1, [2**64], 0, 0, "path indices must be integers"),
         (1, np.array([True]), 0, 0, "path indices must be integers"),
+        # numpy stores a list entry of 2**63 or more as uint64, which used to
+        # wrap in the counter onto path 0's draw
+        (1, [2**63], 0, 0, "path indices must be below MAX_PATHS = 2**36"),
+        (1, np.uint64(2**36), 0, 0, "path indices must be below MAX_PATHS = 2**36"),
     ],
     ids=["step-negative", "stream-negative", "seed-negative", "seed-2**64",
          "step-fraction", "stream-float", "seed-fraction", "seed-bool",
          "path-fraction", "path-negative", "path-negative-int32", "path-2**64",
-         "path-bool"],
+         "path-bool", "path-list-2**63", "path-uint64-scalar-2**36"],
 )
 def test_invalid_keys_fail_at_once(seed, path_idx, step, stream, message):
     for draw in (rng.uniforms, rng.normals):
@@ -129,16 +133,14 @@ def test_invalid_keys_fail_at_once(seed, path_idx, step, stream, message):
 
 def test_valid_key_types_keep_their_draws():
     # Python and numpy integers of either signedness key the same draws
-    # (up to the largest valid path index; signed ones past it are refused)
+    # (up to the largest valid path index; past it, all but uint64 arrays
+    # are refused)
     top = rng.MAX_PATHS - 1
     want = _reference(SEED, np.array([0, 5, top], dtype=np.uint64), 9, 3, True)
     for idx in ([0, 5, top], np.array([0, 5, top], dtype=np.int64)):
         for seed, step, stream in ((SEED, 9, 3), (np.uint64(SEED), np.int64(9), np.uint8(3))):
             _assert_bits_equal(rng.normals(seed, idx, step, stream), want)
     assert rng.normals(SEED, np.array([], dtype=float), 0).shape == (0,)
-    _assert_bits_equal(
-        rng.uniforms(2**64 - 1, [2**63], 0), _reference(2**64 - 1, [2**63], 0, 0, False)
-    )
 
 
 def test_top_uniform_is_clamped_below_one():
