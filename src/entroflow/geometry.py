@@ -86,11 +86,15 @@ class MetricModel:
     def check_time(self, t):
         t0, t1 = self.time_window
         tarr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(tarr)):
+            raise OutOfWindow(f"t={t} is not a finite time")
         if np.any(tarr < t0 - 1e-12) or np.any(tarr > t1 + 1e-12):
             raise OutOfWindow(f"t={t} outside window [{t0}, {t1}] of {self.kind}")
 
     def check_point(self, y):
         y = as_point(self, y)
+        if not np.all(np.isfinite(y)):
+            raise ChartViolation(f"chart points must be finite, got {y.tolist()}")
         if self.kind == PUNCTURED_3:
             if np.linalg.norm(y) <= PUNCTURE_RADIUS:
                 raise ChartViolation("point at or inside the puncture radius")

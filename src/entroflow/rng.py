@@ -12,23 +12,47 @@ hash, the float map and ``ndtri`` then work on arrays that stay in cache
 instead of streaming a dozen path-length temporaries through memory.  The
 blocking changes no bit of any draw.
 
-A normal draw of at least ``_SPLIT_MIN`` paths also uses a second core when
-more than one is usable.  The calling thread hashes the first ``_LEAD``
-share of the paths and hands ``ndtri`` on that slice, as one call, to a
-single helper thread; it then hashes the rest and transforms the rest
-itself, and waits for the helper.  Which thread computes a draw changes no
-bit of it, for the same reason blocking does not (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11).  Only ``ndtri`` is handed
-over: it is one long native loop that runs without the interpreter lock,
-whereas the hash and the float map are a score of short ufunc calls per
-block, and two threads running those queue on the lock and gain nothing.
-The helper runs no entroflow code.  Uniforms, small draws and draws on one
-usable core stay on the calling thread.  The helper is started by the
-first split call, never at import, and belongs to the process that
-started it: a child made by ``os.fork`` forgets its parent's helper, whose
-thread does not exist in the child, and starts its own when it needs one.
+Threads.  A normal draw of at least ``_SPLIT_MIN`` paths also uses a
+second core when more than one is usable.  It runs in two halves.
+``_start``, on the calling thread, hashes every path into a fresh array
+and hands ``ndtri`` on the first ``_LEAD`` share, as one call, to a single
+helper thread.  ``_finish``, again on the calling thread, transforms the
+rest and waits for the helper's share.  A plain call runs the two halves
+back to back.  Only ``ndtri`` is handed over: it is one long native loop
+that runs without the interpreter lock, whereas the hash and the float map
+are a score of short ufunc calls per block, and two threads running those
+queue on the lock and gain nothing.  The helper runs no entroflow code and
+takes its jobs in the order they were queued.  Uniforms, small draws and
+draws on one usable core stay on the calling thread.
+
+Lookahead.  The stepping loop (``stochastic._march``) knows its keys in
+advance: one draw per step and chart coordinate, on its own index array.
+It opens ``_lookahead`` around the loop with that array and the keys in
+order.  While the block is open, a ``normals`` call from the same thread
+with the block's seed, the next key and that very array object is served
+from it: the call starts the key after it and then finishes its own.  So
+the helper transforms step k+1's share while the stepping thread finishes
+step k, tests exits, records snapshots and hashes step k+2.  Any other call
+takes the plain path.  The caller still makes one ``normals`` call per key.
+Each returned array is freshly allocated, and the helper has finished with
+it before it is returned.  The open lookahead is kept per thread and lives
+as long as the block; on exit, also by an exception or an early stop, the
+block waits for the one job still queued, whose draw nobody asked for.
+
+Why no bit changes.  Every draw is a pure function of its own key
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+computed by the same elementwise arithmetic, so neither the thread that
+computes it nor how early it is computed enters the result.  Blocking and
+the split point do not either, for the same reason.
+
+The helper is started by the first split draw or lookahead, never at
+import, and belongs to the process that started it: a child made by
+``os.fork`` forgets its parent's helper, whose thread does not exist in
+the child, and any lookahead open at the fork, and starts its own helper
+when it needs one.
 """
 
+import contextlib
 import numbers
 import os
 import threading
@@ -61,15 +85,24 @@ _U_MAX = 1.0 - 2.0**-53
 # thread; below it the hand-off costs more than the overlap saves
 _SPLIT_MIN = 1 << 13
 
-# share of a split call's paths transformed by the helper: the caller hashes
-# every path (~8 ns each) and transforms the rest (~13 ns each), so the two
-# threads finish together near (8 + 13) / (8 + 2 * 13)
-_LEAD = 0.6
+# share of a split draw's paths transformed by the helper.  Under a
+# lookahead the caller hashes every path (~13 ns each), transforms the rest
+# (21-26 ns each) and steps the ensemble while the helper transforms its
+# share.  On 2 cores, 0.6 and 0.7 stepped a 100k-path line ensemble 17% and
+# 7% slower than 0.8; 0.85 and 0.9 were within noise of it
+_LEAD = 0.8
 
 # the helper's one-thread executor: None until a split call needs it, False
 # when only one core is usable
 _pool = None
 _pool_lock = threading.Lock()
+
+
+class _Slot(threading.local):
+    ahead = None  # the lookahead open on this thread
+
+
+_slot = _Slot()
 
 
 def _usable_cores():
@@ -95,9 +128,10 @@ def _helper():
 
 def _forget_helper():
     # in a forked child: the parent's helper thread was not copied, so its
-    # executor would queue work that never runs
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    # executor would queue work that never runs, and a lookahead open in the
+    # forking thread waits on that executor
+    global _pool, _pool_lock, _slot
+    _pool, _pool_lock, _slot = None, threading.Lock(), _Slot()
 
 
 if hasattr(os, "register_at_fork"):
@@ -166,31 +200,136 @@ def _path_indices(path_idx):
     return idx
 
 
-def _draws(seed, path_idx, step, stream, normal):
-    """Uniforms on (0, 1), or normals, keyed by (seed, path, step, stream)."""
-    seed, step, stream = _whole("seed", seed), _whole("step", step), _whole("stream", stream)
+def _seed(seed):
+    seed = _whole("seed", seed)
     if seed >= 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def _low(step, stream):
+    """The (step, stream) bits of a counter, after checking both."""
+    step, stream = _whole("step", step), _whole("stream", stream)
     if step >= MAX_STEPS or stream >= MAX_STREAMS:
         raise ValueError("step or stream index exceeds counter capacity")
-    path_idx = _path_indices(path_idx)
-    low = np.uint64((step << _STREAM_BITS) | stream)
+    return np.uint64((step << _STREAM_BITS) | stream)
+
+
+def _scratch(n):
+    # the two uint64 block buffers of _fill
+    return np.empty(min(n, _BLOCK), dtype=np.uint64), np.empty(min(n, _BLOCK), dtype=np.uint64)
+
+
+def _base(seed):
     base = np.array([seed], dtype=np.uint64) + _GOLD
     _mix(base, np.empty_like(base))
-    out = np.empty(path_idx.shape)
-    flat_idx, flat_out = path_idx.reshape(-1), out.reshape(-1)
+    return base
+
+
+def _start(pool, base, low, idx):
+    """Hash the 1-D paths idx into a fresh array and hand ndtri on its lead
+    share to the helper; ``_finish`` completes the draw."""
+    n = idx.size
+    out = np.empty(n)
+    bufs = _scratch(n)
+    lead = int(n * _LEAD)
+    head = out[:lead]
+    _fill(idx[:lead], head, base, low, False, *bufs)
+    job = pool.submit(ndtri, head, out=head)
+    _fill(idx[lead:], out[lead:], base, low, False, *bufs)
+    return out, lead, job
+
+
+def _finish(started):
+    # ndtri on the tail here, then wait for the helper's lead share
+    out, lead, job = started
+    tail = out[lead:]
+    ndtri(tail, out=tail)
+    job.result()
+    return out
+
+
+class _Lookahead:
+    # the normal draws of a known key sequence on one index array, each
+    # started while the call for the key before it is served
+    def __init__(self, pool, seed, idx, keys):
+        self.pool, self.seed, self.idx, self.base = pool, seed, idx, _base(seed)
+        self.keys = iter(keys)
+        self.pending = self._start_next()
+
+    def _start_next(self):
+        key = next(self.keys, None)
+        if key is None:
+            return None
+        return key, _start(self.pool, self.base, _low(*key), self.idx)
+
+    def serves(self, seed, path_idx, step, stream):
+        return (
+            self.pending is not None
+            and path_idx is self.idx
+            and seed == self.seed
+            and (step, stream) == self.pending[0]
+        )
+
+    def serve(self):
+        (_, started), self.pending = self.pending, self._start_next()
+        return _finish(started)
+
+    def close(self):
+        # the helper runs its jobs in order, so the last one queued is the
+        # last one to wait for
+        if self.pending is not None:
+            _, (_, _, job) = self.pending
+            job.result()
+            self.pending = None
+
+
+@contextlib.contextmanager
+def _lookahead(seed, path_idx, keys):
+    """Serve this thread's ``normals(seed, path_idx, step, stream)`` calls for
+    the ``(step, stream)`` pairs of ``keys``, in that order, one key ahead.
+
+    ``path_idx`` must be a read-only 1-D uint64 array, and a call is served
+    only when it passes that very array.  Any other call, or one out of
+    order, takes the plain path.  On exit, waits for the job still queued.
+    """
+    if not (
+        isinstance(path_idx, np.ndarray)
+        and path_idx.dtype == np.uint64
+        and path_idx.ndim == 1
+        and not path_idx.flags.writeable
+    ):
+        raise ValueError("a lookahead needs a read-only 1-D uint64 index array")
+    seed = _seed(seed)
+    pool = _helper() if path_idx.size >= _SPLIT_MIN else False
+    if not pool:
+        yield
+        return
+    ahead = _slot.ahead = _Lookahead(pool, seed, path_idx, keys)
+    try:
+        yield
+    finally:
+        if _slot.ahead is ahead:  # not so in a child forked inside the block
+            _slot.ahead = None
+            ahead.close()
+
+
+def _draws(seed, path_idx, step, stream, normal):
+    """Uniforms on (0, 1), or normals, keyed by (seed, path, step, stream)."""
+    seed, low = _seed(seed), _low(step, stream)
+    path_idx = _path_indices(path_idx)
+    ahead = _slot.ahead
+    if normal and ahead is not None and ahead.serves(seed, path_idx, step, stream):
+        return ahead.serve()
+    flat_idx = path_idx.reshape(-1)
     n = flat_idx.size
-    bufs = np.empty(min(n, _BLOCK), dtype=np.uint64), np.empty(min(n, _BLOCK), dtype=np.uint64)
     pool = _helper() if normal and n >= _SPLIT_MIN else False
     if pool:
-        lead = int(n * _LEAD)
-        head, tail = flat_out[:lead], flat_out[lead:]
-        _fill(flat_idx[:lead], head, base, low, False, *bufs)
-        done = pool.submit(ndtri, head, out=head)
-        _fill(flat_idx[lead:], tail, base, low, True, *bufs)
-        done.result()
+        out = _finish(_start(pool, _base(seed), low, flat_idx))
     else:
-        _fill(flat_idx, flat_out, base, low, normal, *bufs)
+        out = np.empty(n)
+        _fill(flat_idx, out, _base(seed), low, normal, *_scratch(n))
+    out = out.reshape(path_idx.shape)
     return out if out.ndim else out[()]
 
 

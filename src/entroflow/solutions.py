@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import Legendre
+from numpy.polynomial.legendre import Legendre, legval
 from scipy.special import xlogy
 
 from . import geometry
@@ -384,9 +384,9 @@ class SphereSpectral(SolutionField):
             raise ValueError("mode numbers must be >= 1")
         self.model = model
         self.axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        # coefficients of P_l, P_l' and P_l'', evaluated with legval
         self._legendre = {
-            l: (Legendre.basis(l), Legendre.basis(l).deriv(), Legendre.basis(l).deriv(2))
-            for l, _ in self.modes
+            l: tuple(Legendre.basis(l).deriv(m).coef for m in range(3)) for l, _ in self.modes
         }
         self._reject_if_negative()
 
@@ -413,12 +413,15 @@ class SphereSpectral(SolutionField):
         a = self.a0 + np.zeros(np.broadcast_shapes(np.shape(s), np.shape(mu)))
         d1 = np.zeros_like(a)
         d2 = np.zeros_like(a)
+        # what a Legendre object hands legval: its identity domain map,
+        # 0.0 + 1.0 * mu, turns -0.0 into +0.0
+        x = mu + 0.0
         for l, al in self.modes:
             p, dp, ddp = self._legendre[l]
             amp = al * np.exp(l * (l + 1) * s)
-            a = a + amp * p(mu)
-            d1 = d1 + amp * dp(mu)
-            d2 = d2 + amp * ddp(mu)
+            a = a + amp * legval(x, p)
+            d1 = d1 + amp * legval(x, dp)
+            d2 = d2 + amp * legval(x, ddp)
         return a, d1, d2
 
     def _mu(self, pts):
@@ -433,10 +436,10 @@ class SphereSpectral(SolutionField):
         s = self.model.time_change(t)
         c = self.model.conformal(t)
         out = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(mu)))
+        x = mu + 0.0  # as in _profile
         for l, al in self.modes:
-            p = self._legendre[l][0]
             lam = l * (l + 1)
-            out = out + al * lam / c * np.exp(lam * s) * p(mu)
+            out = out + al * lam / c * np.exp(lam * s) * legval(x, self._legendre[l][0])
         return out
 
     def log_jet(self, t, pts, hess=True):

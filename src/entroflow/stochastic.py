@@ -44,7 +44,10 @@ class SdeConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+        dt = self.dt
+        if isinstance(dt, bool) or not (
+            isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0
+        ):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         for name in ("n_paths", "seed"):
             value = getattr(self, name)
@@ -366,6 +369,7 @@ def _march(model, x, cfg, n_steps, record, domains):
     """
     n, dim = cfg.n_paths, model.dim_chart
     idx = np.arange(n, dtype=np.uint64)
+    idx.flags.writeable = False  # the lookahead serves calls on this array
     states = np.tile(x, (n, 1))
     blown = np.zeros(n, dtype=bool) if _frozen_mask(model, states) is not None else None
     snaps = np.empty((n, len(record), dim))
@@ -374,26 +378,28 @@ def _march(model, x, cfg, n_steps, record, domains):
     open_mask = [np.ones(n, dtype=bool) for _ in domains]
     n_open = [n for _ in domains]
     cursor = 0
-    for k in range(n_steps + 1):
-        if k:
-            xi = _draw_increment(cfg.seed, idx, k - 1, dim)
-            blown = _advance(model, states, (k - 1) * cfg.dt, cfg.dt, xi, blown)
-        for j, d in enumerate(domains):
-            if not n_open[j]:
-                continue
-            # by index: boolean-mask row scatters take numpy's slow path
-            m = open_mask[j]
-            left = np.flatnonzero(m & ~d.contains(model, states))
-            if left.size:
-                taus[j][left] = k * cfg.dt
-                exit_states[j][left] = states[left]
-                m[left] = False
-                n_open[j] -= left.size
-        if cursor < len(record) and record[cursor] == k:
-            snaps[:, cursor, :] = states
-            cursor += 1
-        if cursor == len(record) and not any(n_open):
-            break
+    keys = ((k, d) for k in range(n_steps) for d in range(dim))
+    with rng._lookahead(cfg.seed, idx, keys):
+        for k in range(n_steps + 1):
+            if k:
+                xi = _draw_increment(cfg.seed, idx, k - 1, dim)
+                blown = _advance(model, states, (k - 1) * cfg.dt, cfg.dt, xi, blown)
+            for j, d in enumerate(domains):
+                if not n_open[j]:
+                    continue
+                # by index: boolean-mask row scatters take numpy's slow path
+                m = open_mask[j]
+                left = np.flatnonzero(m & ~d.contains(model, states))
+                if left.size:
+                    taus[j][left] = k * cfg.dt
+                    exit_states[j][left] = states[left]
+                    m[left] = False
+                    n_open[j] -= left.size
+            if cursor < len(record) and record[cursor] == k:
+                snaps[:, cursor, :] = states
+                cursor += 1
+            if cursor == len(record) and not any(n_open):
+                break
     if blown is None:
         blown = np.zeros(n, dtype=bool)
     exits = [
@@ -432,6 +438,8 @@ def _snap_indices(record_times, horizon, dt, n_steps):
     wanted = {0, n_steps}
     if record_times is not None:
         for t in record_times:
+            if not math.isfinite(t):
+                raise ValueError(f"record time {t} is not finite")
             k = int(round(t / dt))
             if abs(k * dt - t) > 1e-9 * max(1.0, t):
                 raise ValueError(f"record time {t} is not a multiple of dt={dt}")

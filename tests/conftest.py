@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,25 @@ def sphere_ensemble(sphere_model):
     return stochastic.simulate(
         sphere_model, [1.0, 0.0, 0.0], 0.5, cfg, record_times=[0.25, 0.5]
     )
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A one-thread stand-in for the rng helper that counts the jobs handed
+    to it and keeps the last one (it runs them in order)."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.submitted = 0
+        self.last = None
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        self.last = super().submit(fn, *args, **kwargs)
+        return self.last
+
+
+@pytest.fixture
+def helper():
+    pool = CountingPool()
+    yield pool
+    pool.shutdown(wait=True)

@@ -18,7 +18,7 @@ from entroflow.entropy import (
     stopped_increment_residual,
     submartingale_gap,
 )
-from entroflow.errors import QuadratureDivergence
+from entroflow.errors import OutOfWindow, QuadratureDivergence
 from entroflow.solutions import Constant, ExponentialLine
 from entroflow.stochastic import DomainSpec
 
@@ -256,6 +256,20 @@ def test_quadrature_curve_is_deterministic(line_model, line_sol, line_kernel):
     assert a.method == ["quadrature"] * 6
     with pytest.raises(ValueError, match="t > 0"):
         entropy_curve(line_sol, line_model, line_kernel, [0.0], with_conditions=False)
+
+
+def test_entropy_at_a_non_finite_time_is_refused(
+    circle_model, circle_sol, circle_kernel, sphere_model, sphere_sol, sphere_kernel
+):
+    # t = nan used to fail inside the kernel series (sphere) or its integer
+    # cast (circle)
+    for sol, kernel, model in (
+        (circle_sol, circle_kernel, circle_model),
+        (sphere_sol, sphere_kernel, sphere_model),
+    ):
+        for t in (math.nan, math.inf):
+            with pytest.raises(OutOfWindow, match="not a finite time"):
+                entropy_q(sol, kernel, model, t)
 
 
 def _bits(a):

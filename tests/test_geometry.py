@@ -221,6 +221,28 @@ def test_chart_and_window_validation():
         metric_at(geometry.hyperbolic(), 0.0, [0.0, -1.0])
     with pytest.raises(OutOfWindow):
         metric_at(geometry.line(), 99.0, [0.0])
+    # non-finite times and points are refused, not carried into a NaN result
+    sphere = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
+    for model, t, y in (
+        (geometry.line(), math.nan, [0.0]),
+        (geometry.line(), math.inf, [0.0]),
+        (sphere, math.nan, [1.0, 0.0, 0.0]),
+        (geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)), math.nan, [0.0]),
+    ):
+        with pytest.raises(OutOfWindow, match="not a finite time"):
+            model.check_time(t)
+        with pytest.raises(OutOfWindow, match="not a finite time"):
+            model.check_time(np.array([0.5, t]))
+        with pytest.raises(OutOfWindow, match="not a finite time"):
+            metric_at(model, t, y)
+    for model, y in (
+        (sphere, [math.nan, 0.0, 0.0]),
+        (geometry.line(), [math.inf]),
+        (geometry.punctured3(), [1.0, math.nan, 0.0]),
+        (geometry.hyperbolic(), [-math.inf, 1.0]),
+    ):
+        with pytest.raises(ChartViolation, match="chart points must be finite"):
+            model.check_point(y)
     with pytest.raises(ValueError):
         geometry.circle(1.0, -1.0, time_window=(0.0, 2.0))  # c hits zero
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflow import geometry, kernels, quadrature, stochastic
-from entroflow.errors import ConfigError
+from entroflow.errors import ChartViolation, ConfigError, OutOfWindow
 from entroflow.harness import (
     Scenario,
     _apply_overrides,
@@ -167,13 +167,31 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          ValueError, "level must be a non-negative integer"),
         (lambda: kernels.kernel_mass(_LINE_KERNEL, _LINE_KERNEL.model, 0.5, level=True),
          ValueError, "level must be a non-negative integer"),
+        # a bool is a number to Python; dt = True would step with dt = 1
+        (lambda: stochastic.SdeConfig(dt=True, n_paths=10), ValueError, "dt must be"),
+        (lambda: stochastic.simulate(
+            geometry.line(), [0.0], 0.1, stochastic.SdeConfig(dt=0.01, n_paths=4),
+            record_times=[math.inf]),
+         ValueError, "record time inf is not finite"),
+        (lambda: stochastic.simulate(
+            geometry.line(), [0.0], 0.1, stochastic.SdeConfig(dt=0.01, n_paths=4),
+            record_times=[math.nan]),
+         ValueError, "record time nan is not finite"),
+        # these used to return an all-NaN ensemble
+        (lambda: stochastic.simulate(
+            geometry.line(), [math.nan], 0.1, stochastic.SdeConfig(dt=0.01, n_paths=4)),
+         ChartViolation, "chart points must be finite"),
+        (lambda: stochastic.simulate(
+            geometry.line(), [0.0], math.nan, stochastic.SdeConfig(dt=0.01, n_paths=4)),
+         OutOfWindow, "not a finite time"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
          "mc.dt-negative", "t.count", "t.count-direct", "paths-override",
          "dt-override-nan", "paths-2**36", "mc.paths-2**36", "paths-override-2**36",
          "steps-beyond-counter", "refine-negative", "refine-fraction",
-         "level-negative", "level-fraction", "level-bool"],
+         "level-negative", "level-fraction", "level-bool", "dt-bool",
+         "record-time-inf", "record-time-nan", "start-nan", "horizon-nan"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -168,28 +168,10 @@ def test_uniforms_stay_inside_the_open_interval_at_both_ends(seed, x, u_want):
     assert np.isfinite(rng.normals(seed, idx, step, stream)[0])
 
 
-class _CountingPool(ThreadPoolExecutor):
-    # a one-thread helper that counts the work handed to it
-    def __init__(self):
-        super().__init__(1)
-        self.submitted = 0
-
-    def submit(self, fn, /, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(fn, *args, **kwargs)
-
-
 class _NoPool:
     # stands in for the helper where none may be used
     def submit(self, *args, **kwargs):
         raise AssertionError("the helper thread was used")
-
-
-@pytest.fixture
-def helper():
-    pool = _CountingPool()
-    yield pool
-    pool.shutdown(wait=True)
 
 
 def _path_orders(n):
@@ -227,25 +209,100 @@ def test_uniforms_never_use_the_helper(monkeypatch):
         rng.normals(SEED, idx, 7, 2)
 
 
-def _draw_in_child(conn, n, step):
-    conn.send_bytes(rng.normals(SEED, np.arange(n, dtype=np.uint64), step).tobytes())
+def _read_only(idx):
+    idx = np.array(idx, dtype=np.uint64)
+    idx.flags.writeable = False
+    return idx
+
+
+_LOOKAHEAD_KEYS = [(0, 0), (0, 1), (0, 2), (1, 0), (7, 3), (rng.MAX_STEPS - 1, 15)]
+
+
+@pytest.mark.parametrize(
+    "n", [rng._SPLIT_MIN - 1, rng._SPLIT_MIN, 25_000, rng._BLOCK + 1, 100_003]
+)
+def test_lookahead_draws_equal_serial_draws_bit_for_bit(n, helper, monkeypatch):
+    orders = _path_orders(n)
+    for order in ("sorted", "shuffled"):
+        idx = _read_only(orders[order])
+        monkeypatch.setattr(rng, "_pool", False)
+        serial = [rng.normals(SEED, idx, step, stream) for step, stream in _LOOKAHEAD_KEYS]
+        monkeypatch.setattr(rng, "_pool", helper)
+        before = helper.submitted
+        with rng._lookahead(SEED, idx, _LOOKAHEAD_KEYS):
+            ahead = rng._slot.ahead
+            assert (ahead is not None) == (n >= rng._SPLIT_MIN)
+            for (step, stream), want in zip(_LOOKAHEAD_KEYS, serial):
+                if ahead is not None:
+                    assert ahead.pending[0] == (step, stream)
+                _assert_bits_equal(rng.normals(SEED, idx, step, stream), want)
+        # one job per draw, each served from the lookahead
+        assert helper.submitted - before == len(serial) * (n >= rng._SPLIT_MIN), order
+        assert rng._slot.ahead is None
+
+
+def test_lookahead_serves_only_its_own_index_array(helper, monkeypatch):
+    monkeypatch.setattr(rng, "_pool", helper)
+    idx = _read_only(np.arange(25_000))
+    want = _reference(SEED, idx, 0, 0, True)
+    with rng._lookahead(SEED, idx, [(0, 0), (0, 1)]):
+        ahead = rng._slot.ahead
+        before = helper.submitted
+        # the same key on an equal array that is another object: plain path
+        twin = _read_only(idx)
+        _assert_bits_equal(rng.normals(SEED, twin, 0, 0), want)
+        assert ahead.pending[0] == (0, 0) and helper.submitted == before + 1
+        # another seed, a key out of order and uniforms are not served either
+        rng.normals(SEED + 1, idx, 0, 0)
+        rng.normals(SEED, idx, 0, 1)
+        rng.uniforms(SEED, idx, 0, 0)
+        assert ahead.pending[0] == (0, 0)
+        served = rng.normals(SEED, idx, 0, 0)
+        assert ahead.pending[0] == (0, 1)
+        _assert_bits_equal(served, want)
+    assert ahead.pending is None and helper.last.done() and rng._slot.ahead is None
+
+
+def test_lookahead_needs_a_read_only_index_array():
+    for idx in (np.arange(10, dtype=np.uint64), _read_only(np.arange(10)).reshape(2, 5),
+                np.arange(10)):
+        with pytest.raises(ValueError, match="read-only 1-D uint64"):
+            with rng._lookahead(SEED, idx, [(0, 0)]):
+                pass
+
+
+def test_lookahead_slots_are_per_thread(helper, monkeypatch):
+    # two threads, each with its own lookahead on its own keys, share the helper
+    monkeypatch.setattr(rng, "_pool", helper)
+    idx = _read_only(np.arange(20_000))
+    keys = {0: [(k, 0) for k in range(12)], 1: [(k, 1) for k in range(12)]}
+
+    def run(which):
+        with rng._lookahead(SEED, idx, keys[which]):
+            return [rng.normals(SEED, idx, step, stream) for step, stream in keys[which]]
+
+    with ThreadPoolExecutor(2) as pool:
+        got = {w: pool.submit(run, w) for w in keys}
+        got = {w: job.result(timeout=60) for w, job in got.items()}
+    for which, draws in got.items():
+        for (step, stream), z in zip(keys[which], draws):
+            _assert_bits_equal(z, _reference(SEED, idx, step, stream, True))
+    assert helper.submitted == 24 and rng._slot.ahead is None
+
+
+def _draw_in_child(conn, n, step, idx=None):
+    # a forked child starts with no lookahead open, whatever its parent had
+    assert rng._slot.ahead is None
+    if idx is None:
+        idx = np.arange(n, dtype=np.uint64)
+    conn.send_bytes(rng.normals(SEED, idx, step).tobytes())
     conn.close()
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
-)
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
-def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
-    # the parent's helper thread is not copied into a forked child; a child
-    # that kept its parent's executor would wait forever for its first split
-    monkeypatch.setattr(rng, "_pool", helper)
-    n, step = 25_000, 5
-    want = rng.normals(SEED, np.arange(n, dtype=np.uint64), step)
-    assert helper.submitted == 1  # the helper thread is running at the fork
+def _draw_in_forked_child(*args):
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_draw_in_child, args=(send, n, step))
+    child = ctx.Process(target=_draw_in_child, args=(send, *args))
     child.start()
     send.close()
     try:
@@ -257,7 +314,38 @@ def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
             child.kill()
             child.join(10)
     assert not child.is_alive() and child.exitcode == 0
-    _assert_bits_equal(got, want)
+    return got
+
+
+_forks = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+
+
+@_forks
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
+    # the parent's helper thread is not copied into a forked child; a child
+    # that kept its parent's executor would wait forever for its first split
+    monkeypatch.setattr(rng, "_pool", helper)
+    n, step = 25_000, 5
+    want = rng.normals(SEED, np.arange(n, dtype=np.uint64), step)
+    assert helper.submitted == 1  # the helper thread is running at the fork
+    _assert_bits_equal(_draw_in_forked_child(n, step), want)
+
+
+@_forks
+@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
+def test_forked_child_never_serves_from_its_parents_lookahead(helper, monkeypatch):
+    # the child inherits the open block and its index array, but not the
+    # helper thread its pending job was queued on
+    monkeypatch.setattr(rng, "_pool", helper)
+    idx = _read_only(np.arange(25_000))
+    want = _reference(SEED, idx, 5, 0, True)
+    with rng._lookahead(SEED, idx, [(5, 0), (6, 0)]):
+        assert rng._slot.ahead.pending[0] == (5, 0)
+        _assert_bits_equal(_draw_in_forked_child(idx.size, 5, idx), want)
+        _assert_bits_equal(rng.normals(SEED, idx, 5), want)
 
 
 def test_path_indices_past_the_counter_are_refused():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import Legendre
 
 from entroflow import entropy, geometry, quadrature, solutions
 from entroflow.errors import LogOfZero
@@ -267,6 +268,20 @@ def test_solution_id_round_trip(spec, line_model, circle_model, sphere_model):
 # replaced; every output must keep their bits, compared through uint64 views.
 
 
+def _ref_profile(sol, t, mu):
+    """SphereSpectral's (A, A', A'') through numpy Legendre objects."""
+    s = sol.model.time_change(np.asarray(t, dtype=float))
+    a = sol.a0 + np.zeros(np.broadcast_shapes(np.shape(s), np.shape(mu)))
+    d1, d2 = np.zeros_like(a), np.zeros_like(a)
+    for l, al in sol.modes:
+        p = Legendre.basis(l)
+        amp = al * np.exp(l * (l + 1) * s)
+        a = a + amp * p(mu)
+        d1 = d1 + amp * p.deriv()(mu)
+        d2 = d2 + amp * p.deriv(2)(mu)
+    return a, d1, d2
+
+
 def _ref_grad(sol, t, pts):
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[0]
@@ -280,7 +295,7 @@ def _ref_grad(sol, t, pts):
     if isinstance(sol, CircleSpectral):
         return sol._dtheta(t, pts)[0][..., None]
     if isinstance(sol, SphereSpectral):
-        _, d1, _ = sol._profile(t, sol._mu(pts))
+        _, d1, _ = _ref_profile(sol, t, sol._mu(pts))
         e1, e2 = geometry.tangent_frames(pts)
         return np.stack([d1 * (e1 @ sol.axis), d1 * (e2 @ sol.axis)], axis=-1)
     r = np.linalg.norm(pts, axis=-1)
@@ -306,7 +321,7 @@ def _ref_hess_log(sol, t, pts):
         return (d2 / u - (d1 / u) ** 2)[..., None, None]
     if isinstance(sol, SphereSpectral):
         mu = sol._mu(pts)
-        u, d1, d2 = sol._profile(t, mu)
+        u, d1, d2 = _ref_profile(sol, t, mu)
         e1, e2 = geometry.tangent_frames(pts)
         w = np.stack([e1 @ sol.axis, e2 @ sol.axis], axis=-1)
         coeff = d2 / u - (d1 / u) ** 2
@@ -321,6 +336,8 @@ def _ref_hess_log(sol, t, pts):
 
 
 def _ref_value(sol, t, pts):
+    if isinstance(sol, SphereSpectral):
+        return _ref_profile(sol, t, sol._mu(pts))[0]
     if isinstance(sol, RadialHarmonic3):
         r = np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
         return np.broadcast_to(1.0 / r, np.shape(sol.value(t, pts))).copy()
@@ -477,6 +494,31 @@ def _left_to_right_reversed(cols):
 def _plain_left_to_right(cols):
     sq = [c * c for c in cols]
     return sum(sq[1:], sq[0])
+
+
+@pytest.mark.parametrize("name", ["sphere", "sphere-oblique"])
+def test_sphere_profile_equals_the_legendre_objects(name):
+    # a Legendre object maps its argument through 0.0 + 1.0 * mu, so -0.0
+    # reaches legval as +0.0; points never give mu = -0.0, so it is passed
+    # here directly
+    sol = _six_classes()[name]
+    mu = np.array([-0.0, 0.0, -1.0, 1.0, -0.9, 0.9, np.nextafter(0.0, 1.0), -2.0**-1074])
+    mu = np.concatenate([mu, np.linspace(-1.0, 1.0, 1001)])
+    for t in (0.15, 0.35, np.linspace(0.05, 0.35, mu.size)):
+        for got, want in zip(sol._profile(t, mu), _ref_profile(sol, t, mu)):
+            assert _bits_equal(got, want)
+        for m in mu[:3]:  # one scalar at a time
+            for got, want in zip(sol._profile(0.35, m), _ref_profile(sol, 0.35, m)):
+                assert _bits_equal(got, want)
+    # du_dt evaluates P_l alone
+    pts = np.concatenate([_edge_points(sol), _cloud(sol, 500)])
+    t = 0.35
+    s, c = sol.model.time_change(t), sol.model.conformal(t)
+    want = np.zeros(len(pts))
+    for l, al in sol.modes:
+        lam = l * (l + 1)
+        want = want + al * lam / c * np.exp(lam * s) * Legendre.basis(l)(sol._mu(pts))
+    assert _bits_equal(sol.du_dt(t, pts), want)
 
 
 @pytest.mark.parametrize(

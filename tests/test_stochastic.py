@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entroflow import geometry, harness, stochastic
+from entroflow import geometry, harness, rng, stochastic
 from entroflow.errors import CensoredDominates, ConfigError
 from entroflow.stochastic import (
     AtExit,
@@ -380,3 +380,126 @@ def test_mean_stderr_refuses_an_empty_sample():
         with pytest.raises(ValueError, match="empty"):
             stochastic.mean_stderr(empty)
     assert stochastic.mean_stderr([2.5]) == (2.5, 0.0)
+
+
+# --- stepping with the rng lookahead -------------------------------------------
+#
+# _march opens an rng lookahead, so the helper transforms step k+1's draw
+# while step k is finished.  The ensembles must equal ensembles stepped with
+# the helper switched off, bit for bit.
+
+_STEPPED = {  # model, start, horizon, dt, domain
+    "line": (geometry.line(), [0.0], 0.02, 1e-3, DomainSpec.interval(-0.1, 0.15)),
+    "circle": (geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)), [1.5], 0.02, 1e-3,
+               DomainSpec.interval(1.4, 1.7)),
+    "sphere": (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.02,
+               1e-3, DomainSpec.cap([1.0, 0.0, 0.0], 0.15)),
+    "hyperbolic-frozen": (geometry.hyperbolic(), [0.0, 0.1], 5.0, 0.5,
+                          DomainSpec.ball([0.0, 1.0], 0.95)),
+    "punctured": (geometry.punctured3(), [0.3, 0.0, 0.0], 0.02, 1e-3,
+                  DomainSpec.ball([0.3, 0.0, 0.0], 0.15)),
+}
+
+
+def _stepped(name, n):
+    model, x, horizon, dt, domain = _STEPPED[name]
+    ens = simulate(model, x, horizon, SdeConfig(dt=dt, n_paths=n, seed=41),
+                   record_times=[horizon / 2])
+    return ens, stochastic.replay_exits(ens, [domain])[0]
+
+
+def _assert_same_ensemble(a, b):
+    (ens_a, rec_a), (ens_b, rec_b) = a, b
+    for x, y in ((ens_a.states, ens_b.states), (rec_a.tau, rec_b.tau),
+                 (rec_a.state, rec_b.state)):
+        assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert np.array_equal(ens_a.blowup, ens_b.blowup)
+    assert np.array_equal(rec_a.censored, rec_b.censored)
+
+
+@pytest.mark.parametrize("n", [rng._SPLIT_MIN - 1, rng._SPLIT_MIN, 25_000, 100_003])
+@pytest.mark.parametrize("name", list(_STEPPED))
+def test_lookahead_stepping_equals_serial_stepping_bit_for_bit(name, n, helper, monkeypatch):
+    monkeypatch.setattr(rng, "_pool", False)
+    serial = _stepped(name, n)
+    monkeypatch.setattr(rng, "_pool", helper)
+    ahead = _stepped(name, n)
+    _assert_same_ensemble(ahead, serial)
+    assert (helper.submitted > 0) == (n >= rng._SPLIT_MIN)
+    if name == "hyperbolic-frozen":
+        assert 0.0 < ahead[0].blowup_fraction < 1.0
+    assert 0 < ahead[1].censored.sum() < n  # some paths exit, some do not
+    assert rng._slot.ahead is None
+
+
+def test_two_threads_stepping_one_ensemble_get_the_same_bits(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(rng, "_pool", False)
+    serial = _stepped("sphere", 25_000)
+    monkeypatch.undo()
+    with ThreadPoolExecutor(2) as pool:
+        jobs = [pool.submit(_stepped, "sphere", 25_000) for _ in range(2)]
+        results = [job.result(timeout=120) for job in jobs]
+    for got in results:
+        _assert_same_ensemble(got, serial)
+
+
+def _counting_normals(monkeypatch):
+    calls = []
+    draw = rng.normals
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(rng, "normals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["line", "sphere"])
+def test_normals_calls_per_simulate_and_replay_pass(name, monkeypatch):
+    # steps x chart dimension calls per full pass: the lookahead starts draws
+    # early, but every draw is still one rng.normals call from the stepping loop
+    model, x, horizon, dt, domain = _STEPPED[name]
+    calls = _counting_normals(monkeypatch)
+    n_steps = int(round(horizon / dt))
+    ens = simulate(model, x, horizon, SdeConfig(dt=dt, n_paths=25_000, seed=41),
+                   record_times=[horizon / 2])
+    assert len(calls) == n_steps * model.dim_chart
+    calls.clear()
+    rec = stochastic.replay_exits(ens, [domain])[0]
+    assert rec.censored.any()  # so the replay ran to the horizon
+    assert len(calls) == n_steps * model.dim_chart
+    assert sorted(calls) == [k for k in range(n_steps) for _ in range(model.dim_chart)]
+
+
+def test_early_stopped_replay_leaves_no_job_pending(helper, monkeypatch):
+    monkeypatch.setattr(rng, "_pool", helper)
+    calls = _counting_normals(monkeypatch)
+    ens = simulate(geometry.line(), [0.0], 1.0, SdeConfig(dt=1e-3, n_paths=25_000, seed=41))
+    calls.clear()
+    before = helper.submitted
+    rec = stochastic.replay_exits(ens, [DomainSpec.interval(-0.01, 0.01)])[0]
+    assert not rec.censored.any() and len(calls) < 1000  # stopped early
+    # one job per draw, plus the next step's, started and then waited for
+    assert helper.submitted - before == len(calls) + 1
+    assert helper.last.done() and rng._slot.ahead is None
+
+
+def test_exception_in_the_stepping_loop_leaves_no_job_pending(helper, monkeypatch):
+    monkeypatch.setattr(rng, "_pool", helper)
+    advance, steps = stochastic._advance, []
+
+    def failing(*args):
+        steps.append(1)
+        if len(steps) == 3:
+            raise RuntimeError("step failed")
+        return advance(*args)
+
+    monkeypatch.setattr(stochastic, "_advance", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        simulate(geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.02,
+                 SdeConfig(dt=1e-3, n_paths=25_000, seed=41))
+    assert helper.submitted == 3 * 3 + 1  # three steps' draws and the next one
+    assert helper.last.done() and rng._slot.ahead is None
