@@ -48,7 +48,7 @@ class SdeConfig:
         if isinstance(dt, bool) or not (
             isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0
         ):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         for name in ("n_paths", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
