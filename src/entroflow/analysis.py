@@ -18,6 +18,7 @@ from scipy.special import xlogy
 
 from . import geometry, quadrature, solutions
 from .entropy import (
+    JetIntegrands,
     entropy_q,
     first_variation_integrand,
     shared_growth,
@@ -364,10 +365,13 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
     sol = solutions.RadialHarmonic3(model)
     kernel = GaussianKernel(np.asarray(x, dtype=float), model)
     levels = list(levels)
-    fs = (ulogu_integrand(sol), first_variation_integrand(sol))
+    if not levels:
+        raise ValueError("the divergence demo needs at least one level")
+    fs = JetIntegrands((ulogu_integrand(sol), first_variation_integrand(sol)))
 
     def tables(mesh_scale):
-        # E and E' of one level share its grid, dropped before the next
+        # E and E' of one level share its grid and one jet, dropped before
+        # the next
         rows = [
             quadrature.kernel_expectations(fs, kernel, model, t, lv, mesh_scale=mesh_scale)
             for lv in levels

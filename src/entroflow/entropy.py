@@ -20,10 +20,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import geometry, quadrature
 from .errors import CensoredDominates, QuadratureDivergence
-from .solutions import SolutionField, require_positive, sum_squares
+from .solutions import LogJet, SolutionField, require_positive, sum_squares
 from .stochastic import (
     AtExit,
     AtTime,
@@ -44,70 +45,57 @@ def shared_growth(sol: SolutionField) -> float:
 
 # ---------------------------------------------------------------------------
 # integrands (all vectorized over points, broadcastable in t)
+#
+# Each formula reads the solution's log jet at the points; the integrands of
+# one node set share a single jet (`JetIntegrands`), and a lone integrand is
+# the one-integrand case of the same evaluation.
 
 
-def ulogu_integrand(sol):
-    return lambda t, pts: sol.ulogu(t, pts)
+def _ulogu(sol, model, t, pts, jet):
+    return xlogy(jet.u, jet.u)
 
 
-def first_variation_integrand(sol):
-    return lambda t, pts: sol.grad_term(t, pts)
+def _first_variation(sol, model, t, pts, jet):
+    return sol.grad_term(t, pts, jet)
 
 
-def second_variation_integrand(sol, model=None):
-    model = model if model is not None else sol.model
-
-    def f(t, pts):
-        u, gl, hess = _log_parts(sol, t, pts)
-        scale = geometry.inv_metric_scale(model, t, pts)
-        hess_sq = scale**2 * sum_squares([h for row in hess for h in row])
-        curv = geometry.ricci_scale(model, t, pts) - 0.5 * geometry.dg_dt_scale(
-            model, t, pts
-        )
-        quad = curv * scale**2 * sum_squares(gl)
-        return 2.0 * u * (hess_sq + quad)
-
-    return f
+def _second_variation(sol, model, t, pts, jet):
+    u, gl, hess = _log_parts(jet)
+    scale = geometry.inv_metric_scale(model, t, pts)
+    hess_sq = scale**2 * sum_squares([h for row in hess for h in row])
+    curv = geometry.ricci_scale(model, t, pts) - 0.5 * geometry.dg_dt_scale(
+        model, t, pts
+    )
+    quad = curv * scale**2 * sum_squares(gl)
+    return 2.0 * u * (hess_sq + quad)
 
 
-def _log_parts(sol, t, pts):
+def _log_parts(jet):
     """u (LogOfZero unless u > 0), the columns of grad log u and the rows of
-    Hess log u, from one jet; du itself is dropped here, not held to the end.
-    """
-    jet = sol.log_jet(t, pts)
+    Hess log u."""
     u = require_positive(jet.u)
     return u, [c / u for c in jet.du], jet.hess
 
 
-def cond1_integrand(sol):
+def _cond1(sol, model, t, pts, jet):
     """|grad(u log u)|^2 = (log u + 1)^2 |grad u|^2."""
-
-    def f(t, pts):
-        jet = sol.log_jet(t, pts, hess=False)
-        return (np.log(jet.u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts, jet)
-
-    return f
+    return (np.log(jet.u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts, jet)
 
 
-def cond2_integrand(sol, model=None):
+def _cond2(sol, model, t, pts, jet):
     """|grad(|grad u|^2 / u)|^2 via the log-jet.
 
     grad(u |grad log u|^2) = u (|grad log u|^2 grad log u
                                  + 2 hess log u (grad log u, .)).
     """
-    model = model if model is not None else sol.model
-
-    def f(t, pts):
-        u, gl, hess = _log_parts(sol, t, pts)
-        scale = geometry.inv_metric_scale(model, t, pts)
-        gl_sq = scale * sum_squares(gl)
-        w = [
-            u * (gl_sq * g + 2.0 * (_row_times(row, gl) * scale))
-            for g, row in zip(gl, hess)
-        ]
-        return scale * sum_squares(w)
-
-    return f
+    u, gl, hess = _log_parts(jet)
+    scale = geometry.inv_metric_scale(model, t, pts)
+    gl_sq = scale * sum_squares(gl)
+    w = [
+        u * (gl_sq * g + 2.0 * (_row_times(row, gl) * scale))
+        for g, row in zip(gl, hess)
+    ]
+    return scale * sum_squares(w)
 
 
 def _row_times(row, v):
@@ -121,8 +109,88 @@ def _row_times(row, v):
     return sum(p[1:], p[0])
 
 
+def _cond0a(sol, model, t, pts, jet):
+    return sol.grad_norm_sq(t, pts, jet)
+
+
+_READS_HESS = frozenset({_second_variation, _cond2})
+
+
+@dataclass(frozen=True)
+class JetIntegrand:
+    """One entropy integrand: ``formula(sol, model, t, pts, jet)`` of the
+    solution's log jet at the points.  Called alone, it is a one-integrand
+    `JetIntegrands`."""
+
+    sol: SolutionField
+    model: geometry.MetricModel
+    formula: object
+
+    def __call__(self, t, pts):
+        return JetIntegrands((self,)).reduce_columns(t, pts, _column)[0]
+
+
+def _column(col):
+    return col
+
+
+class JetIntegrands(quadrature.Integrands):
+    """`JetIntegrand`s of one solution, evaluated on one log jet per node set.
+
+    The jet holds only what the integrands read: u alone is the solution's
+    `value` (which `log_jet` equals bit for bit), and the Hessian is taken
+    only when one of them reads it.  Its columns are read-only, so no
+    formula can change what the next one sees, and it is dropped when the
+    evaluation returns.  Each column is the one its integrand gives alone,
+    bit for bit.
+    """
+
+    def __new__(cls, fs=()):
+        fs = tuple.__new__(cls, fs)
+        if any(f.sol is not fs[0].sol for f in fs):
+            raise ValueError("the integrands of one jet need one solution")
+        return fs
+
+    def reduce_columns(self, t, pts, reduce):
+        if not self:
+            return ()
+        sol = self[0].sol
+        reads = {f.formula for f in self}
+        if reads == {_ulogu}:
+            jet = LogJet(sol.value(t, pts), (), None)
+        else:
+            jet = sol.log_jet(t, pts, hess=not reads.isdisjoint(_READS_HESS))
+        for col in (jet.u, *jet.du, *(h for row in jet.hess or () for h in row)):
+            col.flags.writeable = False
+        return tuple(reduce(f.formula(sol, f.model, t, pts, jet)) for f in self)
+
+
+def _integrands(sol, model, *formulas):
+    return JetIntegrands(JetIntegrand(sol, model, f) for f in formulas)
+
+
+def ulogu_integrand(sol):
+    return JetIntegrand(sol, sol.model, _ulogu)
+
+
+def first_variation_integrand(sol):
+    return JetIntegrand(sol, sol.model, _first_variation)
+
+
+def second_variation_integrand(sol, model=None):
+    return JetIntegrand(sol, model if model is not None else sol.model, _second_variation)
+
+
+def cond1_integrand(sol):
+    return JetIntegrand(sol, sol.model, _cond1)
+
+
+def cond2_integrand(sol, model=None):
+    return JetIntegrand(sol, model if model is not None else sol.model, _cond2)
+
+
 def cond0a_integrand(sol):
-    return lambda t, pts: sol.grad_norm_sq(t, pts)
+    return JetIntegrand(sol, sol.model, _cond0a)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +199,6 @@ def cond0a_integrand(sol):
 
 def entropy_q(sol, kernel, model, t, level=None) -> float:
     """Quadrature value of the entropy at time t (requires t > 0)."""
-    if t <= 0:
-        raise ValueError("the kernel measure needs t > 0")
     return quadrature.kernel_integral(
         ulogu_integrand(sol), kernel, model, t,
         growth=shared_growth(sol), level=level, what="entropy",
@@ -186,12 +252,13 @@ class ConditionReport:
 def conditions(sol, kernel, model, t) -> ConditionReport:
     """Refine the three condition integrals, recording divergence as a value.
 
-    The three share one grid per refinement level; each stops at its own.
+    The three share one grid and one solution jet per refinement level
+    (with the Hessian only while cond2 is refining); each stops at its own.
     """
     vals = {}
     flags = {}
     tables = {}
-    integrands = (cond1_integrand(sol), cond2_integrand(sol, model), cond0a_integrand(sol))
+    integrands = _integrands(sol, model, _cond1, _cond2, _cond0a)
     refs = quadrature.refine_expectations(
         integrands, kernel, model, t, growth=shared_growth(sol)
     )
@@ -334,8 +401,10 @@ def entropy_curve(
 
     Condition integrals are always evaluated by refinement quadrature.
     The quadrature entries use a fixed refinement level so the curve is a
-    smooth deterministic function of t; E, E' and E'' share the grid of
-    each time.
+    smooth deterministic function of t.  E, E' and E'' of one time share its
+    grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
+    each equals its own `entropy_q`/`entropy_prime`/`entropy_second` (or
+    `entropy_mc`) value bit for bit.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
@@ -352,15 +421,9 @@ def entropy_curve(
     d2 = np.zeros(n, dtype=bool)
     d0 = np.zeros(n, dtype=bool)
     methods = []
-    row = (
-        ulogu_integrand(sol),
-        first_variation_integrand(sol),
-        second_variation_integrand(sol, model),
-    )
+    row = _integrands(sol, model, _ulogu, _first_variation, _second_variation)
     for i, t in enumerate(t_grid):
         if method == "quadrature":
-            if t <= 0:
-                raise ValueError("the kernel measure needs t > 0")
             E[i], Ep[i], Es[i] = quadrature.kernel_expectations(
                 row, kernel, model, t, level, shared_growth(sol)
             )
@@ -368,12 +431,9 @@ def entropy_curve(
         elif method == "monte-carlo":
             if ensemble is None:
                 raise ValueError("monte-carlo curves need an ensemble")
-            r = entropy_mc(sol, ensemble, t)
-            E[i], Ese[i] = r.mean, r.stderr
-            r = entropy_prime(sol, ensemble, t)
-            Ep[i], Epse[i] = r.mean, r.stderr
-            r = entropy_second(sol, model, ensemble, t)
-            Es[i], Esse[i] = r.mean, r.stderr
+            (E[i], Ese[i]), (Ep[i], Epse[i]), (Es[i], Esse[i]) = row.reduce_columns(
+                t, ensemble.state_at(t), mean_stderr
+            )
             methods.append("monte-carlo")
         else:
             raise ValueError(f"unknown method {method!r}")

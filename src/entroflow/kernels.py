@@ -11,6 +11,8 @@ motion does not explode.  Closed forms:
   prefactor ``c(t)^(-1/2)``;
 * conformal 2-sphere: the zonal eigenfunction series in the clock ``s(t)``
   with prefactor ``c(t)^(-1)``.
+
+Each kernel refuses ``t <= 0``, where the law is a point mass.
 """
 
 from __future__ import annotations
@@ -21,10 +23,18 @@ import numpy as np
 
 from . import geometry, quadrature
 from .geometry import MetricModel
-from .solutions import _fd_time, time_step
+from .solutions import _fd_time, sum_squares, time_step
 
 _SERIES_TAIL = 1e-17
 _SERIES_LMAX = 6000
+
+
+def _positive_time(t):
+    """t as a float array; ValueError unless every entry is > 0."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValueError(f"heat kernels need t > 0, got t={t}")
+    return t
 
 
 class HeatKernelField:
@@ -54,17 +64,22 @@ class GaussianKernel(HeatKernelField):
             raise ValueError("Gaussian kernels live on the flat catalog models")
         self.base_point = self.model.check_point(x)
 
+    def _r2(self, pts):
+        """|y - x|^2 per point, one chart column at a time; `sum_squares`
+        adds the squares as ``np.sum(d * d, axis=-1)`` does, without the
+        (n, dim) differences and squares."""
+        pts = np.asarray(pts, dtype=float)
+        return sum_squares([pts[..., j] - x for j, x in enumerate(self.base_point)])
+
     def density(self, t, pts):
-        t = np.asarray(t, dtype=float)
-        d = np.asarray(pts, dtype=float) - self.base_point
-        r2 = np.sum(d * d, axis=-1)
+        t = _positive_time(t)
+        r2 = self._r2(pts)
         n = self.model.dim
         return (4.0 * np.pi * t) ** (-0.5 * n) * np.exp(-r2 / (4.0 * t))
 
     def laplacian(self, t, pts):
-        t = np.asarray(t, dtype=float)
-        d = np.asarray(pts, dtype=float) - self.base_point
-        r2 = np.sum(d * d, axis=-1)
+        t = _positive_time(t)
+        r2 = self._r2(pts)
         n = self.model.dim
         return self.density(t, pts) * (r2 / (4.0 * t * t) - n / (2.0 * t))
 
@@ -79,9 +94,10 @@ class WrappedGaussianKernel(HeatKernelField):
         self.base_point = model.check_point(x)
 
     def _wrap_terms(self, t, pts):
-        s = float(self.model.time_change(float(np.max(np.asarray(t)))))
+        t = _positive_time(t)
+        s = float(self.model.time_change(float(np.max(t))))
         k_max = int(math.ceil((math.pi + math.sqrt(160.0 * s)) / (2.0 * math.pi))) + 1
-        s_arr = self.model.time_change(np.asarray(t, dtype=float))
+        s_arr = self.model.time_change(t)
         th = np.asarray(pts)[:, 0]
         # reduce to the principal branch first so arbitrary unwrapped angles
         # land inside the finite wrap window
@@ -125,20 +141,27 @@ class SphereHeatKernel(HeatKernelField):
         return k / float(self.model.conformal(t)) ** 2
 
     def _legendre_sum(self, t, pts, eig_weight):
-        t = float(t)
+        """sum_l weight_l P_l(x . base), with P_l by the three-term recurrence.
+
+        Every step runs in place on three recurrence buffers beside ``dots``
+        and ``out``, so no node-sized array is allocated per term; each
+        value is the one ``out += weight * p_ell`` and ``((2l+1) x p_cur -
+        l p_prev) / (l+1)`` give, as the operations are the same and a
+        product with a scalar commutes.
+        """
+        t = float(_positive_time(t))
         s = float(self.model.time_change(t))
-        if s <= 0.0:
-            raise ValueError("the series kernel needs t > 0")
         dots = np.clip(np.asarray(pts, dtype=float) @ self.base_point, -1.0, 1.0)
         out = np.zeros_like(dots)
         p_prev = np.ones_like(dots)  # P_0
-        p_cur = np.asarray(dots, dtype=float).copy()  # P_1
+        p_cur = dots.copy()  # P_1
+        scratch = np.empty_like(dots)
         ell = 0
         p_ell = p_prev
         while True:
             coeff = (2 * ell + 1) / (4.0 * np.pi) * math.exp(-ell * (ell + 1) * s)
             weight = -ell * (ell + 1) * coeff if eig_weight else coeff
-            out += weight * p_ell
+            out += np.multiply(p_ell, weight, out=scratch)
             bound = (2 * ell + 3) / (4.0 * np.pi) * math.exp(-(ell + 1) * (ell + 2) * s)
             if eig_weight:
                 bound *= (ell + 1) * (ell + 2)
@@ -146,12 +169,15 @@ class SphereHeatKernel(HeatKernelField):
                 break
             if ell >= _SERIES_LMAX:
                 raise ValueError("series did not converge; t is too small")
-            if ell == 0:
-                p_ell = p_cur
-            else:
-                p_next = ((2 * ell + 1) * dots * p_cur - ell * p_prev) / (ell + 1)
-                p_prev, p_cur = p_cur, p_next
-                p_ell = p_cur
+            if ell >= 1:
+                # P_{l+1} into scratch; P_{l-1}'s buffer is the next scratch
+                np.multiply(dots, 2 * ell + 1, out=scratch)
+                scratch *= p_cur
+                p_prev *= ell
+                scratch -= p_prev
+                scratch /= ell + 1
+                p_prev, p_cur, scratch = p_cur, scratch, p_prev
+            p_ell = p_cur
             ell += 1
         return out
 
@@ -207,8 +233,6 @@ def adjoint_residual(kernel: HeatKernelField, model: MetricModel, t, y) -> float
 
 def kernel_mass(kernel: HeatKernelField, model: MetricModel, t, level=None) -> float:
     """Quadrature of the kernel against the evolving volume; expected 1."""
-    if t <= 0:
-        raise ValueError("kernel mass needs t > 0")
 
     def one(tt, pts):
         return np.ones(pts.shape[0])

@@ -23,11 +23,18 @@ on the kernel, model, time and level but on no integrand, so
 `kernel_expectations` builds them once for several integrands (E, E' and
 E'' of one time step, or the integrals still refining at one level) and
 drops them on return: building the grid, and above all summing the
-sphere's zonal kernel series, is most of the cost of a quadrature.  Nothing
-caches them, so memory holds one grid at a time whatever the length of the
-time grid.  `refine_expectations` refines several integrands this way; each
-keeps its own stopping level and divergence flag, so its values are those
-it gets refined alone.
+sphere's zonal kernel series, is most of the cost of a quadrature.  The
+integrands of one call come as an `Integrands` tuple, whose
+`reduce_columns` hands each integrand's column to the reduction as soon as
+it is formed; `entropy.JetIntegrands` evaluates the solution's jet once
+for the whole node set that way.  Nothing caches a grid, a density or a
+jet beyond the call that made it, so memory holds one of each at a time
+whatever the length of the time grid.  `refine_expectations` refines
+several integrands this way; each keeps its own stopping level and
+divergence flag, so its values are those it gets refined alone.
+
+Every entry point refuses ``t <= 0`` (`build_grid`): the kernel measure is
+a point mass at ``t = 0``.
 """
 
 from __future__ import annotations
@@ -60,6 +67,20 @@ def _gauss_legendre(n):
 _GL16 = _gauss_legendre(16)
 _GROWTH_FRACTION = 0.10
 _GROWTH_STREAK = 3
+
+
+class Integrands(tuple):
+    """Integrands ``f(t, pts)`` evaluated together on one node set.
+
+    `reduce_columns` hands each integrand's column to ``reduce`` as soon as
+    it is formed, so one column is alive at a time.  Here each integrand is
+    evaluated alone; a subclass may share work between them, and keeps the
+    tuple constructor, which `refine_expectations` uses to keep the
+    integrands still refining.
+    """
+
+    def reduce_columns(self, t, pts, reduce):
+        return tuple(reduce(f(t, pts)) for f in self)
 
 
 @dataclass(frozen=True)
@@ -183,10 +204,12 @@ def _gl_on_edges(edges):
 
 
 def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
-    """Quadrature nodes and volume weights for the model at time t."""
+    """Quadrature nodes and volume weights for the model at time t > 0."""
     if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
     model.check_time(t)
+    if not t > 0:
+        raise ValueError(f"the kernel measure needs t > 0, got t={t!r}")
     x = model.check_point(x)
     if model.kind == geometry.EUCLIDEAN_LINE:
         return _grid_line(model, x, t, level, growth)
@@ -204,9 +227,10 @@ def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
 def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
     """Single-level quadrature of each integrand against the kernel measure.
 
-    The grid and the kernel density are built once and made read-only, so
-    every integrand sees the same nodes; each value equals the integrand's
-    own `kernel_expectation` bit for bit.
+    ``fs`` is a sequence of integrands or an `Integrands` tuple.  The grid
+    and the kernel density are built once and made read-only, so every
+    integrand sees the same nodes; each value equals the integrand's own
+    `kernel_expectation` bit for bit.
     """
     pts, w = build_grid(
         model, kernel.base_point, t, level=level, growth=growth, **grid_opts
@@ -214,8 +238,9 @@ def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
     dens = np.asarray(kernel.density(t, pts), dtype=float)
     for a in (pts, w, dens):
         a.flags.writeable = False
-    return tuple(
-        float(np.dot(np.asarray(f(t, pts), dtype=float) * dens, w)) for f in fs
+    fs = fs if isinstance(fs, Integrands) else Integrands(fs)
+    return fs.reduce_columns(
+        t, pts, lambda col: float(np.dot(np.asarray(col, dtype=float) * dens, w))
     )
 
 
@@ -256,6 +281,10 @@ def refine_expectations(
     """
     if levels is None:
         levels = range(7) if model.kind == geometry.PUNCTURED_3 else range(5)
+    levels = tuple(levels)
+    if not levels:
+        raise ValueError("refinement needs at least one level")
+    fs = fs if isinstance(fs, Integrands) else Integrands(fs)
     values = [[] for _ in fs]
     streaks = [0] * len(fs)
     ends = [None] * len(fs)  # (converged, divergent) once stopped
@@ -263,7 +292,8 @@ def refine_expectations(
         live = [i for i, end in enumerate(ends) if end is None]
         if not live:
             break
-        got = kernel_expectations([fs[i] for i in live], kernel, model, t, level, growth)
+        live_fs = type(fs)(fs[i] for i in live)
+        got = kernel_expectations(live_fs, kernel, model, t, level, growth)
         for i, v in zip(live, got):
             vals = values[i]
             vals.append(v)

@@ -12,14 +12,18 @@ Each family computes its jet in one place, `SolutionField.log_jet`: u, the
 components of grad u and the entries of Hess log u, each an ``(n,)``
 column, from one evaluation of the shared parts (the sphere's zonal
 profile, ``mu`` and tangent frames; the radius of the radial harmonic).
+Its ``u`` is `value` bit for bit, so an integrand may read either.
 `grad`, `hess_log`, `grad_norm_sq` and `grad_term` stack or sum those
-columns, and the entropy integrands read one jet per call, so no part is
-evaluated twice for the same points.  Working on whole columns also avoids
-numpy's slow path for arithmetic on ``(n, 2, 2)`` arrays and for sums over
-an axis of length 2 or 3.  The bits are those of the stacked forms: every
-entry is the same sequence of elementwise operations, and `sum_squares`
-adds the squares in the order numpy's sum over a short last axis takes
-(left to right below eight terms; see there for nine).
+columns.  The entropy integrands of one node set read one jet between
+them (`entropy.JetIntegrands`), taken with the Hessian only when one of
+them needs it; nothing keeps a jet once the call that asked for it
+returns, here or there, so a solution object holds no per-point state.
+Working on whole columns also avoids numpy's slow path for arithmetic on
+``(n, 2, 2)`` arrays and for sums over an axis of length 2 or 3.  The bits
+are those of the stacked forms: every entry is the same sequence of
+elementwise operations, and `sum_squares` adds the squares in the order
+numpy's sum over a short last axis takes (left to right below eight
+terms; see there for nine).
 """
 
 from __future__ import annotations
@@ -86,9 +90,11 @@ class SolutionField:
         u = self.value(t, pts)
         return xlogy(u, u)
 
-    def grad_term(self, t, pts):
-        """|grad u|^2 / u, the first-variation integrand."""
-        jet = self.log_jet(t, pts, hess=False)
+    def grad_term(self, t, pts, jet=None):
+        """|grad u|^2 / u, the first-variation integrand; ``jet`` as in
+        `grad_norm_sq`."""
+        if jet is None:
+            jet = self.log_jet(t, pts, hess=False)
         return self.grad_norm_sq(t, pts, jet) / require_positive(jet.u)
 
     # truncation support: fastest exponential growth rate along the chart
@@ -394,7 +400,7 @@ class SphereSpectral(SolutionField):
         t0, t1 = self.model.time_window
         mus = np.linspace(-1.0, 1.0, 1024)
         for t in np.linspace(t0, t1, 9):
-            if np.min(self._profile(t, mus)[0]) < 0.0:
+            if np.min(self._profile(t, mus, 1)[0]) < 0.0:
                 raise ValueError(
                     "coefficients produce a negative solution inside the window"
                 )
@@ -407,28 +413,25 @@ class SphereSpectral(SolutionField):
     def space_scale(self, t, y):
         return max(1.0, 2.0 * max(l for l, _ in self.modes))
 
-    def _profile(self, t, mu):
-        """(A, dA/dmu, d2A/dmu2) for u = A(t, mu)."""
+    def _profile(self, t, mu, orders=3):
+        """(A, dA/dmu, d2A/dmu2) for u = A(t, mu), the first ``orders``."""
         s = self.model.time_change(np.asarray(t, dtype=float))
-        a = self.a0 + np.zeros(np.broadcast_shapes(np.shape(s), np.shape(mu)))
-        d1 = np.zeros_like(a)
-        d2 = np.zeros_like(a)
+        out = [self.a0 + np.zeros(np.broadcast_shapes(np.shape(s), np.shape(mu)))]
+        out += [np.zeros_like(out[0]) for _ in range(orders - 1)]
         # what a Legendre object hands legval: its identity domain map,
         # 0.0 + 1.0 * mu, turns -0.0 into +0.0
         x = mu + 0.0
         for l, al in self.modes:
-            p, dp, ddp = self._legendre[l]
             amp = al * np.exp(l * (l + 1) * s)
-            a = a + amp * legval(x, p)
-            d1 = d1 + amp * legval(x, dp)
-            d2 = d2 + amp * legval(x, ddp)
-        return a, d1, d2
+            for m, coef in enumerate(self._legendre[l][:orders]):
+                out[m] = out[m] + amp * legval(x, coef)
+        return out
 
     def _mu(self, pts):
         return np.asarray(pts) @ self.axis
 
     def value(self, t, pts):
-        return self._profile(t, self._mu(pts))[0]
+        return self._profile(t, self._mu(pts), 1)[0]
 
     def du_dt(self, t, pts):
         mu = self._mu(pts)

@@ -264,3 +264,33 @@ def test_divergence_demo_equals_separate_integrals_bit_for_bit():
         ulogu_integrand(sol), kernel, model, t, level=0, outer_scale=2.0
     )
     assert rep.tail_shift == abs(tail - rep.entropy_values[0])
+
+
+def test_divergence_demo_takes_one_jet_per_grid(monkeypatch):
+    # E and E' of a level read one jet without the Hessian; the tail's
+    # lone entropy reads the value
+    calls = []
+    cls = solutions.RadialHarmonic3
+    log_jet, value = cls.log_jet, cls.value
+
+    def counted_jet(self, t, pts, hess=True):
+        calls.append(("jet", hess))
+        return log_jet(self, t, pts, hess=hess)
+
+    def counted_value(self, t, pts):
+        calls.append(("value", None))
+        return value(self, t, pts)
+
+    monkeypatch.setattr(cls, "log_jet", counted_jet)
+    monkeypatch.setattr(cls, "value", counted_value)
+    divergence_demo(1.0, levels=range(3))
+    assert calls == [("jet", False)] * 6 + [("value", None)]
+
+
+def test_divergence_demo_refuses_bad_input():
+    # t = 0 raised a bare ZeroDivisionError, no levels "max() arg is an
+    # empty sequence"
+    with pytest.raises(ValueError, match="t > 0"):
+        divergence_demo(0.0)
+    with pytest.raises(ValueError, match="at least one level"):
+        divergence_demo(1.0, levels=[])

@@ -405,3 +405,142 @@ def test_refinements_stop_at_their_own_levels(line_model, line_kernel):
     )
     assert len(refs[0].values) == 2 and refs[0].converged
     assert len(refs[1].values) == 5 and not (refs[1].converged or refs[1].divergent)
+
+
+# --- one solution jet per node set ------------------------------------------------
+
+
+_ALL_INTEGRANDS = (
+    entropy.ulogu_integrand, entropy.first_variation_integrand,
+    entropy.second_variation_integrand, entropy.cond1_integrand,
+    entropy.cond2_integrand, entropy.cond0a_integrand,
+)
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere", "punctured"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_shared_jet_gives_each_single_integral_bit_for_bit(which, level):
+    # every subset of the six integrands (with and without the Hessian,
+    # u alone) shares one jet; each value equals its own kernel_expectation
+    sol, kern, t = _condition_cases()[which]
+    model, growth = sol.model, entropy.shared_growth(sol)
+    fs = [make(sol) for make in _ALL_INTEGRANDS]
+    alone = [
+        quadrature.kernel_expectation(f, kern, model, t, level=level, growth=growth)
+        for f in fs
+    ]
+    for pick in ((0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 5), (0,), (4, 0)):
+        shared = quadrature.kernel_expectations(
+            entropy.JetIntegrands(fs[i] for i in pick), kern, model, t, level, growth
+        )
+        assert _bits(shared).tolist() == _bits([alone[i] for i in pick]).tolist(), pick
+
+
+def _count_jets(monkeypatch, sol):
+    """Record the jets and values asked of ``sol`` from outside its own
+    methods (some families' jets call `value`)."""
+    calls = []
+    inside = []
+    log_jet, value = sol.log_jet, sol.value
+
+    def counted_jet(t, pts, hess=True):
+        calls.append(("jet", len(pts), hess))
+        inside.append(1)
+        try:
+            return log_jet(t, pts, hess=hess)
+        finally:
+            inside.pop()
+
+    def counted_value(t, pts):
+        if not inside:
+            calls.append(("value", len(pts), None))
+        return value(t, pts)
+
+    monkeypatch.setattr(sol, "log_jet", counted_jet)
+    monkeypatch.setattr(sol, "value", counted_value)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere"])
+def test_curve_takes_one_jet_per_time(which, monkeypatch):
+    sol, kern, _ = _condition_cases()[which]
+    model = sol.model
+    grid = [0.25, 0.5, 0.75]
+    calls = _count_jets(monkeypatch, sol)
+    entropy_curve(sol, model, kern, grid, with_conditions=False)
+    assert [(kind, hess) for kind, _, hess in calls] == [("jet", True)] * 3
+
+
+def test_conditions_take_one_jet_per_level(monkeypatch):
+    # the Hessian is taken only while cond2 is still refining
+    sol, kern, t = _condition_cases()["line"]
+    alone = quadrature.refine_expectation(
+        entropy.cond2_integrand(sol), kern, sol.model, t, growth=entropy.shared_growth(sol)
+    )
+    calls = _count_jets(monkeypatch, sol)
+    rep = conditions(sol, kern, sol.model, t)
+    deepest = max(len(v) for v in rep.tables.values())
+    assert len(calls) == deepest
+    assert [hess for _, _, hess in calls] == [
+        level < len(alone.values) for level in range(deepest)
+    ]
+
+
+def test_monte_carlo_curve_equals_the_single_estimates(line_model, line_ensemble, sphere_model,
+                                                       sphere_sol, sphere_kernel, sphere_ensemble,
+                                                       monkeypatch):
+    sol = ExponentialLine(1.0, 1.0, line_model)
+    kern = kernels.GaussianKernel(np.array([0.0]), line_model)
+    for sol, model, kern, ens, grid in (
+        (sol, line_model, kern, line_ensemble, [0.25, 0.5, 1.0]),
+        (sphere_sol, sphere_model, sphere_kernel, sphere_ensemble, [0.25, 0.5]),
+    ):
+        curve = entropy_curve(
+            sol, model, kern, grid, method="monte-carlo", ensemble=ens, with_conditions=False,
+        )
+        for i, t in enumerate(grid):
+            for got, got_se, r in (
+                (curve.E, curve.E_stderr, entropy_mc(sol, ens, t)),
+                (curve.E_prime, curve.E_prime_stderr, entropy_prime(sol, ens, t)),
+                (curve.E_second, curve.E_second_stderr, entropy_second(sol, model, ens, t)),
+            ):
+                assert _bits(got[i]) == _bits(r.mean)
+                assert _bits(got_se[i]) == _bits(r.stderr)
+    sol = ExponentialLine(1.0, 1.0, line_model)
+    calls = _count_jets(monkeypatch, sol)
+    entropy_curve(sol, line_model, kern, [0.25, 0.5], method="monte-carlo",
+                  ensemble=line_ensemble, with_conditions=False)
+    assert calls == [("jet", line_ensemble.n_paths, True)] * 2
+
+
+def test_shared_jet_columns_are_read_only(line_model):
+    # a formula cannot change the jet the next integrand reads
+    sol = ExponentialLine(1.0, 1.0, line_model)
+
+    def scribble(sol, model, t, pts, jet):
+        jet.u[0] = 0.0
+        return jet.u
+
+    fs = entropy.JetIntegrands(
+        (entropy.ulogu_integrand(sol), entropy.JetIntegrand(sol, line_model, scribble))
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        fs.reduce_columns(0.5, np.array([[0.0], [1.0]]), lambda c: c)
+
+
+def test_one_jet_serves_one_solution(line_model):
+    a, b = ExponentialLine(1.0, 1.0, line_model), ExponentialLine(1.0, 1.0, line_model)
+    with pytest.raises(ValueError, match="one solution"):
+        entropy.JetIntegrands((entropy.ulogu_integrand(a), entropy.ulogu_integrand(b)))
+
+
+def test_quadrature_entry_points_refuse_t_zero(line_model, line_sol, line_kernel):
+    # these raised a bare ZeroDivisionError on the line
+    with pytest.raises(ValueError, match="t > 0"):
+        entropy_prime(line_sol, line_kernel, 0.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        entropy_second(line_sol, line_model, line_kernel, 0.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        conditions(line_sol, line_kernel, line_model, 0.0)
+    with pytest.raises(ValueError, match="t > 0"):
+        entropy_q(line_sol, line_kernel, line_model, 0.0, level=2)

@@ -123,6 +123,82 @@ def test_mass_requires_positive_time(line_model, line_kernel):
         kernel_mass(line_kernel, line_model, 0.0)
 
 
+def test_kernels_refuse_non_positive_times(line_kernel, circle_kernel, sphere_kernel):
+    # the flat kernel used to return nan with RuntimeWarnings at t = 0 and
+    # the wrapped one to divide by zero; all three now refuse t <= 0
+    punctured = geometry.punctured3()
+    flat3 = GaussianKernel(np.array([1.0, 0.0, 0.0]), punctured)
+    cases = [
+        (line_kernel, np.array([[0.5]])),
+        (flat3, np.array([[1.0, 0.5, 0.0]])),
+        (circle_kernel, np.array([[0.5]])),
+        (sphere_kernel, np.array([[0.0, 1.0, 0.0]])),
+    ]
+    for kern, pts in cases:
+        for t in (0.0, -0.25):
+            with pytest.raises(ValueError, match="t > 0"):
+                kern.density(t, pts)
+            with pytest.raises(ValueError, match="t > 0"):
+                kern.laplacian(t, pts)
+    with pytest.raises(ValueError, match="t > 0"):
+        line_kernel.density(np.array([0.5, 0.0]), np.array([[0.5], [0.5]]))
+
+
+def _legendre_sum_allocating(kern, t, pts, eig_weight):
+    """The series as it was written before it ran in place."""
+    s = float(kern.model.time_change(t))
+    dots = np.clip(np.asarray(pts, dtype=float) @ kern.base_point, -1.0, 1.0)
+    out = np.zeros_like(dots)
+    p_prev = np.ones_like(dots)
+    p_cur = dots.copy()
+    ell, p_ell = 0, p_prev
+    while True:
+        coeff = (2 * ell + 1) / (4.0 * np.pi) * math.exp(-ell * (ell + 1) * s)
+        weight = -ell * (ell + 1) * coeff if eig_weight else coeff
+        out += weight * p_ell
+        bound = (2 * ell + 3) / (4.0 * np.pi) * math.exp(-(ell + 1) * (ell + 2) * s)
+        if eig_weight:
+            bound *= (ell + 1) * (ell + 2)
+        if ell >= 8 and bound < 1e-17:
+            return out
+        if ell == 0:
+            p_ell = p_cur
+        else:
+            p_next = ((2 * ell + 1) * dots * p_cur - ell * p_prev) / (ell + 1)
+            p_prev, p_cur = p_cur, p_next
+            p_ell = p_cur
+        ell += 1
+
+
+@pytest.mark.parametrize("t", [0.12, 0.5, 1.2])
+@pytest.mark.parametrize("eig_weight", [False, True])
+def test_in_place_series_equals_the_allocating_form(sphere_model, sphere_kernel, t, eig_weight):
+    pts, _ = quadrature.build_grid(sphere_model, sphere_kernel.base_point, t, level=2)
+    edge = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, -0.0], [0.0, 0.0, 1.0]])
+    for p in (pts, edge):
+        got = sphere_kernel._legendre_sum(t, p, eig_weight)
+        want = _legendre_sum_allocating(sphere_kernel, t, p, eig_weight)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flat_kernel_distances_equal_the_stacked_sum(dim):
+    # the squared distance is summed column by column, in the order
+    # np.sum(d * d, axis=-1) takes, so density and Laplacian keep their bits
+    model = {1: geometry.line(), 2: geometry.space(2), 3: geometry.punctured3()}[dim]
+    x = np.array([1.0, -0.3, 0.2][:dim])
+    kern = GaussianKernel(x, model)
+    pts = np.random.default_rng(dim).normal(size=(4099, dim)) * 3.0
+    pts[0] = x
+    d = pts - x
+    r2 = np.sum(d * d, axis=-1)
+    t = 0.37
+    dens = (4.0 * np.pi * t) ** (-0.5 * dim) * np.exp(-r2 / (4.0 * t))
+    lap = dens * (r2 / (4.0 * t * t) - dim / (2.0 * t))
+    assert np.array_equal(kern.density(t, pts).view(np.uint64), dens.view(np.uint64))
+    assert np.array_equal(kern.laplacian(t, pts).view(np.uint64), lap.view(np.uint64))
+
+
 def test_wrapped_kernel_is_periodic(circle_model, circle_kernel):
     # unwrapped path angles must see the same density as their principal value
     base = circle_kernel.density(1.0, np.array([[1.3]]))

@@ -177,6 +177,38 @@ def test_shared_nodes_are_read_only(line_model, line_kernel):
         kernel_expectations((one, scribble), line_kernel, line_model, 0.5)
 
 
+def test_quadrature_refuses_non_positive_times(line_model, line_kernel, circle_model,
+                                              circle_kernel, sphere_model, sphere_kernel):
+    # one check at the grid: the line used to raise a bare ZeroDivisionError
+    punctured = geometry.punctured3()
+    cases = [
+        (line_model, line_kernel),
+        (circle_model, circle_kernel),
+        (sphere_model, sphere_kernel),
+        (punctured, kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), punctured)),
+    ]
+    one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
+    for model, kern in cases:
+        with pytest.raises(ValueError, match="t > 0"):
+            build_grid(model, kern.base_point, 0.0)
+        with pytest.raises(ValueError, match="t > 0"):
+            kernel_expectations((one, one), kern, model, 0.0)
+        with pytest.raises(ValueError, match="t > 0"):
+            refine_expectation(one, kern, model, 0.0)
+
+
+def test_refinement_refuses_an_empty_level_list(line_model, line_kernel):
+    # an empty list used to give a Refinement without values, whose .value
+    # raised IndexError
+    one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
+    for levels in ([], (), range(0)):
+        with pytest.raises(ValueError, match="at least one level"):
+            refine_expectation(one, line_kernel, line_model, 0.5, levels=levels)
+    assert refine_expectation(one, line_kernel, line_model, 0.5, levels=[2]).values == (
+        kernel_expectation(one, line_kernel, line_model, 0.5, level=2),
+    )
+
+
 def test_flat_space_radial_grid_mass():
     model = geometry.space(2)
     kern = kernels.GaussianKernel(np.zeros(2), model)

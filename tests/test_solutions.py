@@ -476,6 +476,27 @@ def test_jets_equal_the_stacked_forms_at_edge_points(name):
 
 
 @pytest.mark.parametrize("name", _CLASSES)
+def test_jet_u_is_the_value_bit_for_bit(name):
+    # the entropy integrand reads jet.u (or value, when it is alone), so
+    # both must be the same bits, with and without the Hessian
+    sol = _six_classes()[name]
+    model = sol.model
+    grid, _ = quadrature.build_grid(model, _base_point(model), 0.35, level=2, growth=2.0)
+    cloud = _cloud(sol, 1001)
+    per_path = np.linspace(0.05, 0.4, len(cloud))
+    for t, pts in ((0.35, grid), (0.15, _edge_points(sol)), (per_path, cloud)):
+        value = sol.value(t, pts)
+        for hess in (True, False):
+            assert _bits_equal(sol.log_jet(t, pts, hess=hess).u, value)
+        assert _bits_equal(entropy.ulogu_integrand(sol)(t, pts), sol.ulogu(t, pts))
+        shared = entropy.JetIntegrands(
+            (entropy.ulogu_integrand(sol), entropy.second_variation_integrand(sol))
+        )
+        e, _ = shared.reduce_columns(t, pts, lambda col: col)
+        assert _bits_equal(e, sol.ulogu(t, pts))
+
+
+@pytest.mark.parametrize("name", _CLASSES)
 def test_jets_equal_the_stacked_forms_at_per_path_times(name):
     # a time per point, as along stopped paths, on random points
     sol = _six_classes()[name]
