@@ -472,18 +472,31 @@ def test_curve_takes_one_jet_per_time(which, monkeypatch):
 
 
 def test_conditions_take_one_jet_per_level(monkeypatch):
-    # the Hessian is taken only while cond2 is still refining
     sol, kern, t = _condition_cases()["line"]
-    alone = quadrature.refine_expectation(
-        entropy.cond2_integrand(sol), kern, sol.model, t, growth=entropy.shared_growth(sol)
-    )
     calls = _count_jets(monkeypatch, sol)
     rep = conditions(sol, kern, sol.model, t)
-    deepest = max(len(v) for v in rep.tables.values())
-    assert len(calls) == deepest
-    assert [hess for _, _, hess in calls] == [
-        level < len(alone.values) for level in range(deepest)
-    ]
+    assert len(calls) == max(len(v) for v in rep.tables.values())
+
+
+def test_hessian_only_while_a_reader_refines(line_model, line_kernel, monkeypatch):
+    # cond2 settles at level 1; a kink inside a panel runs through every
+    # level, and reads no Hessian
+    sol = ExponentialLine(1.0, 1.0, line_model)
+
+    def kink(sol, model, t, pts, jet):
+        return np.abs(pts[:, 0] - 0.1) * jet.u
+
+    fs = entropy.JetIntegrands(
+        (entropy.cond2_integrand(sol), entropy.JetIntegrand(sol, line_model, kink))
+    )
+    alone = [quadrature.refine_expectation(f, line_kernel, line_model, 0.5) for f in fs]
+    calls = _count_jets(monkeypatch, sol)
+    refs = quadrature.refine_expectations(fs, line_kernel, line_model, 0.5)
+    assert refs == tuple(alone)
+    assert [len(r.values) for r in refs] == [2, 5]
+    assert [(kind, hess) for kind, _, hess in calls] == (
+        [("jet", True)] * 2 + [("jet", False)] * 3
+    )
 
 
 def test_monte_carlo_curve_equals_the_single_estimates(line_model, line_ensemble, sphere_model,
