@@ -18,7 +18,7 @@ cases = [
      "circle shrinking at rate 0.1"),
     (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)),
      np.array([0.0, 0.6, 0.8]), "sphere under c(t) = 1 + 2t"),
-    (geometry.hyperbolic(), np.array([0.0, 1.0]), "hyperbolic plane"),
+    (geometry.circle(1.0, 0.5), np.array([1.2]), "circle expanding at rate 0.5"),
 ]
 
 print("model catalog at t = 0.5")

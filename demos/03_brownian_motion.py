@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from entroflow import geometry
-from entroflow.stochastic import DomainSpec, SdeConfig, first_exit, simulate
+from entroflow.stochastic import DomainSpec, SdeConfig, simulate
 
 line = geometry.line()
 cfg = SdeConfig(dt=1e-3, n_paths=50_000, seed=0xC0FFEE)
@@ -43,7 +43,7 @@ print("first exits from (-0.1, 0.1): mean tau vs the interval oracle 0.005")
 for dt in (1e-4, 1e-5):
     cfg = SdeConfig(dt=dt, n_paths=20_000, seed=13)
     e = simulate(line, [0.0], 0.2, cfg, record_times=[0.2])
-    rec = first_exit(e, DomainSpec.interval(-0.1, 0.1))
+    rec = e.exit_records(DomainSpec.interval(-0.1, 0.1))
     mean = rec.tau.mean()
     print(f"  dt={dt:<7} mean tau = {mean:.6f}  bias {100*(mean-0.005)/0.005:+.1f}%"
           f"  (grid-crossing bias shrinks like sqrt(dt))")

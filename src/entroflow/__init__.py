@@ -61,8 +61,5 @@ from .stochastic import (
     SdeConfig,
     Stopped,
     expect,
-    first_exit,
-    load_ensemble,
-    save_ensemble,
     simulate,
 )

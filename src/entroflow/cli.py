@@ -10,17 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import acceptance, geometry, harness
+from . import acceptance, geometry, harness, solutions
 from .errors import EntroflowError
-
-_SOLUTION_IDS = (
-    "const:c",
-    "expline:a,b",
-    "expsum:a1,b1;a2,b2;...",
-    "circle-spec:a0,(k,ak,phik)...",
-    "radial3",
-    "sphere-spec:a0,(l,al)...",
-)
 
 
 def _build_parser():
@@ -71,7 +62,7 @@ def main(argv=None) -> int:
                 print(ident)
             return 0
         if args.command == "list-solutions":
-            for ident in _SOLUTION_IDS:
+            for ident in solutions.CATALOG_IDS:
                 print(ident)
             return 0
     except EntroflowError as exc:

@@ -11,7 +11,6 @@ orthonormal frame) in which all tensor components are reported:
   reported in the orthonormal tangent frame at the query point, i.e. in
   normal coordinates centered there, where the round metric is the
   identity and its Christoffel symbols vanish.
-* ``hyperbolic-static`` -- upper half-plane chart, metric ``y2^-2 * delta``.
 
 The conformal factor is affine so the time change
 ``s(t) = integral_0^t c(sigma)^-1 dsigma`` stays in closed form.
@@ -20,6 +19,7 @@ The conformal factor is affine so the time change
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +31,24 @@ EUCLIDEAN_SPACE = "euclidean-space"
 PUNCTURED_3 = "punctured-3"
 CIRCLE = "circle"
 SPHERE_2 = "sphere2"
-HYPERBOLIC = "hyperbolic-static"
 
 _CONFORMAL_KINDS = (CIRCLE, SPHERE_2)
+
+# the manifold dimension of each kind; euclidean-space takes any n >= 1
+_FIXED_DIMS = {EUCLIDEAN_LINE: 1, PUNCTURED_3: 3, CIRCLE: 1, SPHERE_2: 2}
 
 # paths closer to the puncture than this are treated as having left the chart
 PUNCTURE_RADIUS = 1e-8
 
 _EIG_TOL = 1e-12
+
+
+def finite_params(what, values):
+    """The values as a tuple of floats; ValueError unless each is finite."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} must be finite numbers, got {values!r}")
+    return tuple(float(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,19 @@ class MetricModel:
     time_window: tuple[float, float] = (0.0, 8.0)
 
     def __post_init__(self):
+        dim = self.dim
+        whole = isinstance(dim, numbers.Integral) and not isinstance(dim, bool)
+        if self.kind == EUCLIDEAN_SPACE:
+            if not (whole and dim >= 1):
+                raise ValueError(f"{self.kind} needs a whole dimension >= 1, got {dim!r}")
+        elif self.kind not in _FIXED_DIMS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        elif not (whole and dim == _FIXED_DIMS[self.kind]):
+            raise ValueError(
+                f"{self.kind} has dimension {_FIXED_DIMS[self.kind]}, got {dim!r}"
+            )
         t0, t1 = self.time_window
+        finite_params("c0, rate and the time window ends", (self.c0, self.rate, t0, t1))
         if not (0.0 <= t0 < t1):
             raise ValueError(f"invalid time window {self.time_window}")
         if self.kind in _CONFORMAL_KINDS:
@@ -101,9 +123,6 @@ class MetricModel:
         elif self.kind == SPHERE_2:
             if abs(np.linalg.norm(y) - 1.0) > 1e-6:
                 raise ChartViolation("sphere points must be unit vectors")
-        elif self.kind == HYPERBOLIC:
-            if y[1] <= 0:
-                raise ChartViolation("upper half-plane requires y2 > 0")
         return y
 
 
@@ -133,10 +152,6 @@ def sphere2(c0=1.0, rate=0.0, time_window=None):
     return MetricModel(SPHERE_2, dim=2, c0=c0, rate=rate, time_window=time_window)
 
 
-def hyperbolic():
-    return MetricModel(HYPERBOLIC, dim=2)
-
-
 def _default_conformal_window(c0, rate):
     if rate < 0:
         # keep a 10% safety margin from the degeneration time
@@ -145,36 +160,37 @@ def _default_conformal_window(c0, rate):
 
 
 def parse_model(spec: str, time_window=None) -> MetricModel:
-    """Resolve a catalog id like ``"circle:1,-0.1"`` to a model."""
+    """Resolve a catalog id like ``"circle:1,-0.1"`` to a model.
+
+    The forms are those of `CATALOG_IDS`; a spec with the wrong number of
+    parameters, or parameters that are not numbers, raises ValueError.
+    """
     import dataclasses
 
-    head, _, args = spec.partition(":")
+    head, sep, args = spec.partition(":")
     head = head.strip()
+    usage = {form.partition(":")[0]: form for form in CATALOG_IDS}.get(head)
+    if usage is None:
+        raise ValueError(f"unknown model id {spec!r}")
+    n_params = usage.count(",") + 1 if ":" in usage else 0
+    try:
+        vals = [float(v) for v in args.split(",")] if sep else []
+    except ValueError:
+        vals = []
+    if len(vals) != n_params or (head == EUCLIDEAN_SPACE and not vals[0].is_integer()):
+        raise ValueError(f"model {spec!r} does not read {usage}")
     if head == EUCLIDEAN_LINE:
         model = line()
     elif head == EUCLIDEAN_SPACE:
-        model = space(int(args))
+        model = space(int(vals[0]))
     elif head == PUNCTURED_3:
         model = punctured3()
-    elif head in (CIRCLE, SPHERE_2):
-        c0_s, rate_s = args.split(",")
-        maker = circle if head == CIRCLE else sphere2
-        return maker(float(c0_s), float(rate_s), time_window=time_window)
-    elif head == HYPERBOLIC:
-        model = hyperbolic()
     else:
-        raise ValueError(f"unknown model id {spec!r}")
+        maker = circle if head == CIRCLE else sphere2
+        return maker(*vals, time_window=time_window)
     if time_window is not None:
         model = dataclasses.replace(model, time_window=tuple(time_window))
     return model
-
-
-def model_id(model: MetricModel) -> str:
-    if model.kind == EUCLIDEAN_SPACE:
-        return f"{EUCLIDEAN_SPACE}:{model.dim}"
-    if model.kind in _CONFORMAL_KINDS:
-        return f"{model.kind}:{model.c0:g},{model.rate:g}"
-    return model.kind
 
 
 def as_point(model: MetricModel, y) -> np.ndarray:
@@ -273,15 +289,6 @@ def metric_at(model: MetricModel, t, y) -> MetricData:
             c * eye, eye / c, model.rate * eye, zero3, eye.copy(),
             c, 2.0 * model.rate / c,
         )
-    if model.kind == HYPERBOLIC:
-        y2 = y[1]
-        s = 1.0 / (y2 * y2)
-        g = s * eye
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 0, 1] = gamma[0, 1, 0] = -1.0 / y2
-        gamma[1, 0, 0] = 1.0 / y2
-        gamma[1, 1, 1] = -1.0 / y2
-        return MetricData(g, eye / s, 0.0 * eye, gamma, -g, s, 0.0)
     raise ValueError(f"unhandled model kind {model.kind}")
 
 
@@ -307,11 +314,6 @@ def metric_in_local_chart(model: MetricModel, t, y, dy) -> np.ndarray:
             return c * np.eye(2)
         rad = np.outer(dy, dy) / (r * r)
         return c * (rad + (math.sin(r) / r) ** 2 * (np.eye(2) - rad))
-    if model.kind == HYPERBOLIC:
-        y2 = y[1] + dy[1]
-        if y2 <= 0:
-            raise ChartViolation("displacement left the upper half-plane")
-        return np.eye(2) / (y2 * y2)
     raise ValueError(f"unhandled model kind {model.kind}")
 
 
@@ -367,8 +369,6 @@ def inv_metric_scale(model: MetricModel, t, pts):
         return np.broadcast_to(1.0, _tshape(t, n)).copy()
     if model.kind in _CONFORMAL_KINDS:
         return np.broadcast_to(1.0 / model.conformal(t), _tshape(t, n)).copy()
-    if model.kind == HYPERBOLIC:
-        return np.broadcast_to(pts[:, 1] ** 2, _tshape(t, n)).copy()
     raise ValueError(model.kind)
 
 
@@ -378,8 +378,6 @@ def ricci_scale(model: MetricModel, t, pts):
     n = pts.shape[0]
     if model.kind == SPHERE_2:
         return np.broadcast_to(1.0, _tshape(t, n)).copy()
-    if model.kind == HYPERBOLIC:
-        return np.broadcast_to(-1.0 / pts[:, 1] ** 2, _tshape(t, n)).copy()
     return np.broadcast_to(0.0, _tshape(t, n)).copy()
 
 
@@ -405,7 +403,7 @@ def _second_derivative(samples, h):
 def fd_laplacian(model: MetricModel, t, y, func, h=4e-4):
     """Finite-difference Laplace-Beltrami of a scalar ``func(point)`` at y.
 
-    Differentiates along straight chart lines (flat and hyperbolic charts)
+    Differentiates along straight chart lines (flat charts)
     or great circles (circle, sphere), which is exact for the catalog since
     none of the gauges carries first-order correction terms; the stencil is
     fourth order so the check stays below 1e-6 even for the singular radial
@@ -414,7 +412,7 @@ def fd_laplacian(model: MetricModel, t, y, func, h=4e-4):
     model.check_time(t)
     y = model.check_point(y)
     f0 = func(y)
-    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3, HYPERBOLIC):
+    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3):
         acc = 0.0
         for i in range(model.dim):
             e = np.zeros(model.dim)
@@ -423,8 +421,6 @@ def fd_laplacian(model: MetricModel, t, y, func, h=4e-4):
             samples.append(f0)
             samples += [func(y + s * h * e) for s in (1, 2)]
             acc += _second_derivative(samples, h)
-        if model.kind == HYPERBOLIC:
-            acc *= y[1] ** 2
         return acc
     if model.kind == CIRCLE:
         e = np.array([1.0])
@@ -453,5 +449,4 @@ CATALOG_IDS = (
     "punctured-3",
     "circle:c0,rate",
     "sphere2:c0,rate",
-    "hyperbolic-static",
 )

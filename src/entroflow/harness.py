@@ -555,9 +555,6 @@ def _default_ygrid(model):
     if model.kind == geometry.PUNCTURED_3:
         radii = np.linspace(0.4, 2.5, 9)
         return radii[:, None] * np.array([1.0, 0.0, 0.0])[None, :]
-    if model.kind == geometry.HYPERBOLIC:
-        ys = np.linspace(0.5, 2.0, 9)
-        return np.stack([np.zeros_like(ys), ys], axis=-1)
     raise ValueError(model.kind)
 
 

@@ -36,9 +36,15 @@ from scipy.special import xlogy
 
 from . import geometry
 from .errors import LogOfZero
-from .geometry import MetricModel
+from .geometry import MetricModel, finite_params
 
 SPHERE_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def _mode_number(k):
+    if not (float(k).is_integer() and k >= 1):
+        raise ValueError(f"mode numbers must be whole numbers >= 1, got {k!r}")
+    return int(k)
 
 
 class SolutionField:
@@ -188,9 +194,10 @@ class Constant(SolutionField):
     """u identically equal to a nonnegative constant."""
 
     def __init__(self, c, model=None):
+        (c,) = finite_params("the constant c", (c,))
         if c < 0:
             raise ValueError("constant solutions must be nonnegative")
-        self.c = float(c)
+        self.c = c
         self.model = model if model is not None else geometry.line()
 
     def value(self, t, pts):
@@ -213,10 +220,11 @@ class ExponentialLine(SolutionField):
     """u(t, y) = a * exp(b*y - b^2*t) on the static line."""
 
     def __init__(self, a, b, model=None):
+        a, b = finite_params("a and b", (a, b))
         if a <= 0:
             raise ValueError("amplitude must be positive")
-        self.a = float(a)
-        self.b = float(b)
+        self.a = a
+        self.b = b
         self.model = model if model is not None else geometry.line()
         if self.model.kind != geometry.EUCLIDEAN_LINE:
             raise ValueError("exponential solutions live on the euclidean line")
@@ -252,7 +260,7 @@ class SumOfExponentialsLine(SolutionField):
     """Positive combination sum_i a_i exp(b_i y - b_i^2 t) on the line."""
 
     def __init__(self, terms, model=None):
-        terms = [(float(a), float(b)) for a, b in terms]
+        terms = [finite_params("each term's a and b", (a, b)) for a, b in terms]
         if not terms or any(a <= 0 for a, _ in terms):
             raise ValueError("need at least one term, all amplitudes positive")
         self.terms = terms
@@ -308,10 +316,11 @@ class CircleSpectral(SolutionField):
     def __init__(self, a0, modes, model):
         if model.kind != geometry.CIRCLE:
             raise ValueError("circle solutions require a circle model")
-        self.a0 = float(a0)
-        self.modes = [(int(k), float(ak), float(phik)) for k, ak, phik in modes]
-        if any(k < 1 for k, _, _ in self.modes):
-            raise ValueError("mode numbers must be >= 1")
+        (self.a0,) = finite_params("a0", (a0,))
+        self.modes = [
+            (_mode_number(k), *finite_params("amplitudes and phases", (ak, phik)))
+            for k, ak, phik in modes
+        ]
         self.model = model
         self._reject_if_negative()
 
@@ -384,10 +393,8 @@ class SphereSpectral(SolutionField):
     def __init__(self, a0, modes, model, axis=SPHERE_AXIS):
         if model.kind != geometry.SPHERE_2:
             raise ValueError("sphere solutions require a sphere model")
-        self.a0 = float(a0)
-        self.modes = [(int(l), float(al)) for l, al in modes]
-        if any(l < 1 for l, _ in self.modes):
-            raise ValueError("mode numbers must be >= 1")
+        (self.a0,) = finite_params("a0", (a0,))
+        self.modes = [(_mode_number(l), *finite_params("amplitudes", (al,))) for l, al in modes]
         self.model = model
         self.axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
         # coefficients of P_l, P_l' and P_l'', evaluated with legval
@@ -603,39 +610,64 @@ def bochner_identities(sol: SolutionField, model, t, y, h_space=None):
 # catalog addressing
 
 
+# each family's id head, and the form of its id as `entroflow list-solutions`
+# prints it; `parse_solution` names the form when a spec does not follow it
+_FAMILIES = {
+    "const": (Constant, "const:c"),
+    "expline": (ExponentialLine, "expline:a,b"),
+    "expsum": (SumOfExponentialsLine, "expsum:a1,b1;a2,b2;..."),
+    "circle-spec": (CircleSpectral, "circle-spec:a0,(k,ak,phik)..."),
+    "radial3": (RadialHarmonic3, "radial3"),
+    "sphere-spec": (SphereSpectral, "sphere-spec:a0,(l,al)..."),
+}
+CATALOG_IDS = tuple(form for _, form in _FAMILIES.values())
+
+
 def parse_solution(spec: str, model: MetricModel) -> SolutionField:
     """Resolve a solution id like ``"expline:1,1"`` against a model."""
-    head, _, args = spec.partition(":")
+    head, sep, args = spec.partition(":")
     head = head.strip()
-    if head == "const":
-        return Constant(float(args), model=model)
-    if head == "expline":
-        a_s, b_s = args.split(",")
-        return ExponentialLine(float(a_s), float(b_s), model=model)
-    if head == "expsum":
-        terms = []
-        for chunk in args.split(";"):
-            a_s, b_s = chunk.split(",")
-            terms.append((float(a_s), float(b_s)))
-        return SumOfExponentialsLine(terms, model=model)
+    if head not in _FAMILIES:
+        raise ValueError(f"unknown solution id {spec!r}")
+    family, form = _FAMILIES[head]
+    try:
+        params = _read_params(head, args if sep else None)
+    except ValueError:
+        raise ValueError(f"solution {spec!r} does not read {form}") from None
+    return family(*params, model)
+
+
+def _read_params(head, args):
+    """The constructor arguments spelled by the text after an id's colon
+    (None when there is no colon)."""
     if head == "radial3":
-        return RadialHarmonic3(model=model)
-    if head in ("circle-spec", "sphere-spec"):
-        a0_s, groups = _split_mode_groups(args)
-        if head == "circle-spec":
-            modes = []
-            for g in groups:
-                vals = [float(v) for v in g.split(",")]
-                if len(vals) == 2:
-                    vals.append(0.0)
-                modes.append((int(vals[0]), vals[1], vals[2]))
-            return CircleSpectral(float(a0_s), modes, model)
-        modes = []
-        for g in groups:
-            l_s, al_s = g.split(",")
-            modes.append((int(l_s), float(al_s)))
-        return SphereSpectral(float(a0_s), modes, model)
-    raise ValueError(f"unknown solution id {spec!r}")
+        if args is not None:
+            raise ValueError("radial3 takes no parameters")
+        return ()
+    if args is None:
+        raise ValueError("missing parameters")
+    if head in ("const", "expline"):
+        vals = _floats(args)
+        if len(vals) != (1 if head == "const" else 2):
+            raise ValueError("wrong number of parameters")
+        return vals
+    if head == "expsum":
+        terms = [_floats(chunk) for chunk in args.split(";")]
+        if any(len(term) != 2 for term in terms):
+            raise ValueError("each term takes a and b")
+        return (terms,)
+    a0_s, groups = _split_mode_groups(args)
+    modes = [_floats(g) for g in groups]
+    width = 3 if head == "circle-spec" else 2
+    if head == "circle-spec":  # the phase defaults to 0
+        modes = [m + [0.0] if len(m) == 2 else m for m in modes]
+    if any(len(m) != width for m in modes):
+        raise ValueError("wrong number of mode parameters")
+    return float(a0_s), modes
+
+
+def _floats(text):
+    return [float(v) for v in text.split(",")]
 
 
 def _split_mode_groups(args: str):
@@ -655,21 +687,3 @@ def _split_mode_groups(args: str):
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {args!r}")
     return head, groups
-
-
-def solution_id(sol: SolutionField) -> str:
-    if isinstance(sol, Constant):
-        return f"const:{sol.c:g}"
-    if isinstance(sol, ExponentialLine):
-        return f"expline:{sol.a:g},{sol.b:g}"
-    if isinstance(sol, SumOfExponentialsLine):
-        return "expsum:" + ";".join(f"{a:g},{b:g}" for a, b in sol.terms)
-    if isinstance(sol, RadialHarmonic3):
-        return "radial3"
-    if isinstance(sol, CircleSpectral):
-        groups = "".join(f",({k:d},{ak:g},{ph:g})" for k, ak, ph in sol.modes)
-        return f"circle-spec:{sol.a0:g}{groups}"
-    if isinstance(sol, SphereSpectral):
-        groups = "".join(f",({l:d},{al:g})" for l, al in sol.modes)
-        return f"sphere-spec:{sol.a0:g}{groups}"
-    raise ValueError(f"unknown solution type {type(sol)!r}")

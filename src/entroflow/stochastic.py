@@ -15,7 +15,6 @@ requested snapshot times.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,11 +23,9 @@ import numpy as np
 
 from . import geometry, rng
 from .errors import CensoredDominates
-from .geometry import MetricModel, PUNCTURE_RADIUS
+from .geometry import MetricModel, PUNCTURE_RADIUS, finite_params
 
 DEFAULT_SEED = 0xC0FFEE
-
-_MAGIC = b"ENSEMBLEv1\n"
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,6 @@ class SdeConfig:
                 )
 
 
-def _finite_params(what, values):
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
-        raise ValueError(f"{what} must be finite numbers, got {values!r}")
-    return tuple(float(v) for v in vals)
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A relatively compact domain in the chart.
@@ -97,15 +87,15 @@ class DomainSpec:
 
     @staticmethod
     def interval(a, b):
-        a, b = _finite_params("interval ends", (a, b))
+        a, b = finite_params("interval ends", (a, b))
         if not a < b:
             raise ValueError("interval needs a < b")
         return DomainSpec("interval", (a, b))
 
     @staticmethod
     def ball(center, radius):
-        center = _finite_params("ball center", np.atleast_1d(center))
-        (radius,) = _finite_params("ball radius", (radius,))
+        center = finite_params("ball center", np.atleast_1d(center))
+        (radius,) = finite_params("ball radius", (radius,))
         if not center:
             raise ValueError("ball needs a center")
         if radius <= 0:
@@ -114,8 +104,8 @@ class DomainSpec:
 
     @staticmethod
     def cap(axis, angle):
-        axis = np.array(_finite_params("cap axis", axis))
-        (angle,) = _finite_params("cap angle", (angle,))
+        axis = np.array(finite_params("cap axis", axis))
+        (angle,) = finite_params("cap angle", (angle,))
         if axis.shape != (3,):
             raise ValueError("cap needs a 3-component axis")
         norm = np.linalg.norm(axis)
@@ -142,7 +132,6 @@ class DomainSpec:
                 geometry.EUCLIDEAN_LINE,
                 geometry.EUCLIDEAN_SPACE,
                 geometry.PUNCTURED_3,
-                geometry.HYPERBOLIC,
             ):
                 if center.shape != (model.dim_chart,):
                     raise ValueError("ball center has the wrong dimension")
@@ -205,10 +194,6 @@ def parse_domain(spec: str) -> DomainSpec:
     if head == "ball":
         return DomainSpec.ball(vals[:-1], vals[-1])
     return DomainSpec.cap(vals[:3], vals[3])
-
-
-def domain_id(d: DomainSpec) -> str:
-    return d.kind + ":" + ",".join(f"{v:g}" for v in d.params)
 
 
 @dataclass
@@ -289,12 +274,18 @@ class PathEnsemble:
                 self._exits[rec.domain.key()] = rec
 
     def exit_records(self, domain: DomainSpec) -> ExitRecord:
+        """Per-path first grid time outside the domain (cached per ensemble).
+
+        Paths starting outside get tau = 0 with the start point as exit state;
+        paths never leaving within the horizon are marked censored.  A domain
+        that does not apply to the model raises ValueError before any replay.
+        """
         self.ensure_exits([domain])
         return self._exits[domain.key()]
 
 
-def _diffusion_scale(model: MetricModel, t, states):
-    """Per-path sigma with sigma^2 = g^{-1} scale in the chart gauge."""
+def _diffusion_scale(model: MetricModel, t):
+    """sigma with sigma^2 = g^{-1} scale in the chart gauge."""
     if model.kind in (
         geometry.EUCLIDEAN_LINE,
         geometry.EUCLIDEAN_SPACE,
@@ -303,8 +294,6 @@ def _diffusion_scale(model: MetricModel, t, states):
         return 1.0
     if model.kind == geometry.CIRCLE:
         return 1.0 / math.sqrt(float(model.conformal(t)))
-    if model.kind == geometry.HYPERBOLIC:
-        return states[:, 1]
     raise ValueError(model.kind)
 
 
@@ -312,8 +301,6 @@ def _frozen_mask(model: MetricModel, states):
     """Paths that left the chart; they stay frozen from then on."""
     if model.kind == geometry.PUNCTURED_3:
         return np.linalg.norm(states, axis=-1) <= PUNCTURE_RADIUS
-    if model.kind == geometry.HYPERBOLIC:
-        return states[:, 1] <= 0.0
     return None
 
 
@@ -342,11 +329,9 @@ def _advance(model, states, t, dt, xi, blown):
         for yc in (y0, y1, y2):
             yc /= norm
         return blown
-    sig = _diffusion_scale(model, t, states)
+    sig = _diffusion_scale(model, t)
     xi *= math.sqrt(2.0 * dt)
-    if np.ndim(sig):
-        xi *= sig[:, None]
-    elif sig != 1.0:
+    if sig != 1.0:
         xi *= sig
     if blown is not None:
         xi[np.flatnonzero(blown)] = 0.0
@@ -463,16 +448,6 @@ def replay_exits(ensemble: PathEnsemble, domains) -> list[ExitRecord]:
     return _march(model, ensemble.x, cfg, n_steps, (), domains)[2]
 
 
-def first_exit(ensemble: PathEnsemble, domain: DomainSpec) -> ExitRecord:
-    """Per-path first grid time outside the domain (cached per ensemble).
-
-    Paths starting outside get tau = 0 with the start point as exit state;
-    paths never leaving within the horizon are marked censored.
-    """
-    domain.validate_against(ensemble.model)
-    return ensemble.exit_records(domain)
-
-
 def expect(ensemble: PathEnsemble, f, mode) -> ExpectResult:
     """Monte Carlo mean and standard error of f under the chosen mode.
 
@@ -528,54 +503,3 @@ def mean_stderr(vals):
     mean = float(v0 + np.mean(centred))
     stderr = float(np.std(centred, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# columnar serialization: JSON header line, then little-endian float64
-# states in path-major order
-
-
-def save_ensemble(ensemble: PathEnsemble, path):
-    header = {
-        "model": geometry.model_id(ensemble.model),
-        "time_window": list(ensemble.model.time_window),
-        "x": ensemble.x.tolist(),
-        "seed": ensemble.cfg.seed,
-        "dt": ensemble.cfg.dt,
-        "n_paths": ensemble.cfg.n_paths,
-        "horizon": ensemble.horizon,
-        "times": ensemble.times.tolist(),
-        "blowup_paths": np.nonzero(ensemble.blowup)[0].tolist(),
-    }
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(ensemble.states.astype("<f8").tobytes(order="C"))
-
-
-def load_ensemble(path) -> PathEnsemble:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not an ensemble file")
-        header = json.loads(fh.readline().decode())
-        body = fh.read()
-    model = geometry.parse_model(
-        header["model"], time_window=tuple(header["time_window"])
-    )
-    times = np.asarray(header["times"], dtype=float)
-    n, k = header["n_paths"], len(times)
-    dim = model.dim_chart
-    states = np.frombuffer(body, dtype="<f8").reshape(n, k, dim).astype(float)
-    blowup = np.zeros(n, dtype=bool)
-    blowup[np.asarray(header["blowup_paths"], dtype=int)] = True
-    cfg = SdeConfig(dt=header["dt"], n_paths=n, seed=header["seed"])
-    return PathEnsemble(
-        model=model,
-        x=np.asarray(header["x"], dtype=float),
-        cfg=cfg,
-        horizon=header["horizon"],
-        times=times,
-        states=states,
-        blowup=blowup,
-    )

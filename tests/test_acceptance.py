@@ -5,7 +5,7 @@ Each criterion of the verification matrix is exercised through
 if any row fails.  Criteria covered:
 
  1. exact entropy E(t) = t for the eternal exponential (quadrature 1e-8,
-    Monte Carlo 3 stderr, under 30 s);
+    Monte Carlo 3 stderr, under 30 s of process time);
  2. condition integrals (9t^2+8t+1)e^{2t} and e^{2t} to relative 1e-6;
  3. the a(log a + b^2 t) family and its linear classification;
  4. E' / E'' against central differences of E (1e-5 / 1e-4);

@@ -9,6 +9,7 @@ from scipy import integrate
 from entroflow import geometry
 from entroflow.errors import ChartViolation, OutOfWindow
 from entroflow.geometry import (
+    flow_condition_verdict,
     metric_at,
     metric_in_local_chart,
     parse_model,
@@ -25,7 +26,6 @@ def _all_models():
         geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)),
         geometry.circle(2.0, 0.5),
         geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)),
-        geometry.hyperbolic(),
     ]
 
 
@@ -42,8 +42,6 @@ def _sample_point(model, gen):
     if model.kind == geometry.SPHERE_2:
         v = gen.normal(size=3)
         return v / np.linalg.norm(v)
-    if model.kind == geometry.HYPERBOLIC:
-        return np.array([gen.uniform(-2, 2), gen.uniform(0.3, 3.0)])
     raise AssertionError(model.kind)
 
 
@@ -72,15 +70,6 @@ def test_sphere_under_the_flow_rate_has_zero_gap():
     assert fd == pytest.approx(data.dg_dt, abs=1e-8)
 
 
-def test_hyperbolic_plane_curvature():
-    model = geometry.hyperbolic()
-    data = metric_at(model, 0.0, [0.0, 1.0])
-    assert data.ricci == pytest.approx(-data.g, abs=1e-14)
-    assert np.all(data.dg_dt == 0.0)
-    # the flow condition fails: eigenvalue of +2g in the g-frame is +2
-    assert super_ricci_gap(model, 0.0, [0.0, 1.0]) == pytest.approx(2.0)
-
-
 def test_super_ricci_gap_examples():
     assert super_ricci_gap(geometry.line(), 0.7, [0.1]) == 0.0
     model = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
@@ -88,6 +77,12 @@ def test_super_ricci_gap_examples():
     assert gap == pytest.approx(-0.1 / 0.9)
     assert gap < 0
     assert strict_positivity_margin(model, 1.0, [0.0]) == pytest.approx(-gap)
+    assert flow_condition_verdict(model, 1.0, [0.0]) == "satisfied"
+    assert flow_condition_verdict(geometry.line(), 0.7, [0.1]) == "equality"
+    # an expanding flat circle: dg/dt = 0.5 > 0 = 2 Ric, so the condition fails
+    model = geometry.circle(1.0, 0.5)
+    assert super_ricci_gap(model, 1.0, [0.0]) == pytest.approx(0.5 / 1.5)
+    assert flow_condition_verdict(model, 1.0, [0.0]) == "violated"
 
 
 # --- invariants ------------------------------------------------------------
@@ -218,7 +213,7 @@ def test_chart_and_window_validation():
     with pytest.raises(ChartViolation):
         metric_at(geometry.punctured3(), 1.0, [0.0, 0.0, 0.0])
     with pytest.raises(ChartViolation):
-        metric_at(geometry.hyperbolic(), 0.0, [0.0, -1.0])
+        metric_at(geometry.sphere2(), 0.0, [0.0, 0.0, 2.0])
     with pytest.raises(OutOfWindow):
         metric_at(geometry.line(), 99.0, [0.0])
     # non-finite times and points are refused, not carried into a NaN result
@@ -239,7 +234,7 @@ def test_chart_and_window_validation():
         (sphere, [math.nan, 0.0, 0.0]),
         (geometry.line(), [math.inf]),
         (geometry.punctured3(), [1.0, math.nan, 0.0]),
-        (geometry.hyperbolic(), [-math.inf, 1.0]),
+        (geometry.space(2), [-math.inf, 1.0]),
     ):
         with pytest.raises(ChartViolation, match="chart points must be finite"):
             model.check_point(y)
@@ -248,10 +243,14 @@ def test_chart_and_window_validation():
 
 
 def test_model_parsing_round_trip():
-    for spec in ("euclidean-line", "euclidean-space:3", "punctured-3",
-                 "circle:1,-0.1", "sphere2:1,2", "hyperbolic-static"):
-        model = parse_model(spec)
-        assert geometry.model_id(model) == spec
+    for spec, model in (
+        ("euclidean-line", geometry.line()),
+        ("euclidean-space:3", geometry.space(3)),
+        ("punctured-3", geometry.punctured3()),
+        ("circle:1,-0.1", geometry.circle(1.0, -0.1)),
+        ("sphere2:1,2", geometry.sphere2(1.0, 2.0)),
+    ):
+        assert parse_model(spec) == model
 
 
 def test_tangent_frames_are_orthonormal():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import geometry, kernels, quadrature, stochastic
+from entroflow import geometry, kernels, quadrature, solutions, stochastic
 from entroflow.errors import ChartViolation, ConfigError, OutOfWindow
 from entroflow.harness import (
     Scenario,
@@ -113,6 +113,7 @@ t.max = 3.0
 
 
 MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
+CIRCLE = bundled_scenarios()["circle_shrinking"].read_text()
 _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
 
 
@@ -184,6 +185,55 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
         (lambda: stochastic.simulate(
             geometry.line(), [0.0], math.nan, stochastic.SdeConfig(dt=0.01, n_paths=4)),
          OutOfWindow, "not a finite time"),
+        # these used to run to an all-NaN entropy.csv, or fail deep in a kernel
+        (lambda: parse_scenario(MINIMAL.replace("expline:1,1", "expline:nan,1")),
+         ConfigError, "a and b must be finite"),
+        (lambda: parse_scenario(CIRCLE.replace("circle-spec:2,(1,0.5,0)",
+                                               "circle-spec:nan,(1,0.5)")),
+         ConfigError, "a0 must be finite"),
+        (lambda: parse_scenario(CIRCLE.replace('"circle:1,-0.1"', '"circle:nan,0"')),
+         ConfigError, "must be finite"),
+        (lambda: parse_scenario(MINIMAL.replace('"euclidean-line"', '"euclidean-line:5"')),
+         ConfigError, "does not read euclidean-line"),
+        (lambda: parse_scenario(MINIMAL.replace("expline:1,1", "expline:1")),
+         ConfigError, "does not read expline:a,b"),
+        # model kind, dimension and parameters
+        (lambda: geometry.MetricModel("bogus", 1), ValueError, "unknown model kind"),
+        (lambda: geometry.MetricModel("euclidean-line", 3), ValueError, "has dimension 1"),
+        (lambda: geometry.MetricModel("euclidean-space", 2.5), ValueError, "dimension >= 1"),
+        (lambda: geometry.circle(math.nan, 0.0), ValueError, "must be finite"),
+        (lambda: geometry.sphere2(1.0, math.inf), ValueError, "must be finite"),
+        (lambda: geometry.circle(1.0, 0.0, time_window=(0.0, math.inf)),
+         ValueError, "must be finite"),
+        (lambda: geometry.parse_model("punctured-3:1"), ValueError, "does not read punctured-3"),
+        (lambda: geometry.parse_model("euclidean-space:2.5"),
+         ValueError, "does not read euclidean-space:n"),
+        (lambda: geometry.parse_model("circle:1"), ValueError, "does not read circle:c0,rate"),
+        (lambda: geometry.parse_model("sphere2:one,2"),
+         ValueError, "does not read sphere2:c0,rate"),
+        # solution parameters and forms
+        (lambda: solutions.parse_solution("const:nan", geometry.line()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("expline:1,inf", geometry.line()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("expsum:1,1;nan,2", geometry.line()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("circle-spec:2,(1,0.5,inf)", geometry.circle()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("circle-spec:2,(1.5,0.5)", geometry.circle()),
+         ValueError, "mode numbers must be whole numbers >= 1"),
+        (lambda: solutions.parse_solution("sphere-spec:nan,(1,0.5)", geometry.sphere2()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("sphere-spec:2,(1,nan)", geometry.sphere2()),
+         ValueError, "must be finite"),
+        (lambda: solutions.parse_solution("expsum:1,1;2", geometry.line()),
+         ValueError, "does not read expsum:a1,b1;a2,b2;..."),
+        (lambda: solutions.parse_solution("radial3:1", geometry.punctured3()),
+         ValueError, "does not read radial3"),
+        (lambda: solutions.parse_solution("circle-spec:2,(1,0.5", geometry.circle()),
+         ValueError, "does not read circle-spec:a0,(k,ak,phik)..."),
+        (lambda: solutions.parse_solution("sphere-spec:2,(1,0.5,0)", geometry.sphere2()),
+         ValueError, "does not read sphere-spec:a0,(l,al)..."),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
@@ -191,7 +241,14 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          "dt-override-nan", "paths-2**36", "mc.paths-2**36", "paths-override-2**36",
          "steps-beyond-counter", "refine-negative", "refine-fraction",
          "level-negative", "level-fraction", "level-bool", "dt-bool",
-         "record-time-inf", "record-time-nan", "start-nan", "horizon-nan"],
+         "record-time-inf", "record-time-nan", "start-nan", "horizon-nan",
+         "solution-nan", "circle-solution-nan", "model-nan", "model-extra-param",
+         "solution-short", "model-kind", "model-dim", "model-dim-fraction",
+         "model-c0-nan", "model-rate-inf", "model-window-inf", "model-spec-extra",
+         "model-spec-fraction", "model-spec-short", "model-spec-word", "const-nan",
+         "expline-inf", "expsum-nan", "circle-phase-inf", "circle-mode-fraction",
+         "sphere-a0-nan", "sphere-amplitude-nan", "expsum-short-term", "radial3-param",
+         "circle-spec-unbalanced", "sphere-spec-long"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -296,3 +353,19 @@ def test_cli_entry_points(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o" / "entropy.csv").exists()
     assert (tmp_path / "o" / "manifest.json").exists()
+
+    # a NaN parameter is a config error, not an all-NaN run
+    capsys.readouterr()
+    cfg.write_text(MINIMAL.replace("expline:1,1", "expline:nan,1"))
+    assert main(["run", str(cfg), "-o", str(tmp_path / "nan")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
+
+
+def test_list_commands_print_the_catalogs(capsys):
+    from entroflow.cli import main
+
+    assert main(["list-models"]) == 0
+    assert capsys.readouterr().out.splitlines() == list(geometry.CATALOG_IDS)
+    assert main(["list-solutions"]) == 0
+    assert capsys.readouterr().out.splitlines() == list(solutions.CATALOG_IDS)

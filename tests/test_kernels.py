@@ -110,12 +110,33 @@ def test_canonical_and_parse(line_model, circle_model, sphere_model):
     assert isinstance(canonical_kernel(line_model, [0.0]), GaussianKernel)
     assert isinstance(canonical_kernel(circle_model, [0.0]), WrappedGaussianKernel)
     assert isinstance(canonical_kernel(sphere_model, [1.0, 0, 0]), SphereHeatKernel)
-    with pytest.raises(ValueError):
-        canonical_kernel(geometry.hyperbolic(), [0.0, 1.0])
     k = parse_kernel("auto", line_model, [0.0])
     assert isinstance(k, GaussianKernel)
     with pytest.raises(ValueError):
         parse_kernel("nope", line_model, [0.0])
+
+
+# a sample value for each parameter placeholder of the catalog forms
+_CATALOG_SAMPLES = {"n": "3", "c0": "1", "rate": "-0.1"}
+# a point of each model kind's chart
+_CATALOG_POINTS = {
+    geometry.EUCLIDEAN_LINE: [0.0], geometry.EUCLIDEAN_SPACE: [0.0, 0.0, 0.0],
+    geometry.PUNCTURED_3: [1.0, 0.0, 0.0], geometry.CIRCLE: [0.0],
+    geometry.SPHERE_2: [1.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("form", geometry.CATALOG_IDS)
+def test_every_catalog_model_parses_and_has_a_kernel(form):
+    # every catalog entry carries a heat kernel, so every entry can be run
+    head, _, params = form.partition(":")
+    spec = head
+    if params:
+        spec += ":" + ",".join(_CATALOG_SAMPLES[p] for p in params.split(","))
+    model = geometry.parse_model(spec)
+    kern = canonical_kernel(model, _CATALOG_POINTS[model.kind])
+    assert kern.model == model
+    assert kernel_mass(kern, model, 0.5) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mass_requires_positive_time(line_model, line_kernel):

@@ -15,7 +15,6 @@ from entroflow.solutions import (
     bochner_identities,
     eval_jet,
     parse_solution,
-    solution_id,
 )
 
 
@@ -245,21 +244,27 @@ def test_multi_mode_sphere_solution():
         assert r1 <= 1e-6 and r2 <= 1e-6
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["const:5", "expline:1,1", "expline:2,3", "expsum:1,1;1,2", "radial3",
-     "circle-spec:2,(1,0.5,0)", "sphere-spec:2,(1,0.5)"],
-)
-def test_solution_id_round_trip(spec, line_model, circle_model, sphere_model):
+_SPEC_PARAMS = {  # spec: the family it names and the parameters it spells
+    "const:5": (Constant, {"c": 5.0}),
+    "expline:1,1": (ExponentialLine, {"a": 1.0, "b": 1.0}),
+    "expline:2,3": (ExponentialLine, {"a": 2.0, "b": 3.0}),
+    "expsum:1,1;1,2": (SumOfExponentialsLine, {"terms": [(1.0, 1.0), (1.0, 2.0)]}),
+    "radial3": (RadialHarmonic3, {}),
+    "circle-spec:2,(1,0.5,0)": (CircleSpectral, {"a0": 2.0, "modes": [(1, 0.5, 0.0)]}),
+    "sphere-spec:2,(1,0.5)": (SphereSpectral, {"a0": 2.0, "modes": [(1, 0.5)]}),
+}
+
+
+@pytest.mark.parametrize("spec", list(_SPEC_PARAMS))
+def test_solution_specs_parse(spec, line_model, circle_model, sphere_model):
     model = {
-        "const": line_model, "expline": line_model, "expsum": line_model,
         "radial3": geometry.punctured3(),
         "circle-spec": circle_model, "sphere-spec": sphere_model,
-    }[spec.split(":")[0]]
+    }.get(spec.split(":")[0], line_model)
     sol = parse_solution(spec, model)
-    assert solution_id(sol) == spec
-    again = parse_solution(solution_id(sol), model)
-    assert solution_id(again) == spec
+    family, params = _SPEC_PARAMS[spec]
+    assert type(sol) is family and sol.model is model
+    assert {name: getattr(sol, name) for name in params} == params
 
 
 # --- columnar jets against the stacked forms, bit for bit --------------------

@@ -13,10 +13,7 @@ from entroflow.stochastic import (
     SdeConfig,
     Stopped,
     expect,
-    first_exit,
-    load_ensemble,
     parse_domain,
-    save_ensemble,
     simulate,
 )
 
@@ -102,15 +99,12 @@ def test_em_drift_vanishes_on_catalog_charts():
     # the stepper assumes -g^{ij} Gamma^k_{ij} = 0; verify from metric data
     gen = np.random.default_rng(2)
     models = [geometry.line(), geometry.space(3), geometry.punctured3(),
-              geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)),
-              geometry.hyperbolic()]
+              geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))]
     for model in models:
         for _ in range(10):
             if model.kind == geometry.PUNCTURED_3:
                 y = gen.normal(size=3)
                 y = y / np.linalg.norm(y) * gen.uniform(0.5, 2.0)
-            elif model.kind == geometry.HYPERBOLIC:
-                y = np.array([gen.uniform(-1, 1), gen.uniform(0.3, 2.0)])
             else:
                 y = gen.uniform(-1, 1, size=model.dim)
             t = gen.uniform(*model.time_window)
@@ -122,7 +116,7 @@ def test_em_drift_vanishes_on_catalog_charts():
 
 
 def test_exit_convention_outside_start(line_ensemble):
-    rec = first_exit(line_ensemble, DomainSpec.interval(2.0, 3.0))
+    rec = line_ensemble.exit_records(DomainSpec.interval(2.0, 3.0))
     assert np.all(rec.tau == 0.0)
     assert np.all(rec.state == 0.0)
     assert not np.any(rec.censored)
@@ -138,7 +132,7 @@ def test_exit_time_against_interval_oracle(line_model):
     for dt, n in ((1e-4, 20_000), (1e-5, 20_000)):
         cfg = SdeConfig(dt=dt, n_paths=n, seed=13)
         ens = simulate(line_model, [0.0], 0.2, cfg, record_times=[0.2])
-        rec = first_exit(ens, DomainSpec.interval(-r, r))
+        rec = ens.exit_records(DomainSpec.interval(-r, r))
         assert not np.any(rec.censored)
         means[dt] = float(rec.tau.mean())
     assert abs(means[1e-5] - target) / target < 0.10
@@ -151,7 +145,7 @@ def test_exit_time_against_interval_oracle(line_model):
 def test_full_circle_never_exits(circle_model):
     cfg = SdeConfig(dt=1e-3, n_paths=500, seed=21)
     ens = simulate(circle_model, [0.0], 0.5, cfg, record_times=[0.5])
-    rec = first_exit(ens, DomainSpec.ball([0.0], 4.0))  # arc radius > pi
+    rec = ens.exit_records(DomainSpec.ball([0.0], 4.0))  # arc radius > pi
     assert np.all(rec.censored)
     with pytest.raises(CensoredDominates):
         expect(ens, lambda t, y: np.ones(y.shape[0]), AtExit(DomainSpec.ball([0.0], 4.0)))
@@ -160,7 +154,7 @@ def test_full_circle_never_exits(circle_model):
 def test_exit_monotonicity_in_nested_domains(line_ensemble):
     taus = []
     for n in (0.5, 1.0, 2.0):
-        taus.append(first_exit(line_ensemble, DomainSpec.interval(-n, n)).tau)
+        taus.append(line_ensemble.exit_records(DomainSpec.interval(-n, n)).tau)
     assert np.all(taus[0] <= taus[1] + 1e-12)
     assert np.all(taus[1] <= taus[2] + 1e-12)
 
@@ -215,19 +209,6 @@ def test_weak_consistency_under_step_halving(line_model):
     assert diff <= 3.0 * math.hypot(vals[0].stderr, vals[1].stderr)
 
 
-def test_serialization_round_trip(line_ensemble, tmp_path):
-    path = tmp_path / "ens.bin"
-    save_ensemble(line_ensemble, path)
-    loaded = load_ensemble(path)
-    assert np.array_equal(loaded.states, line_ensemble.states)
-    assert np.array_equal(loaded.times, line_ensemble.times)
-    assert loaded.cfg == line_ensemble.cfg
-    rec_a = first_exit(loaded, DomainSpec.interval(-1, 1))
-    rec_b = first_exit(line_ensemble, DomainSpec.interval(-1, 1))
-    assert np.array_equal(rec_a.tau, rec_b.tau)
-    assert np.array_equal(rec_a.state, rec_b.state)
-
-
 def test_config_validation(line_model):
     with pytest.raises(ValueError):
         SdeConfig(dt=-1e-3, n_paths=10)
@@ -235,7 +216,7 @@ def test_config_validation(line_model):
         SdeConfig(dt=1e-3, n_paths=0)
     with pytest.raises(ValueError):
         SdeConfig(dt=1.0, n_paths=10).validate_against(line_model)
-    # numpy integers are stored as Python ints, so the ensemble header saves
+    # numpy integers are stored as Python ints, so the run manifest saves them
     cfg = SdeConfig(dt=1e-3, n_paths=np.int64(10), seed=np.uint64(5))
     assert (type(cfg.n_paths), type(cfg.seed)) == (int, int)
 
@@ -247,7 +228,13 @@ def test_domain_validation():
         DomainSpec.ball([0.0, 0.0, 0.0], 0.5).validate_against(geometry.punctured3())
     d = parse_domain("interval:-1,1")
     assert d.kind == "interval" and d.params == (-1.0, 1.0)
-    assert stochastic.domain_id(d) == "interval:-1,1"
+
+
+def test_exit_records_refuse_a_domain_the_model_lacks(line_ensemble):
+    cap = DomainSpec.cap([1.0, 0.0, 0.0], 0.5)
+    with pytest.raises(ValueError, match="caps apply to the sphere"):
+        line_ensemble.exit_records(cap)
+    assert cap.key() not in line_ensemble._exits
 
 
 @pytest.mark.parametrize(
@@ -312,31 +299,78 @@ def test_snapshot_lookup_errors(line_ensemble):
         line_ensemble.state_at(0.123456)
 
 
-def test_chart_exit_paths_are_flagged_not_dropped():
-    # a coarse step near the half-plane boundary pushes some paths across
-    # y2 = 0; they must be flagged and frozen, never silently removed
-    model = geometry.hyperbolic()
-    cfg = SdeConfig(dt=0.5, n_paths=2000, seed=77)
-    ens = simulate(model, [0.0, 0.1], 5.0, cfg, record_times=[5.0])
-    assert 0.0 < ens.blowup_fraction < 1.0
-    assert ens.states.shape[0] == 2000  # nothing dropped
-    frozen = ens.state_at(5.0)[ens.blowup]
-    assert np.all(frozen[:, 1] <= 0.0)
+def _recorded_exits(model, ens, domain):
+    # first grid exits read off an ensemble with a snapshot at every step
+    n_steps = ens.times.size - 1
+    inside = np.stack(
+        [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
+    )
+    censored = inside.all(axis=1)
+    first_out = np.argmin(inside, axis=1)
+    rows = np.arange(ens.n_paths)
+    tau = np.where(censored, np.inf, ens.times[first_out])
+    state = np.where(censored[:, None], ens.states[:, 0, :], ens.states[rows, first_out, :])
+    return tau, state, censored
+
+
+def test_puncture_paths_are_flagged_not_dropped(monkeypatch):
+    # paths that land inside the puncture must be flagged and frozen, never
+    # silently removed, and the exit replay must see them as recorded
+    model = geometry.punctured3()
+    x, dt, n_steps, hit = [0.3, 0.0, 0.0], 1e-3, 40, 10
+    cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
+    times = np.arange(n_steps + 1) * dt
+    before = simulate(model, x, n_steps * dt, cfg, record_times=[hit * dt])
+    assert not before.blowup.any()
+    chosen = np.array([3, 17, 250])
+    draw = stochastic._draw_increment
+
+    def into_the_puncture(seed, idx, k, dim):
+        # the draw of step `hit` carries the chosen paths onto the origin
+        xi = draw(seed, idx, k, dim)
+        if k == hit:
+            xi[chosen] = -before.state_at(hit * dt)[chosen] / math.sqrt(2.0 * dt)
+        return xi
+
+    monkeypatch.setattr(stochastic, "_draw_increment", into_the_puncture)
+    ens = simulate(model, x, n_steps * dt, cfg, record_times=times)
+    assert np.array_equal(np.flatnonzero(ens.blowup), chosen)
+    assert ens.states.shape == (cfg.n_paths, n_steps + 1, 3)  # nothing dropped
+    landed = ens.states[chosen, hit + 1, :]
+    assert np.all(np.linalg.norm(landed, axis=-1) <= geometry.PUNCTURE_RADIUS)
+    for k in range(hit + 1, n_steps + 1):  # frozen from then on
+        assert np.array_equal(ens.states[chosen, k, :].view(np.uint64), landed.view(np.uint64))
+    domain = DomainSpec.ball(x, 0.25)
+    tau, state, censored = _recorded_exits(model, ens, domain)
+    assert 0 < censored.sum() < cfg.n_paths
+    rec = ens.exit_records(domain)
+    assert np.array_equal(rec.tau, tau)
+    assert np.array_equal(rec.state, state)
+    assert np.array_equal(rec.censored, censored)
 
 
 def test_euler_step_leaves_frozen_paths_bit_unchanged():
-    model = geometry.hyperbolic()
+    model = geometry.punctured3()
     gen = np.random.default_rng(12)
-    states = np.column_stack([gen.normal(size=400), gen.uniform(-0.5, 2.0, size=400)])
-    blown = states[:, 1] <= 0.0
-    assert 0 < blown.sum() < blown.size
+    states = gen.normal(size=(400, 3))
+    # rows at or inside the puncture radius are the blown ones
+    blown = gen.uniform(size=400) < 0.3
+    blown[0], blown[1] = True, False
+    radii = geometry.PUNCTURE_RADIUS * gen.uniform(size=(blown.sum(), 1))
+    states[blown] *= radii / np.linalg.norm(states[blown], axis=-1, keepdims=True)
+    # one path at the origin itself (at +0.0: the zeroed increment added to a
+    # frozen row turns -0.0 into +0.0, the same value)
+    states[0] = 0.0
+    assert np.array_equal(blown, np.linalg.norm(states, axis=-1) <= geometry.PUNCTURE_RADIUS)
     before = states.copy()
     xi = gen.normal(size=states.shape)
-    want = before + (math.sqrt(2.0 * 0.01) * xi) * before[:, 1:2]
+    xi[1] = -before[1] / math.sqrt(2.0 * 0.01)  # a live path that lands on the origin
+    want = before + math.sqrt(2.0 * 0.01) * xi
     out = stochastic._advance(model, states, 0.0, 0.01, xi.copy(), blown.copy())
     assert np.array_equal(states[blown].view(np.uint64), before[blown].view(np.uint64))
     assert np.array_equal(states[~blown], want[~blown])
-    assert np.array_equal(out, blown | (states[:, 1] <= 0.0))
+    assert out[1] and not blown[1]
+    assert np.array_equal(out, blown | (np.linalg.norm(states, axis=-1) <= geometry.PUNCTURE_RADIUS))
 
 
 @pytest.mark.parametrize(
@@ -347,9 +381,8 @@ def test_euler_step_leaves_frozen_paths_bit_unchanged():
          DomainSpec.interval(0.1, 3.0)),
         (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.3, 1e-3,
          DomainSpec.cap([1.0, 0.0, 0.0], 0.5)),
-        (geometry.hyperbolic(), [0.0, 0.1], 5.0, 0.5, DomainSpec.ball([0.0, 1.0], 0.95)),
     ],
-    ids=["line-interval", "circle-arc", "sphere-cap", "hyperbolic-ball-frozen"],
+    ids=["line-interval", "circle-arc", "sphere-cap"],
 )
 def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     # a snapshot at every step shows each path's first grid exit directly;
@@ -358,18 +391,9 @@ def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     n_steps = int(round(horizon / dt))
     ens = simulate(model, x, horizon, cfg, record_times=np.arange(n_steps + 1) * dt)
     assert ens.times.size == n_steps + 1
-    if model.kind == geometry.HYPERBOLIC:
-        assert 0.0 < ens.blowup_fraction < 1.0
-    inside = np.stack(
-        [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
-    )
-    censored = inside.all(axis=1)
-    first_out = np.argmin(inside, axis=1)
-    rows = np.arange(cfg.n_paths)
-    tau = np.where(censored, np.inf, ens.times[first_out])
-    state = np.where(censored[:, None], ens.states[:, 0, :], ens.states[rows, first_out, :])
+    tau, state, censored = _recorded_exits(model, ens, domain)
     assert 0 < censored.sum() < cfg.n_paths
-    rec = first_exit(ens, domain)
+    rec = ens.exit_records(domain)
     assert np.array_equal(rec.tau, tau)
     assert np.array_equal(rec.state, state)
     assert np.array_equal(rec.censored, censored)
@@ -394,8 +418,6 @@ _STEPPED = {  # model, start, horizon, dt, domain
                DomainSpec.interval(1.4, 1.7)),
     "sphere": (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.02,
                1e-3, DomainSpec.cap([1.0, 0.0, 0.0], 0.15)),
-    "hyperbolic-frozen": (geometry.hyperbolic(), [0.0, 0.1], 5.0, 0.5,
-                          DomainSpec.ball([0.0, 1.0], 0.95)),
     "punctured": (geometry.punctured3(), [0.3, 0.0, 0.0], 0.02, 1e-3,
                   DomainSpec.ball([0.3, 0.0, 0.0], 0.15)),
 }
@@ -426,8 +448,6 @@ def test_lookahead_stepping_equals_serial_stepping_bit_for_bit(name, n, helper, 
     ahead = _stepped(name, n)
     _assert_same_ensemble(ahead, serial)
     assert (helper.submitted > 0) == (n >= rng._SPLIT_MIN)
-    if name == "hyperbolic-frozen":
-        assert 0.0 < ahead[0].blowup_fraction < 1.0
     assert 0 < ahead[1].censored.sum() < n  # some paths exit, some do not
     assert rng._slot.ahead is None
 
