@@ -299,54 +299,36 @@ def test_snapshot_lookup_errors(line_ensemble):
         line_ensemble.state_at(0.123456)
 
 
-def _recorded_exits(model, ens, domain):
-    # first grid exits read off an ensemble with a snapshot at every step
-    n_steps = ens.times.size - 1
-    inside = np.stack(
-        [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
-    )
-    censored = inside.all(axis=1)
-    first_out = np.argmin(inside, axis=1)
-    rows = np.arange(ens.n_paths)
-    tau = np.where(censored, np.inf, ens.times[first_out])
-    state = np.where(censored[:, None], ens.states[:, 0, :], ens.states[rows, first_out, :])
-    return tau, state, censored
-
-
-def test_puncture_paths_are_flagged_not_dropped(monkeypatch):
-    # paths that land inside the puncture must be flagged and frozen, never
-    # silently removed, and the exit replay must see them as recorded
-    model = geometry.punctured3()
-    x, dt, n_steps, hit = [0.3, 0.0, 0.0], 1e-3, 40, 10
-    cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
-    times = np.arange(n_steps + 1) * dt
-    before = simulate(model, x, n_steps * dt, cfg, record_times=[hit * dt])
+def _send_into_the_puncture(monkeypatch, model, x, dt, cfg, hit, chosen):
+    # the draw of step `hit` carries the chosen paths onto the origin
+    before = simulate(model, x, hit * dt, cfg, record_times=[hit * dt])
     assert not before.blowup.any()
-    chosen = np.array([3, 17, 250])
     draw = stochastic._draw_increment
 
     def into_the_puncture(seed, idx, k, dim):
-        # the draw of step `hit` carries the chosen paths onto the origin
         xi = draw(seed, idx, k, dim)
         if k == hit:
             xi[chosen] = -before.state_at(hit * dt)[chosen] / math.sqrt(2.0 * dt)
         return xi
 
     monkeypatch.setattr(stochastic, "_draw_increment", into_the_puncture)
-    ens = simulate(model, x, n_steps * dt, cfg, record_times=times)
+
+
+def test_chart_exit_paths_are_flagged_not_dropped(monkeypatch):
+    # paths that land inside the puncture, outside punctured-3's chart, must
+    # be flagged and frozen, never silently removed
+    model = geometry.punctured3()
+    x, dt, n_steps, hit = [0.3, 0.0, 0.0], 1e-3, 40, 10
+    cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
+    chosen = np.array([3, 17, 250])
+    _send_into_the_puncture(monkeypatch, model, x, dt, cfg, hit, chosen)
+    ens = simulate(model, x, n_steps * dt, cfg, record_times=np.arange(n_steps + 1) * dt)
     assert np.array_equal(np.flatnonzero(ens.blowup), chosen)
     assert ens.states.shape == (cfg.n_paths, n_steps + 1, 3)  # nothing dropped
     landed = ens.states[chosen, hit + 1, :]
     assert np.all(np.linalg.norm(landed, axis=-1) <= geometry.PUNCTURE_RADIUS)
     for k in range(hit + 1, n_steps + 1):  # frozen from then on
         assert np.array_equal(ens.states[chosen, k, :].view(np.uint64), landed.view(np.uint64))
-    domain = DomainSpec.ball(x, 0.25)
-    tau, state, censored = _recorded_exits(model, ens, domain)
-    assert 0 < censored.sum() < cfg.n_paths
-    rec = ens.exit_records(domain)
-    assert np.array_equal(rec.tau, tau)
-    assert np.array_equal(rec.state, state)
-    assert np.array_equal(rec.censored, censored)
 
 
 def test_euler_step_leaves_frozen_paths_bit_unchanged():
@@ -374,24 +356,38 @@ def test_euler_step_leaves_frozen_paths_bit_unchanged():
 
 
 @pytest.mark.parametrize(
-    "model, x, horizon, dt, domain",
+    "model, x, horizon, dt, domain, frozen",
     [
-        (geometry.line(), [0.0], 0.5, 1e-3, DomainSpec.interval(-0.5, 0.7)),
+        (geometry.line(), [0.0], 0.5, 1e-3, DomainSpec.interval(-0.5, 0.7), None),
         (geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)), [1.5], 0.3, 1e-3,
-         DomainSpec.interval(0.1, 3.0)),
+         DomainSpec.interval(0.1, 3.0), None),
         (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.3, 1e-3,
-         DomainSpec.cap([1.0, 0.0, 0.0], 0.5)),
+         DomainSpec.cap([1.0, 0.0, 0.0], 0.5), None),
+        (geometry.punctured3(), [0.3, 0.0, 0.0], 0.04, 1e-3,
+         DomainSpec.ball([0.3, 0.0, 0.0], 0.25), [3, 17, 250]),
     ],
-    ids=["line-interval", "circle-arc", "sphere-cap"],
+    ids=["line-interval", "circle-arc", "sphere-cap", "punctured-ball-frozen"],
 )
-def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
+def test_replayed_exits_match_the_recorded_path(monkeypatch, model, x, horizon, dt, domain,
+                                                frozen):
     # a snapshot at every step shows each path's first grid exit directly;
-    # the replay must find the same exit, bit for bit
+    # the replay must find the same exit, bit for bit, frozen paths included
     cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
     n_steps = int(round(horizon / dt))
+    if frozen is not None:
+        _send_into_the_puncture(monkeypatch, model, x, dt, cfg, 10, np.array(frozen))
     ens = simulate(model, x, horizon, cfg, record_times=np.arange(n_steps + 1) * dt)
     assert ens.times.size == n_steps + 1
-    tau, state, censored = _recorded_exits(model, ens, domain)
+    if frozen is not None:
+        assert np.array_equal(np.flatnonzero(ens.blowup), frozen)
+    inside = np.stack(
+        [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
+    )
+    censored = inside.all(axis=1)
+    first_out = np.argmin(inside, axis=1)
+    rows = np.arange(cfg.n_paths)
+    tau = np.where(censored, np.inf, ens.times[first_out])
+    state = np.where(censored[:, None], ens.states[:, 0, :], ens.states[rows, first_out, :])
     assert 0 < censored.sum() < cfg.n_paths
     rec = ens.exit_records(domain)
     assert np.array_equal(rec.tau, tau)
