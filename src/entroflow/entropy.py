@@ -151,15 +151,26 @@ class JetIntegrands(quadrature.Integrands):
             raise ValueError("the integrands of one jet need one solution")
         return fs
 
-    def reduce_columns(self, t, pts, reduce):
+    def node_terms(self, pts):
+        """The solution's `node_terms`, when the integrands read a jet."""
+        if self._reads() <= {_ulogu}:
+            return None
+        return self[0].sol.node_terms(pts)
+
+    def _reads(self):
+        return {f.formula for f in self}
+
+    def reduce_columns(self, t, pts, reduce, terms=None):
         if not self:
             return ()
         sol = self[0].sol
-        reads = {f.formula for f in self}
+        reads = self._reads()
         if reads == {_ulogu}:
             jet = LogJet(sol.value(t, pts), (), None)
         else:
-            jet = sol.log_jet(t, pts, hess=not reads.isdisjoint(_READS_HESS))
+            # only the families that share terms take them
+            shared = {} if terms is None else {"terms": terms}
+            jet = sol.log_jet(t, pts, hess=not reads.isdisjoint(_READS_HESS), **shared)
         for col in (jet.u, *jet.du, *(h for row in jet.hess or () for h in row)):
             col.flags.writeable = False
         return tuple(reduce(f.formula(sol, f.model, t, pts, jet)) for f in self)
@@ -404,7 +415,10 @@ def entropy_curve(
     smooth deterministic function of t.  E, E' and E'' of one time share its
     grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
     each equals its own `entropy_q`/`entropy_prime`/`entropy_second` (or
-    `entropy_mc`) value bit for bit.
+    `entropy_mc`) value bit for bit.  Where the nodes do not move with t
+    (circle, sphere), the quadrature curve builds them, and the jet's terms
+    that depend on them alone, once for all times
+    (`quadrature.curve_expectations`) and drops them on return.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
@@ -420,24 +434,25 @@ def entropy_curve(
     d1 = np.zeros(n, dtype=bool)
     d2 = np.zeros(n, dtype=bool)
     d0 = np.zeros(n, dtype=bool)
-    methods = []
     row = _integrands(sol, model, _ulogu, _first_variation, _second_variation)
-    for i, t in enumerate(t_grid):
-        if method == "quadrature":
-            E[i], Ep[i], Es[i] = quadrature.kernel_expectations(
-                row, kernel, model, t, level, shared_growth(sol)
-            )
-            methods.append("quadrature")
-        elif method == "monte-carlo":
-            if ensemble is None:
-                raise ValueError("monte-carlo curves need an ensemble")
+    if method == "quadrature":
+        # one node set for the whole curve where the nodes do not move with t
+        rows = quadrature.curve_expectations(
+            row, kernel, model, t_grid, level, shared_growth(sol)
+        )
+        for i, values in enumerate(rows):
+            E[i], Ep[i], Es[i] = values
+    elif method == "monte-carlo":
+        if ensemble is None:
+            raise ValueError("monte-carlo curves need an ensemble")
+        for i, t in enumerate(t_grid):
             (E[i], Ese[i]), (Ep[i], Epse[i]), (Es[i], Esse[i]) = row.reduce_columns(
                 t, ensemble.state_at(t), mean_stderr
             )
-            methods.append("monte-carlo")
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if with_conditions:
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if with_conditions:
+        for i, t in enumerate(t_grid):
             rep = conditions(sol, kernel, model, t)
             c1[i], c2[i], c0[i] = rep.cond1, rep.cond2, rep.cond0a
             d1[i], d2[i], d0[i] = (
@@ -447,7 +462,7 @@ def entropy_curve(
         t_grid=t_grid, E=E, E_stderr=Ese,
         E_prime=Ep, E_prime_stderr=Epse,
         E_second=Es, E_second_stderr=Esse,
-        method=methods,
+        method=[method] * n,
         cond1=c1, cond2=c2, cond0a=c0,
         cond1_divergent=d1, cond2_divergent=d2, cond0a_divergent=d0,
     )

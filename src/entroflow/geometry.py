@@ -131,9 +131,10 @@ def line():
 
 
 def space(n):
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return MetricModel(EUCLIDEAN_SPACE, dim=int(n))
+    """Flat n-space; n must be a whole number >= 1, as `MetricModel` asks."""
+    if isinstance(n, numbers.Real) and float(n).is_integer() and not isinstance(n, bool):
+        n = int(n)
+    return MetricModel(EUCLIDEAN_SPACE, dim=n)
 
 
 def punctured3():

@@ -27,11 +27,17 @@ sphere's zonal kernel series, is most of the cost of a quadrature.  The
 integrands of one call come as an `Integrands` tuple, whose
 `reduce_columns` hands each integrand's column to the reduction as soon as
 it is formed; `entropy.JetIntegrands` evaluates the solution's jet once
-for the whole node set that way.  Nothing caches a grid, a density or a
-jet beyond the call that made it, so memory holds one of each at a time
-whatever the length of the time grid.  `refine_expectations` refines
-several integrands this way; each keeps its own stopping level and
-divergence flag, so its values are those it gets refined alone.
+for the whole node set that way.  `curve_expectations` does this at each
+time of a curve, and where the nodes do not move with t (circle, sphere:
+only their weights scale with ``c(t)``) it builds them once, with the
+integrands' `node_terms` on them (the sphere solution's ``mu`` and frame
+components), and forms only the weights, the density and the columns per
+time; `kernel_expectations` is its one-time case.  A curve holds one node
+set until it returns; nothing caches a grid, a density or a jet beyond
+the call that made it, so memory holds one of each at a time whatever the
+length of the time grid.  `refine_expectations` refines several
+integrands this way; each keeps its own stopping level and divergence
+flag, so its values are those it gets refined alone.
 
 Every entry point refuses ``t <= 0`` (`build_grid`): the kernel measure is
 a point mass at ``t = 0``.
@@ -79,7 +85,14 @@ class Integrands(tuple):
     integrands still refining.
     """
 
-    def reduce_columns(self, t, pts, reduce):
+    def node_terms(self, pts):
+        """What the integrands share on ``pts`` at every time, taken once
+        for a curve whose nodes do not move with t; None here."""
+        return None
+
+    def reduce_columns(self, t, pts, reduce, terms=None):
+        """``reduce`` of each integrand's column at (t, pts); ``terms`` is
+        `node_terms` of these points, or None to form what it holds."""
         return tuple(reduce(f(t, pts)) for f in self)
 
 
@@ -124,23 +137,45 @@ def _grid_line(model, x, t, level, growth):
 def _grid_circle(model, x, t, level, growth):
     n = 256 * 2**level
     th = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    w = np.full(n, 2.0 * np.pi / n) * math.sqrt(float(model.conformal(t)))
-    return th[:, None], w
+    return th[:, None], _circle_weights(model, t, level)
+
+
+def _circle_weights(model, t, level):
+    n = 256 * 2**level
+    return np.full(n, 2.0 * np.pi / n) * math.sqrt(float(model.conformal(t)))
 
 
 def _grid_sphere(model, x, t, level, growth):
-    nmu = 64 * 2**level
-    nphi = 96 * 2**level
-    mus, wmu = _gauss_legendre(nmu)
+    nmu, nphi = _sphere_shape(level)
+    mus, _ = _gauss_legendre(nmu)
     phis = (np.arange(nphi) + 0.5) * (2.0 * np.pi / nphi)
-    wphi = 2.0 * np.pi / nphi
     sin = np.sqrt(1.0 - mus**2)
     pts = np.empty((nmu, nphi, 3))
     pts[..., 0] = sin[:, None] * np.cos(phis)[None, :]
     pts[..., 1] = sin[:, None] * np.sin(phis)[None, :]
     pts[..., 2] = mus[:, None]
+    return pts.reshape(-1, 3), _sphere_weights(model, t, level)
+
+
+def _sphere_weights(model, t, level):
+    nmu, nphi = _sphere_shape(level)
+    _, wmu = _gauss_legendre(nmu)
+    wphi = 2.0 * np.pi / nphi
     w = (wmu[:, None] * wphi) * float(model.conformal(t))
-    return pts.reshape(-1, 3), np.broadcast_to(w, (nmu, nphi)).ravel().copy()
+    return np.broadcast_to(w, (nmu, nphi)).ravel().copy()
+
+
+def _sphere_shape(level):
+    """(polar, azimuthal) node counts of the sphere grid."""
+    return 64 * 2**level, 96 * 2**level
+
+
+# models whose nodes do not move with t: their weights only scale with c(t),
+# so a curve builds the nodes once and forms only these weights per time
+_WEIGHTS_OF_FIXED_NODES = {
+    geometry.CIRCLE: _circle_weights,
+    geometry.SPHERE_2: _sphere_weights,
+}
 
 
 def _grid_radial_flat(model, x, t, level, growth):
@@ -186,10 +221,13 @@ def _grid_punctured(model, x, t, level, growth, outer_scale=1.0, mesh_scale=1):
     perp = perp - (perp @ axis) * axis
     perp /= np.linalg.norm(perp)
     sin = np.sqrt(1.0 - mus**2)
-    pts = (
-        rs[:, None, None] * mus[None, :, None] * axis[None, None, :]
-        + rs[:, None, None] * sin[None, :, None] * perp[None, None, :]
-    )
+    # coordinate by coordinate, the bits of r mu axis + r sin perp formed
+    # on (n_r, n_mu, 3) arrays, without four such temporaries
+    along = rs[:, None] * mus[None, :]
+    across = rs[:, None] * sin[None, :]
+    pts = np.empty(along.shape + (3,))
+    for k in range(3):
+        pts[..., k] = along * axis[k] + across * perp[k]
     w = 2.0 * np.pi * (rs**2 * wr)[:, None] * wmu[None, :]
     return pts.reshape(-1, 3), w.ravel()
 
@@ -205,12 +243,7 @@ def _gl_on_edges(edges):
 
 def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
     """Quadrature nodes and volume weights for the model at time t > 0."""
-    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
-        raise ValueError(f"level must be a non-negative integer, got {level!r}")
-    model.check_time(t)
-    if not t > 0:
-        raise ValueError(f"the kernel measure needs t > 0, got t={t!r}")
-    x = model.check_point(x)
+    x = _check_grid(model, x, t, level)
     if model.kind == geometry.EUCLIDEAN_LINE:
         return _grid_line(model, x, t, level, growth)
     if model.kind == geometry.EUCLIDEAN_SPACE:
@@ -224,24 +257,61 @@ def build_grid(model: MetricModel, x, t, level=0, growth=0.0, **grid_opts):
     raise ValueError(f"no quadrature rule for model kind {model.kind!r}")
 
 
+def _check_grid(model, x, t, level):
+    """Refuse a bad level or time; the base point x as a chart point."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
+        raise ValueError(f"level must be a non-negative integer, got {level!r}")
+    model.check_time(t)
+    if not t > 0:
+        raise ValueError(f"the kernel measure needs t > 0, got t={t!r}")
+    return model.check_point(x)
+
+
+def curve_expectations(fs, kernel, model, ts, level=0, growth=0.0, **grid_opts):
+    """`kernel_expectations` at each time of ``ts``: one tuple per time.
+
+    Where the nodes do not move with t (circle, sphere) the curve builds
+    them once, with what the integrands share on them
+    (`Integrands.node_terms`), and each later time forms only its weights,
+    the kernel density and the integrands' columns; elsewhere each time
+    builds its own grid.  Nothing outlives the call.  Every value equals its
+    own `kernel_expectation` call bit for bit.
+    """
+    fs = fs if isinstance(fs, Integrands) else Integrands(fs)
+    x = kernel.base_point
+    reweigh = _WEIGHTS_OF_FIXED_NODES.get(model.kind)
+    nodes = None  # (pts, terms) of the last grid built
+    rows = []
+    for t in ts:
+        if nodes is not None and reweigh is not None:
+            _check_grid(model, x, t, level)
+            w = reweigh(model, t, level)
+        else:
+            pts, w = build_grid(model, x, t, level=level, growth=growth, **grid_opts)
+            pts.flags.writeable = False
+            nodes = pts, fs.node_terms(pts)
+        pts, terms = nodes
+        dens = np.asarray(kernel.density(t, pts), dtype=float)
+        w.flags.writeable = False
+        dens.flags.writeable = False
+        rows.append(fs.reduce_columns(t, pts, functools.partial(_reduce, dens, w), terms))
+    return rows
+
+
+def _reduce(dens, w, col):
+    return float(np.dot(np.asarray(col, dtype=float) * dens, w))
+
+
 def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
     """Single-level quadrature of each integrand against the kernel measure.
 
     ``fs`` is a sequence of integrands or an `Integrands` tuple.  The grid
     and the kernel density are built once and made read-only, so every
     integrand sees the same nodes; each value equals the integrand's own
-    `kernel_expectation` bit for bit.
+    `kernel_expectation` bit for bit.  It is the one-time case of
+    `curve_expectations`.
     """
-    pts, w = build_grid(
-        model, kernel.base_point, t, level=level, growth=growth, **grid_opts
-    )
-    dens = np.asarray(kernel.density(t, pts), dtype=float)
-    for a in (pts, w, dens):
-        a.flags.writeable = False
-    fs = fs if isinstance(fs, Integrands) else Integrands(fs)
-    return fs.reduce_columns(
-        t, pts, lambda col: float(np.dot(np.asarray(col, dtype=float) * dens, w))
-    )
+    return curve_expectations(fs, kernel, model, (t,), level, growth, **grid_opts)[0]
 
 
 def kernel_expectation(f, kernel, model, t, level=0, growth=0.0, **grid_opts):

@@ -12,7 +12,11 @@ Each family computes its jet in one place, `SolutionField.log_jet`: u, the
 components of grad u and the entries of Hess log u, each an ``(n,)``
 column, from one evaluation of the shared parts (the sphere's zonal
 profile, ``mu`` and tangent frames; the radius of the radial harmonic).
-Its ``u`` is `value` bit for bit, so an integrand may read either.
+Its ``u`` is `value` bit for bit, so an integrand may read either.  The
+parts that depend on the points alone (the sphere's ``mu`` and frame
+components) come from `SolutionField.node_terms`; a quadrature curve whose
+nodes do not move with t takes them once and hands them to each time's
+`log_jet`.
 `grad`, `hess_log`, `grad_norm_sq` and `grad_term` stack or sum those
 columns.  The entropy integrands of one node set read one jet between
 them (`entropy.JetIntegrands`), taken with the Hessian only when one of
@@ -47,6 +51,13 @@ def _mode_number(k):
     return int(k)
 
 
+def _nonempty(modes):
+    modes = list(modes)
+    if not modes:
+        raise ValueError("spectral solutions need at least one mode")
+    return modes
+
+
 class SolutionField:
     """Base class; subclasses provide the analytic jets."""
 
@@ -68,6 +79,17 @@ class SolutionField:
         read them raise LogOfZero there.
         """
         raise NotImplementedError
+
+    def node_terms(self, pts):
+        """The parts of `log_jet` that depend on the points alone, or None.
+
+        A caller taking jets at several times on the same points forms them
+        once and hands them to each `log_jet` call as ``terms``; without
+        them `log_jet` forms them itself, to the same bits.  Families with
+        nothing worth sharing return None, and their `log_jet` takes no
+        ``terms``.
+        """
+        return None
 
     def grad(self, t, pts):
         """Covector components du in the model's gauge, shape (n, dim)."""
@@ -319,7 +341,7 @@ class CircleSpectral(SolutionField):
         (self.a0,) = finite_params("a0", (a0,))
         self.modes = [
             (_mode_number(k), *finite_params("amplitudes and phases", (ak, phik)))
-            for k, ak, phik in modes
+            for k, ak, phik in _nonempty(modes)
         ]
         self.model = model
         self._reject_if_negative()
@@ -394,7 +416,9 @@ class SphereSpectral(SolutionField):
         if model.kind != geometry.SPHERE_2:
             raise ValueError("sphere solutions require a sphere model")
         (self.a0,) = finite_params("a0", (a0,))
-        self.modes = [(_mode_number(l), *finite_params("amplitudes", (al,))) for l, al in modes]
+        self.modes = [
+            (_mode_number(l), *finite_params("amplitudes", (al,))) for l, al in _nonempty(modes)
+        ]
         self.model = model
         self.axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
         # coefficients of P_l, P_l' and P_l'', evaluated with legval
@@ -452,12 +476,22 @@ class SphereSpectral(SolutionField):
             out = out + al * lam / c * np.exp(lam * s) * legval(x, self._legendre[l][0])
         return out
 
-    def log_jet(self, t, pts, hess=True):
+    def node_terms(self, pts):
+        """``mu = y . axis`` and the axis' components ``w1``, ``w2`` in the
+        tangent frame at each point, read-only."""
         pts = np.asarray(pts, dtype=float)
         mu = self._mu(pts)
-        u, d1, d2 = self._profile(t, mu)
         e1, e2 = geometry.tangent_frames(pts)
-        w1, w2 = e1 @ self.axis, e2 @ self.axis
+        w1 = e1 @ self.axis
+        del e1  # one (n, 3) frame fewer alive beside the terms
+        terms = (mu, w1, e2 @ self.axis)
+        for a in terms:
+            a.flags.writeable = False
+        return terms
+
+    def log_jet(self, t, pts, hess=True, terms=None):
+        mu, w1, w2 = self.node_terms(pts) if terms is None else terms
+        u, d1, d2 = self._profile(t, mu)
         du = (d1 * w1, d1 * w2)
         if not hess:
             return LogJet(u, du, None)

@@ -333,9 +333,15 @@ def _advance(model, states, t, dt, xi, blown):
     xi *= math.sqrt(2.0 * dt)
     if sig != 1.0:
         xi *= sig
-    if blown is not None:
-        xi[np.flatnonzero(blown)] = 0.0
-    states += xi
+    if blown is None:
+        states += xi
+    else:
+        # frozen rows are put back, not stepped by zero, which would turn a
+        # -0.0 into +0.0
+        frozen = np.flatnonzero(blown)
+        held = states[frozen]
+        states += xi
+        states[frozen] = held
     fresh = _frozen_mask(model, states)
     if fresh is not None:
         return np.logical_or(blown, fresh) if blown is not None else fresh

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -443,11 +444,11 @@ def _count_jets(monkeypatch, sol):
     inside = []
     log_jet, value = sol.log_jet, sol.value
 
-    def counted_jet(t, pts, hess=True):
+    def counted_jet(t, pts, hess=True, **shared):
         calls.append(("jet", len(pts), hess))
         inside.append(1)
         try:
-            return log_jet(t, pts, hess=hess)
+            return log_jet(t, pts, hess=hess, **shared)
         finally:
             inside.pop()
 
@@ -469,6 +470,94 @@ def test_curve_takes_one_jet_per_time(which, monkeypatch):
     calls = _count_jets(monkeypatch, sol)
     entropy_curve(sol, model, kern, grid, with_conditions=False)
     assert [(kind, hess) for kind, _, hess in calls] == [("jet", True)] * 3
+
+
+# --- one node set per curve --------------------------------------------------------
+
+
+_CURVE_TIMES = (0.3, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere", "punctured"])
+@pytest.mark.parametrize("level", [0, 2])
+def test_curve_gives_each_single_time_bit_for_bit(which, level):
+    # nodes built once for the curve (circle, sphere) or per time (line,
+    # punctured): each value equals its own one-time call
+    sol, kern, _ = _condition_cases()[which]
+    model, growth = sol.model, entropy.shared_growth(sol)
+    row = entropy.JetIntegrands(make(sol) for make in _ALL_INTEGRANDS[:3])
+    got = quadrature.curve_expectations(row, kern, model, _CURVE_TIMES, level, growth)
+    want = [
+        quadrature.kernel_expectations(row, kern, model, t, level, growth)
+        for t in _CURVE_TIMES
+    ]
+    assert _bits(got).tolist() == _bits(want).tolist()
+    curve = entropy_curve(sol, model, kern, _CURVE_TIMES, level=level, with_conditions=False)
+    for i, t in enumerate(_CURVE_TIMES):
+        assert _bits(curve.E[i]) == _bits(entropy_q(sol, kern, model, t, level=level))
+        assert _bits(curve.E_prime[i]) == _bits(entropy_prime(sol, kern, t, level=level))
+        assert _bits(curve.E_second[i]) == _bits(
+            entropy_second(sol, model, kern, t, level=level)
+        )
+
+
+def _count_builds(monkeypatch):
+    """Record the level of each grid built and of each set of tangent
+    frames taken."""
+    calls = []
+    build_grid, frames = quadrature.build_grid, geometry.tangent_frames
+
+    def counted_build(model, x, t, level=0, growth=0.0, **opts):
+        calls.append(("grid", level))
+        return build_grid(model, x, t, level=level, growth=growth, **opts)
+
+    def counted_frames(pts):
+        calls.append(("frames", len(pts)))
+        return frames(pts)
+
+    monkeypatch.setattr(quadrature, "build_grid", counted_build)
+    monkeypatch.setattr(geometry, "tangent_frames", counted_frames)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["line", "circle", "sphere"])
+def test_curve_builds_fixed_nodes_once(which, monkeypatch):
+    # the sphere's nodes and tangent frames, and the circle's nodes, once
+    # per curve; the line's grid moves with t; one jet per time everywhere
+    sol, kern, _ = _condition_cases()[which]
+    jets = _count_jets(monkeypatch, sol)
+    builds = _count_builds(monkeypatch)
+    entropy_curve(sol, sol.model, kern, _CURVE_TIMES, level=1, with_conditions=False)
+    assert [(kind, hess) for kind, _, hess in jets] == [("jet", True)] * len(_CURVE_TIMES)
+    if which == "line":
+        assert builds == [("grid", 1)] * len(_CURVE_TIMES)
+    elif which == "circle":
+        assert builds == [("grid", 1)]
+    else:
+        assert builds == [("grid", 1), ("frames", 64 * 2 * 96 * 2)]
+
+
+def test_curve_keeps_no_nodes(monkeypatch):
+    # the nodes and the jet's node terms are dropped when the curve returns
+    sol, kern, _ = _condition_cases()["sphere"]
+    refs = []
+    build_grid, node_terms = quadrature.build_grid, sol.node_terms
+
+    def watched_build(*args, **kwargs):
+        pts, w = build_grid(*args, **kwargs)
+        refs.extend((weakref.ref(pts), weakref.ref(pts.base)))
+        return pts, w
+
+    def watched_terms(pts):
+        terms = node_terms(pts)
+        refs.extend(weakref.ref(a) for a in terms)
+        return terms
+
+    monkeypatch.setattr(quadrature, "build_grid", watched_build)
+    monkeypatch.setattr(sol, "node_terms", watched_terms)
+    entropy_curve(sol, sol.model, kern, _CURVE_TIMES, level=1, with_conditions=False)
+    assert len(refs) == 5
+    assert all(ref() is None for ref in refs)
 
 
 def test_conditions_take_one_jet_per_level(monkeypatch):

@@ -253,6 +253,14 @@ def test_model_parsing_round_trip():
         assert parse_model(spec) == model
 
 
+def test_space_takes_a_whole_dimension():
+    assert geometry.space(3.0) == geometry.space(np.int64(3)) == parse_model("euclidean-space:3")
+    assert type(geometry.space(3.0).dim) is int
+    for n in (2.5, 0, -1, math.nan, True):
+        with pytest.raises(ValueError, match="whole dimension >= 1"):
+            geometry.space(n)
+
+
 def test_tangent_frames_are_orthonormal():
     gen = np.random.default_rng(0)
     pts = gen.normal(size=(50, 3))

@@ -234,6 +234,13 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          ValueError, "does not read circle-spec:a0,(k,ak,phik)..."),
         (lambda: solutions.parse_solution("sphere-spec:2,(1,0.5,0)", geometry.sphere2()),
          ValueError, "does not read sphere-spec:a0,(l,al)..."),
+        # these used to fail later, with "max() arg is an empty sequence"
+        (lambda: solutions.parse_solution("circle-spec:2", geometry.circle()),
+         ValueError, "need at least one mode"),
+        (lambda: solutions.parse_solution("sphere-spec:2", geometry.sphere2()),
+         ValueError, "need at least one mode"),
+        # used to build a 2-dimensional space
+        (lambda: geometry.space(2.5), ValueError, "needs a whole dimension >= 1"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
@@ -248,7 +255,8 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          "model-spec-fraction", "model-spec-short", "model-spec-word", "const-nan",
          "expline-inf", "expsum-nan", "circle-phase-inf", "circle-mode-fraction",
          "sphere-a0-nan", "sphere-amplitude-nan", "expsum-short-term", "radial3-param",
-         "circle-spec-unbalanced", "sphere-spec-long"],
+         "circle-spec-unbalanced", "sphere-spec-long", "circle-spec-no-modes",
+         "sphere-spec-no-modes", "space-fraction"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

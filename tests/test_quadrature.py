@@ -140,6 +140,42 @@ def test_cached_rules_leave_grids_bit_unchanged(sphere_model, level, monkeypatch
         assert np.array_equal(w.view(np.uint64), ref_w.view(np.uint64))
 
 
+def _punctured_points_broadcast(x, t, level, mesh_scale):
+    # the punctured grid's points as first written, on (n_r, n_mu, 3) arrays
+    delta = inner_cutoff(level)
+    nx = float(np.linalg.norm(x))
+    r_out = nx + truncation_radius(t)
+    decades = max(1, int(math.ceil(math.log10(1.0 / delta))))
+    rs_in, _ = quadrature._gl_on_edges(
+        np.logspace(math.log10(delta), 0.0, 6 * mesh_scale * decades + 1)
+    )
+    lin_panels = max(16, int(math.ceil(4.0 * (r_out - 1.0) / math.sqrt(4.0 * t))))
+    rs_out, _ = quadrature._composite_gl(1.0, r_out, lin_panels * mesh_scale)
+    rs = np.concatenate([rs_in, rs_out])
+    mus, _ = leggauss(48 * mesh_scale)
+    axis = x / nx
+    perp = np.zeros(3)
+    perp[int(np.argmin(np.abs(axis)))] = 1.0
+    perp = perp - (perp @ axis) * axis
+    perp /= np.linalg.norm(perp)
+    sin = np.sqrt(1.0 - mus**2)
+    pts = (
+        rs[:, None, None] * mus[None, :, None] * axis[None, None, :]
+        + rs[:, None, None] * sin[None, :, None] * perp[None, None, :]
+    )
+    return pts.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("level, mesh_scale", [(0, 1), (2, 1), (3, 2)])
+def test_punctured_points_keep_the_broadcast_bits(level, mesh_scale):
+    model = geometry.punctured3()
+    for x in ([0.0, 0.8, 0.6], [-1.3, 0.0, 0.0]):
+        x = np.array(x)
+        pts, _ = build_grid(model, x, 0.5, level, mesh_scale=mesh_scale)
+        want = _punctured_points_broadcast(x, 0.5, level, mesh_scale)
+        assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))
+
+
 def _bundle(which, request):
     if which == "punctured":
         model = geometry.punctured3()

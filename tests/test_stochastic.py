@@ -337,12 +337,13 @@ def test_euler_step_leaves_frozen_paths_bit_unchanged():
     states = gen.normal(size=(400, 3))
     # rows at or inside the puncture radius are the blown ones
     blown = gen.uniform(size=400) < 0.3
-    blown[0], blown[1] = True, False
+    blown[0], blown[1], blown[2] = True, False, True
     radii = geometry.PUNCTURE_RADIUS * gen.uniform(size=(blown.sum(), 1))
     states[blown] *= radii / np.linalg.norm(states[blown], axis=-1, keepdims=True)
-    # one path at the origin itself (at +0.0: the zeroed increment added to a
-    # frozen row turns -0.0 into +0.0, the same value)
+    # paths at the origin itself, at +0.0 and at -0.0: a frozen row keeps
+    # the sign of its zeros
     states[0] = 0.0
+    states[2] = -0.0
     assert np.array_equal(blown, np.linalg.norm(states, axis=-1) <= geometry.PUNCTURE_RADIUS)
     before = states.copy()
     xi = gen.normal(size=states.shape)
