@@ -436,7 +436,6 @@ def entropy_curve(
     d0 = np.zeros(n, dtype=bool)
     row = _integrands(sol, model, _ulogu, _first_variation, _second_variation)
     if method == "quadrature":
-        # one node set for the whole curve where the nodes do not move with t
         rows = quadrature.curve_expectations(
             row, kernel, model, t_grid, level, shared_growth(sol)
         )
