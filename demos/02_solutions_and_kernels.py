@@ -34,7 +34,7 @@ print("-" * 72)
 for sol, y, label in catalog:
     jet = eval_jet(sol, 0.5, y)
     res = backward_residual(sol, 0.5, y)
-    r1, r2 = bochner_identities(sol, sol.model, 0.5, y)
+    r1, r2 = bochner_identities(sol, 0.5, y)
     print(f"{label:<28} u = {jet.u:9.5f}  |grad u|^2/u = {jet.grad_norm_sq/jet.u:9.5f}")
     print(f"{'':<28} equation residual {res:.2e}   identities {r1:.2e}, {r2:.2e}")
 
@@ -42,15 +42,15 @@ print()
 print("kernel masses (the non-explosion check) and adjoint-equation residuals")
 print("-" * 72)
 kernel_cases = [
-    (line, kernels.GaussianKernel(np.array([0.0]), line), np.array([1.0]),
+    (kernels.GaussianKernel(np.array([0.0]), line), np.array([1.0]),
      "Gaussian on the line"),
-    (circle, kernels.WrappedGaussianKernel(np.array([0.0]), circle), np.array([2.0]),
+    (kernels.WrappedGaussianKernel(np.array([0.0]), circle), np.array([2.0]),
      "wrapped Gaussian on the circle"),
-    (sphere, kernels.SphereHeatKernel(np.array([1.0, 0, 0]), sphere),
+    (kernels.SphereHeatKernel(np.array([1.0, 0, 0]), sphere),
      np.array([0.0, 0.6, 0.8]), "zonal series on the sphere"),
 ]
-for model, kern, y, label in kernel_cases:
+for kern, y, label in kernel_cases:
     for t in (0.5, 1.0):
-        mass = kernel_mass(kern, model, t)
-        res = adjoint_residual(kern, model, t, y)
+        mass = kernel_mass(kern, t)
+        res = adjoint_residual(kern, t, y)
         print(f"{label:<32} t={t:<4} mass = {mass:.12f}  residual {res:.2e}")

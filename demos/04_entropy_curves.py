@@ -17,13 +17,12 @@ sol = solutions.ExponentialLine(1.0, 1.0, line)
 kern = kernels.GaussianKernel(np.array([0.0]), line)
 
 grid = np.round(np.geomspace(0.25, 4.0, 9), 3)
-curve = entropy_curve(sol, line, kern, grid, with_conditions=True)
+curve = entropy_curve(sol, kern, grid, with_conditions=True)
 ens = stochastic.simulate(
     line, [0.0], 4.0, SdeConfig(dt=1e-3, n_paths=50_000, seed=0xC0FFEE),
     record_times=grid,
 )
-mc = entropy_curve(sol, line, kern, grid, method="monte-carlo", ensemble=ens,
-                   with_conditions=False)
+mc = entropy_curve(sol, ens, grid, with_conditions=False)
 
 print("u = exp(y - t) on the static line: entropy should equal t exactly")
 print(f"{'t':>6} {'E quad':>12} {'E mc':>10} {'stderr':>8} {'E-prime':>9} {'cond1':>12}")
@@ -40,7 +39,7 @@ circle = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
 csol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle)
 ckern = kernels.WrappedGaussianKernel(np.array([0.0]), circle)
 cgrid = np.round(np.linspace(0.125, 1.25, 10), 3)
-ccurve = entropy_curve(csol, circle, ckern, cgrid, with_conditions=False)
+ccurve = entropy_curve(csol, ckern, cgrid, with_conditions=False)
 print(f"{'t':>6} {'E':>12} {'E-prime':>12} {'E-second':>12}")
 for i, t in enumerate(cgrid):
     print(f"{t:6.3f} {ccurve.E[i]:12.8f} {ccurve.E_prime[i]:12.8f} "

@@ -25,7 +25,7 @@ cases = [
     (solutions.ExponentialLine(2.0, 3.0, line), "2 exp(3y - 9t)"),
 ]
 for sol, label in cases:
-    curve = entropy_curve(sol, line, kern, grid, with_conditions=False)
+    curve = entropy_curve(sol, kern, grid, with_conditions=False)
     rep = classify_growth(curve, sup_grad_sample=None, super_ricci_ok=True)
     slope = "-" if rep.slope is None else f"{rep.slope:.6f}"
     print(f"{label:<18} class = {rep.growth_class:<18} theta = {rep.theta:<10.4g} "
@@ -34,8 +34,7 @@ for sol, label in cases:
 circle = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
 csol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle)
 ckern = kernels.WrappedGaussianKernel(np.array([0.0]), circle)
-ccurve = entropy_curve(csol, circle, ckern, np.geomspace(0.125, 1.25, 12),
-                       with_conditions=False)
+ccurve = entropy_curve(csol, ckern, np.geomspace(0.125, 1.25, 12), with_conditions=False)
 rep = classify_growth(ccurve, super_ricci_ok=True)
 print(f"{'circle mode':<18} class = {rep.growth_class:<18} "
       f"theta -> infinity: {rep.theta_infinite}")
@@ -61,7 +60,6 @@ for sol, label in [
     (solutions.Constant(3.0, circle), "constant on the shrinking circle"),
     (csol, "spectral mode on the shrinking circle"),
 ]:
-    rep = rigidity_check(circle, sol, [0.0], np.geomspace(0.2, 1.2, 6), thetas,
-                         kernel=ckern)
+    rep = rigidity_check(sol, [0.0], np.geomspace(0.2, 1.2, 6), thetas, kernel=ckern)
     print(f"{label:<40} margin = {rep.min_margin:.4f}  linear = {rep.entropy_linear}"
           f"  max |grad log u| = {rep.max_grad_log:.4f}  consistent = {rep.consistent}")

@@ -200,9 +200,9 @@ def _matrix(ctx):
 def _criterion_1(ctx, rows):
     t0 = time.perf_counter()
     cpu0 = time.process_time()
-    model, sol, kern = ctx.line_bundle(1.0, 1.0)
+    _, sol, kern = ctx.line_bundle(1.0, 1.0)
     for t in (0.25, 1.0, 4.0):
-        eq = entropy_q(sol, kern, model, t, level=LEVEL)
+        eq = entropy_q(sol, kern, t, level=LEVEL)
         rows.append(_row(f"1-quad-t{t:g}", "entropy equals t (quadrature)", eq, t, 1e-8))
     ens = ctx.line_t4_ensemble()
     for t in (0.25, 1.0, 4.0):
@@ -223,9 +223,9 @@ def _criterion_1(ctx, rows):
 
 
 def _criterion_2(ctx, rows):
-    model, sol, kern = ctx.line_bundle(1.0, 1.0)
+    _, sol, kern = ctx.line_bundle(1.0, 1.0)
     for t in (0.5, 1.0, 2.0):
-        rep = conditions(sol, kern, model, t)
+        rep = conditions(sol, kern, t)
         c1_target = (9 * t * t + 8 * t + 1) * math.exp(2 * t)
         c2_target = math.exp(2 * t)
         rows.append(
@@ -244,16 +244,16 @@ def _criterion_2(ctx, rows):
 
 def _criterion_3(ctx, rows):
     for a, b in ((2.0, 3.0), (0.5, 1.0)):
-        model, sol, kern = ctx.line_bundle(a, b)
+        _, sol, kern = ctx.line_bundle(a, b)
         worst = 0.0
         for t in (0.5, 1.0, 2.0):
-            eq = entropy_q(sol, kern, model, t, level=LEVEL)
+            eq = entropy_q(sol, kern, t, level=LEVEL)
             worst = max(worst, abs(eq - a * (math.log(a) + b * b * t)))
         rows.append(
             _row(f"3-entropy-a{a:g}b{b:g}", "a(log a + b^2 t) family", worst, 0.0, 1e-8)
         )
         grid = np.geomspace(0.25, 4.0, 16)
-        curve = entropy_curve(sol, model, kern, grid, level=LEVEL, with_conditions=False)
+        curve = entropy_curve(sol, kern, grid, level=LEVEL, with_conditions=False)
         rep = analysis.classify_growth(curve, sup_grad_sample=None, super_ricci_ok=True)
         rows.append(
             _row_bool(
@@ -269,15 +269,15 @@ def _criterion_3(ctx, rows):
 
 def _criterion_4(ctx, rows):
     h = 1e-3
-    for ident, (model, sol, kern), (t_lo, t_hi), _ in _matrix(ctx):
+    for ident, (_, sol, kern), (t_lo, t_hi), _ in _matrix(ctx):
         worst1 = 0.0
         worst2 = 0.0
         ts = np.geomspace(max(t_lo, 2 * h), t_hi, 3)
         # E, E' and E'' of each t share one grid and one solution jet
-        curve = entropy_curve(sol, model, kern, ts, level=LEVEL, with_conditions=False)
+        curve = entropy_curve(sol, kern, ts, level=LEVEL, with_conditions=False)
         for t, e_mid, ep, es in zip(ts, curve.E, curve.E_prime, curve.E_second):
-            e_minus = entropy_q(sol, kern, model, t - h, level=LEVEL)
-            e_plus = entropy_q(sol, kern, model, t + h, level=LEVEL)
+            e_minus = entropy_q(sol, kern, t - h, level=LEVEL)
+            e_plus = entropy_q(sol, kern, t + h, level=LEVEL)
             fd1 = (e_plus - e_minus) / (2 * h)
             fd2 = (e_plus - 2 * e_mid + e_minus) / (h * h)
             worst1 = max(worst1, abs(fd1 - ep))
@@ -292,25 +292,25 @@ def _criterion_5(ctx, rows):
         ("circle-shrink", ctx.circle_bundle(-0.1), (0.125, 1.25)),
         ("sphere-ricci", ctx.sphere_bundle(), (0.12, 1.2)),
     ]
-    for ident, (model, sol, kern), (t_lo, t_hi) in cases:
+    for ident, (_, sol, kern), (t_lo, t_hi) in cases:
         grid = np.geomspace(t_lo, t_hi, 16)
-        curve = entropy_curve(sol, model, kern, grid, level=LEVEL, with_conditions=False)
+        curve = entropy_curve(sol, kern, grid, level=LEVEL, with_conditions=False)
         ep, es = curve.E_prime.tolist(), curve.E_second.tolist()
         rows.append(_row_ge(f"5-mono-{ident}", "min E' over log grid", min(ep), -1e-10))
         rows.append(_row_ge(f"5-convex-{ident}", "min E'' over log grid", min(es), -1e-10))
 
 
 def _criterion_6(ctx, rows):
-    model, sol, _ = ctx.line_bundle(1.0, 1.0)
-    g = submartingale_gap(sol, model, ctx.line_t4_ensemble(), 1.0)
+    _, sol, _ = ctx.line_bundle(1.0, 1.0)
+    g = submartingale_gap(sol, ctx.line_t4_ensemble(), 1.0)
     rows.append(
         _row(
             "6-saturation-line", "gap vanishes for the eternal exponential",
             g.gap, 0.0, 3.0 * g.stderr, note=f"stderr {g.stderr:.3g}",
         )
     )
-    cmodel, csol, _ = ctx.circle_bundle(-0.1)
-    g = submartingale_gap(csol, cmodel, ctx.circle_ensemble(), 1.0)
+    _, csol, _ = ctx.circle_bundle(-0.1)
+    g = submartingale_gap(csol, ctx.circle_ensemble(), 1.0)
     rows.append(
         _row_ge(
             "6-gap-circle", "gap nonnegative within error",
@@ -323,8 +323,8 @@ def _criterion_6(ctx, rows):
             g.midpoint_gap, -3.0 * g.midpoint_stderr,
         )
     )
-    smodel, ssol, _ = ctx.sphere_bundle()
-    g = submartingale_gap(ssol, smodel, ctx.sphere_ensemble(), 1.0)
+    _, ssol, _ = ctx.sphere_bundle()
+    g = submartingale_gap(ssol, ctx.sphere_ensemble(), 1.0)
     rows.append(
         _row_ge(
             "6-gap-sphere", "gap nonnegative within error",
@@ -342,14 +342,14 @@ def _criterion_7(ctx, rows):
         ("circle-shrink", ctx.circle_bundle(-0.1), 0.5),
         ("sphere-ricci", ctx.sphere_bundle(), 0.5),
     ]
-    for ident, (model, sol, kern), t in quad_cases:
-        gb = analysis.gradient_entropy_check(sol, model, kern, kern.base_point, t, level=LEVEL)
+    for ident, (_, sol, kern), t in quad_cases:
+        gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, t, level=LEVEL)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (quadrature)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g}")
         )
-    model, sol, kern = ctx.line_bundle(1.0, 1.0)
-    gb = analysis.gradient_entropy_check(sol, model, kern, kern.base_point, 1.0, level=LEVEL)
+    _, sol, kern = ctx.line_bundle(1.0, 1.0)
+    gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, 1.0, level=LEVEL)
     rows.append(
         _row("7-equality-line", "saturation: lhs equals rhs", gb.lhs - gb.rhs, 0.0, 1e-6)
     )
@@ -358,8 +358,8 @@ def _criterion_7(ctx, rows):
         ("circle-mc", ctx.circle_bundle(-0.1), ctx.circle_ensemble(), 1.0),
         ("sphere-mc", ctx.sphere_bundle(), ctx.sphere_ensemble(), 1.0),
     ]
-    for ident, (model, sol, _), ens, t in mc_cases:
-        gb = analysis.gradient_entropy_check(sol, model, ens, ens.x, t)
+    for ident, (_, sol, _), ens, t in mc_cases:
+        gb = analysis.gradient_entropy_check(sol, ens, ens.x, t)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (Monte Carlo)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g} se {gb.stderr:.3g}")
@@ -474,7 +474,7 @@ def _criterion_12(ctx, rows):
         for _ in range(100):
             t = float(gen.uniform(t_lo, t_hi))
             y = _random_point(gen, model)
-            r1, r2 = bochner_identities(sol, model, t, y)
+            r1, r2 = bochner_identities(sol, t, y)
             worst1 = max(worst1, r1)
             worst2 = max(worst2, r2)
         rows.append(_row(f"12-first-{ident}", "pointwise identity for u log u",

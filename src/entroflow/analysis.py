@@ -19,7 +19,7 @@ from scipy.special import xlogy
 from . import geometry, quadrature, solutions
 from .entropy import (
     JetIntegrands,
-    entropy_q,
+    _same_model,
     first_variation_integrand,
     shared_growth,
     ulogu_integrand,
@@ -46,13 +46,15 @@ class GradientBound:
     holds: bool
 
 
-def gradient_entropy_check(sol, model, target, x, t, level=None) -> GradientBound:
+def gradient_entropy_check(sol, target, x, t, level=None) -> GradientBound:
     """Check t |grad u/u|^2(0,x) <= E[(u/u0) log(u/u0)(t, X_t)].
 
     ``target`` is a heat kernel (quadrature) or a path ensemble (Monte
-    Carlo).  Equality is attained by the exponential eternal solutions.
+    Carlo) on the solution's model.  Equality is attained by the
+    exponential eternal solutions.
     """
-    x = model.check_point(x)
+    _same_model(sol, target)
+    x = sol.model.check_point(x)
     u0 = float(sol.value(0.0, x[None, :])[0])
     if u0 <= 0:
         raise LogOfZero("the bound needs u(0, x) > 0")
@@ -67,7 +69,7 @@ def gradient_entropy_check(sol, model, target, x, t, level=None) -> GradientBoun
         rhs, se = r.mean, r.stderr
     else:
         rhs = quadrature.kernel_integral(
-            normalized, target, model, t,
+            normalized, target, t,
             growth=shared_growth(sol), level=level, what="normalized entropy",
         )
         se = 0.0
@@ -87,22 +89,27 @@ class CorollaryBounds:
     sup_bound_holds: bool | None    # None = NotApplicable (unbounded sup)
 
 
-def corollary_bounds(sol, model, x, t, delta, kernel=None, level=None) -> CorollaryBounds:
-    """The delta-form and sup-form corollaries of the gradient bound."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+def corollary_bounds(sol, x, t, delta, kernel=None, level=None) -> CorollaryBounds:
+    """The delta-form and sup-form corollaries of the gradient bound.
+
+    ``kernel`` defaults to the catalog kernel of the solution's model at x.
+    """
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    model = sol.model
     x = model.check_point(x)
     if kernel is None:
         kernel = canonical_kernel(model, x)
+    _same_model(sol, kernel)
     u0 = float(sol.value(0.0, x[None, :])[0])
     if u0 <= 0:
         raise LogOfZero("the bounds need u(0, x) > 0")
-    base = gradient_entropy_check(sol, model, kernel, x, t, level=level)
+    base = gradient_entropy_check(sol, kernel, x, t, level=level)
     grad_sq = base.lhs / t if t > 0 else 0.0  # |grad u / u|^2 (0, x)
     delta_rhs = delta / (2.0 * t) + base.rhs / (2.0 * delta)
     delta_holds = grad_sq <= delta_rhs + 1e-8 * (1.0 + abs(delta_rhs))
 
-    sup_value, unbounded = _sup_over_window(sol, model, x, t)
+    sup_value, unbounded = _sup_over_window(sol, x, t)
     sup_lhs = math.sqrt(grad_sq)
     if unbounded:
         return CorollaryBounds(
@@ -120,8 +127,9 @@ def corollary_bounds(sol, model, x, t, delta, kernel=None, level=None) -> Coroll
     )
 
 
-def _sup_over_window(sol, model, x, t, n_t=33):
+def _sup_over_window(sol, x, t, n_t=33):
     """Grid sup of u over [0, t] x M; detects growth under box enlargement."""
+    model = sol.model
     ts = np.linspace(0.0, t, n_t)
     if model.kind == geometry.CIRCLE:
         pts = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)[:, None]
@@ -299,11 +307,18 @@ class RigidityReport:
 
 
 def rigidity_check(
-    model, sol, x, t_grid, y_grid, kernel=None, level=2, margin_eps=1e-9,
+    sol, x, t_grid, y_grid, kernel=None, level=2, margin_eps=1e-9,
     linear_rtol=1e-3, grad_tol=1e-6,
 ) -> RigidityReport:
     """Instance check: strict 2 Ric - dg/dt > 0 plus linear entropy forces
-    a spatially constant solution (max |grad log u| below tolerance)."""
+    a spatially constant solution (max |grad log u| below tolerance).
+
+    ``kernel`` defaults to the catalog kernel of the solution's model at x.
+    """
+    model = sol.model
+    if kernel is None:
+        kernel = canonical_kernel(model, model.check_point(x))
+    _same_model(sol, kernel)
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(model, y_grid)
     margin = min(
@@ -312,11 +327,14 @@ def rigidity_check(
         for j in range(pts.shape[0])
     )
     antecedent = margin >= margin_eps
-    if kernel is None:
-        kernel = canonical_kernel(model, model.check_point(x))
-    e_vals = np.array(
-        [entropy_q(sol, kernel, model, t, level=level) for t in t_grid]
-    )
+    # entropy_q at each time, without repeating the model check made above
+    e_vals = np.array([
+        quadrature.kernel_integral(
+            ulogu_integrand(sol), kernel, t,
+            growth=shared_growth(sol), level=level, what="entropy",
+        )
+        for t in t_grid
+    ])
     fit_residual = _linear_fit_residual(t_grid, e_vals)
     entropy_linear = fit_residual <= linear_rtol
 
@@ -373,7 +391,7 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
         # E and E' of one level share its grid and one jet, dropped before
         # the next
         rows = [
-            quadrature.kernel_expectations(fs, kernel, model, t, lv, mesh_scale=mesh_scale)
+            quadrature.kernel_expectations(fs, kernel, t, lv, mesh_scale=mesh_scale)
             for lv in levels
         ]
         return [e for e, _ in rows], [p for _, p in rows]
@@ -393,7 +411,7 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
     stable_mesh = (spread2 <= 1e-4) == (spread <= 1e-4) and divergent2 == divergent
 
     tail = quadrature.kernel_expectation(
-        ulogu_integrand(sol), kernel, model, t, level=levels[0], outer_scale=2.0
+        ulogu_integrand(sol), kernel, t, level=levels[0], outer_scale=2.0
     )
     return DivergenceReport(
         t=t,

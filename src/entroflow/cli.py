@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             overrides = {}
-            for key in ("paths", "dt", "seed", "refine"):
+            for key in harness.OVERRIDE_KEYS:
                 val = getattr(args, key)
                 if val is not None:
                     overrides[key] = val

@@ -7,6 +7,13 @@ integrability conditions the first variation integrand is ``|grad u|^2/u``
 and the second is ``2u (|hess log u|^2 + (Ric - dg/dt / 2)(grad log u,
 grad log u))``; both are computed here by quadrature and by Monte Carlo.
 
+No function here takes a metric model: each reads it from the solution
+(``sol.model``), and the heat kernel or path ensemble it is paired with
+must live on that same model, or the call raises ValueError before any
+work.  A target that is a kernel means quadrature, one that is a
+`PathEnsemble` means Monte Carlo (`entropy_prime`, `entropy_second`,
+`entropy_curve`).
+
 Every kernel-measure integral of one scenario shares a single truncation
 policy (growth rate ``2 * b_max``), so E, E', E'' and the condition
 integrals live on identical grids and finite-difference cross-checks do
@@ -51,15 +58,16 @@ def shared_growth(sol: SolutionField) -> float:
 # the one-integrand case of the same evaluation.
 
 
-def _ulogu(sol, model, t, pts, jet):
+def _ulogu(sol, t, pts, jet):
     return xlogy(jet.u, jet.u)
 
 
-def _first_variation(sol, model, t, pts, jet):
+def _first_variation(sol, t, pts, jet):
     return sol.grad_term(t, pts, jet)
 
 
-def _second_variation(sol, model, t, pts, jet):
+def _second_variation(sol, t, pts, jet):
+    model = sol.model
     u, gl, hess = _log_parts(jet)
     scale = geometry.inv_metric_scale(model, t, pts)
     hess_sq = scale**2 * sum_squares([h for row in hess for h in row])
@@ -77,19 +85,19 @@ def _log_parts(jet):
     return u, [c / u for c in jet.du], jet.hess
 
 
-def _cond1(sol, model, t, pts, jet):
+def _cond1(sol, t, pts, jet):
     """|grad(u log u)|^2 = (log u + 1)^2 |grad u|^2."""
     return (np.log(jet.u) + 1.0) ** 2 * sol.grad_norm_sq(t, pts, jet)
 
 
-def _cond2(sol, model, t, pts, jet):
+def _cond2(sol, t, pts, jet):
     """|grad(|grad u|^2 / u)|^2 via the log-jet.
 
     grad(u |grad log u|^2) = u (|grad log u|^2 grad log u
                                  + 2 hess log u (grad log u, .)).
     """
     u, gl, hess = _log_parts(jet)
-    scale = geometry.inv_metric_scale(model, t, pts)
+    scale = geometry.inv_metric_scale(sol.model, t, pts)
     gl_sq = scale * sum_squares(gl)
     w = [
         u * (gl_sq * g + 2.0 * (_row_times(row, gl) * scale))
@@ -109,7 +117,7 @@ def _row_times(row, v):
     return sum(p[1:], p[0])
 
 
-def _cond0a(sol, model, t, pts, jet):
+def _cond0a(sol, t, pts, jet):
     return sol.grad_norm_sq(t, pts, jet)
 
 
@@ -118,12 +126,11 @@ _READS_HESS = frozenset({_second_variation, _cond2})
 
 @dataclass(frozen=True)
 class JetIntegrand:
-    """One entropy integrand: ``formula(sol, model, t, pts, jet)`` of the
-    solution's log jet at the points.  Called alone, it is a one-integrand
-    `JetIntegrands`."""
+    """One entropy integrand: ``formula(sol, t, pts, jet)`` of the
+    solution's log jet at the points, on the solution's model.  Called
+    alone, it is a one-integrand `JetIntegrands`."""
 
     sol: SolutionField
-    model: geometry.MetricModel
     formula: object
 
     def __call__(self, t, pts):
@@ -173,72 +180,84 @@ class JetIntegrands(quadrature.Integrands):
             jet = sol.log_jet(t, pts, hess=not reads.isdisjoint(_READS_HESS), **shared)
         for col in (jet.u, *jet.du, *(h for row in jet.hess or () for h in row)):
             col.flags.writeable = False
-        return tuple(reduce(f.formula(sol, f.model, t, pts, jet)) for f in self)
+        return tuple(reduce(f.formula(sol, t, pts, jet)) for f in self)
 
 
-def _integrands(sol, model, *formulas):
-    return JetIntegrands(JetIntegrand(sol, model, f) for f in formulas)
+def _integrands(sol, *formulas):
+    return JetIntegrands(JetIntegrand(sol, f) for f in formulas)
 
 
 def ulogu_integrand(sol):
-    return JetIntegrand(sol, sol.model, _ulogu)
+    return JetIntegrand(sol, _ulogu)
 
 
 def first_variation_integrand(sol):
-    return JetIntegrand(sol, sol.model, _first_variation)
+    return JetIntegrand(sol, _first_variation)
 
 
-def second_variation_integrand(sol, model=None):
-    return JetIntegrand(sol, model if model is not None else sol.model, _second_variation)
+def second_variation_integrand(sol):
+    return JetIntegrand(sol, _second_variation)
 
 
 def cond1_integrand(sol):
-    return JetIntegrand(sol, sol.model, _cond1)
+    return JetIntegrand(sol, _cond1)
 
 
-def cond2_integrand(sol, model=None):
-    return JetIntegrand(sol, model if model is not None else sol.model, _cond2)
+def cond2_integrand(sol):
+    return JetIntegrand(sol, _cond2)
 
 
 def cond0a_integrand(sol):
-    return JetIntegrand(sol, sol.model, _cond0a)
+    return JetIntegrand(sol, _cond0a)
 
 
 # ---------------------------------------------------------------------------
 # pointwise functionals
 
 
-def entropy_q(sol, kernel, model, t, level=None) -> float:
+def _same_model(sol, target):
+    """Refuse a kernel or ensemble on another model than the solution's."""
+    if target.model != sol.model:
+        what = "ensemble" if isinstance(target, PathEnsemble) else "kernel"
+        raise ValueError(
+            f"the solution lives on {sol.model!r} but the {what} on {target.model!r}"
+        )
+
+
+def entropy_q(sol, kernel, t, level=None) -> float:
     """Quadrature value of the entropy at time t (requires t > 0)."""
+    _same_model(sol, kernel)
     return quadrature.kernel_integral(
-        ulogu_integrand(sol), kernel, model, t,
+        ulogu_integrand(sol), kernel, t,
         growth=shared_growth(sol), level=level, what="entropy",
     )
 
 
 def entropy_mc(sol, ensemble: PathEnsemble, t) -> ExpectResult:
     """Monte Carlo estimate of the entropy at a recorded snapshot time."""
+    _same_model(sol, ensemble)
     return expect(ensemble, sol.ulogu, AtTime(t))
 
 
-def entropy_prime(sol, target, t, model=None, level=None):
+def entropy_prime(sol, target, t, level=None):
     """First variation; quadrature against a kernel or MC over an ensemble."""
+    _same_model(sol, target)
     if isinstance(target, PathEnsemble):
         return expect(target, sol.grad_term, AtTime(t))
-    model = model if model is not None else sol.model
     return quadrature.kernel_integral(
-        first_variation_integrand(sol), target, model, t,
+        first_variation_integrand(sol), target, t,
         growth=shared_growth(sol), level=level, what="first variation",
     )
 
 
-def entropy_second(sol, model, target, t, level=None):
+def entropy_second(sol, target, t, level=None):
     """Second variation; nonnegative whenever dg/dt <= 2 Ric pointwise."""
-    f = second_variation_integrand(sol, model)
+    _same_model(sol, target)
+    f = second_variation_integrand(sol)
     if isinstance(target, PathEnsemble):
         return expect(target, f, AtTime(t))
     return quadrature.kernel_integral(
-        f, target, model, t,
+        f, target, t,
         growth=shared_growth(sol), level=level, what="second variation",
     )
 
@@ -260,19 +279,22 @@ class ConditionReport:
         return not (self.cond1_divergent or self.cond2_divergent or self.cond0a_divergent)
 
 
-def conditions(sol, kernel, model, t) -> ConditionReport:
+def conditions(sol, kernel, t) -> ConditionReport:
     """Refine the three condition integrals, recording divergence as a value.
 
     The three share one grid and one solution jet per refinement level
     (with the Hessian only while cond2 is refining); each stops at its own.
     """
+    _same_model(sol, kernel)
+    return _conditions(sol, kernel, t)
+
+
+def _conditions(sol, kernel, t):
     vals = {}
     flags = {}
     tables = {}
-    integrands = _integrands(sol, model, _cond1, _cond2, _cond0a)
-    refs = quadrature.refine_expectations(
-        integrands, kernel, model, t, growth=shared_growth(sol)
-    )
+    integrands = _integrands(sol, _cond1, _cond2, _cond0a)
+    refs = quadrature.refine_expectations(integrands, kernel, t, growth=shared_growth(sol))
     for name, ref in zip(("cond1", "cond2", "cond0a"), refs):
         tables[name] = ref.values
         if ref.converged:
@@ -300,13 +322,14 @@ class GapResult:
     midpoint_stderr: float
 
 
-def submartingale_gap(sol, model, ensemble: PathEnsemble, t) -> GapResult:
+def submartingale_gap(sol, ensemble: PathEnsemble, t) -> GapResult:
     """Gap of N_s = (t-s) |grad u|^2/u (s, X_s) + (u log u)(s, X_s).
 
     Nonnegative within Monte Carlo error when the evolution satisfies
     dg/dt <= 2 Ric and the condition integrals are finite.
     """
-    _warn_if_super_ricci_fails(model, ensemble.x, (0.0, t / 2.0, t))
+    _same_model(sol, ensemble)
+    _warn_if_super_ricci_fails(sol.model, ensemble.x, (0.0, t / 2.0, t))
     x = ensemble.x[None, :]
     n0 = t * float(sol.grad_term(0.0, x)[0]) + float(sol.ulogu(0.0, x)[0])
     end = expect(ensemble, sol.ulogu, AtTime(t))
@@ -400,17 +423,18 @@ def _write_text(path, text):
 
 def entropy_curve(
     sol,
-    model,
-    kernel,
+    target,
     t_grid,
-    method="quadrature",
-    ensemble=None,
     level=DEFAULT_CURVE_LEVEL,
     with_conditions=True,
 ) -> EntropyCurve:
-    """Tabulate E, E', E'' over a time grid by one method.
+    """Tabulate E, E', E'' over a time grid, against a kernel or an ensemble.
 
-    Condition integrals are always evaluated by refinement quadrature.
+    The target's type picks the method, as in `entropy_prime`: quadrature
+    against a heat kernel, Monte Carlo over a path ensemble (whose snapshots
+    must hold every time of the grid).  Condition integrals are evaluated by
+    refinement quadrature, so they need a kernel: asking for them with an
+    ensemble raises ValueError.
     The quadrature entries use a fixed refinement level so the curve is a
     smooth deterministic function of t.  E, E' and E'' of one time share its
     grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
@@ -420,6 +444,10 @@ def entropy_curve(
     that depend on them alone, once for all times
     (`quadrature.curve_expectations`) and drops them on return.
     """
+    _same_model(sol, target)
+    monte_carlo = isinstance(target, PathEnsemble)
+    if monte_carlo and with_conditions:
+        raise ValueError("the condition integrals need a kernel, not an ensemble")
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
     E = np.empty(n)
@@ -434,25 +462,21 @@ def entropy_curve(
     d1 = np.zeros(n, dtype=bool)
     d2 = np.zeros(n, dtype=bool)
     d0 = np.zeros(n, dtype=bool)
-    row = _integrands(sol, model, _ulogu, _first_variation, _second_variation)
-    if method == "quadrature":
-        rows = quadrature.curve_expectations(
-            row, kernel, model, t_grid, level, shared_growth(sol)
-        )
-        for i, values in enumerate(rows):
-            E[i], Ep[i], Es[i] = values
-    elif method == "monte-carlo":
-        if ensemble is None:
-            raise ValueError("monte-carlo curves need an ensemble")
+    row = _integrands(sol, _ulogu, _first_variation, _second_variation)
+    if monte_carlo:
+        method = "monte-carlo"
         for i, t in enumerate(t_grid):
             (E[i], Ese[i]), (Ep[i], Epse[i]), (Es[i], Esse[i]) = row.reduce_columns(
-                t, ensemble.state_at(t), mean_stderr
+                t, target.state_at(t), mean_stderr
             )
     else:
-        raise ValueError(f"unknown method {method!r}")
+        method = "quadrature"
+        rows = quadrature.curve_expectations(row, target, t_grid, level, shared_growth(sol))
+        for i, values in enumerate(rows):
+            E[i], Ep[i], Es[i] = values
     if with_conditions:
         for i, t in enumerate(t_grid):
-            rep = conditions(sol, kernel, model, t)
+            rep = _conditions(sol, target, t)
             c1[i], c2[i], c0[i] = rep.cond1, rep.cond2, rep.cond0a
             d1[i], d2[i], d0[i] = (
                 rep.cond1_divergent, rep.cond2_divergent, rep.cond0a_divergent,
@@ -517,6 +541,9 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
     The exhaustion value at each t is reported as the largest-domain entry
     together with a plateau flag instead of an extrapolated limit.
     """
+    _same_model(sol, ensemble)
+    if not domains:
+        raise ValueError("local entropies need at least one domain")
     t_grid = np.asarray(t_grid, dtype=float)
     m, n = len(domains), t_grid.size
     means = np.empty((m, n))
@@ -574,6 +601,7 @@ def grad_term_exit_diagnostic(sol, ensemble, domains, t):
     submartingale property; reported as a diagnostic sequence only, with
     no pass/fail attached, since a finite ensemble cannot certify a liminf.
     """
+    _same_model(sol, ensemble)
     out = []
     for dom in domains:
         rec = ensemble.exit_records(dom)
@@ -598,6 +626,7 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     a trapezoid over the recorded snapshots, with an exact partial cell up
     to the exit time using the stored exit state.  Zero in expectation.
     """
+    _same_model(sol, ensemble)
     rec = ensemble.exit_records(domain)
     times = [s for s in ensemble.times if s <= t + 1e-12]
     n = ensemble.n_paths
@@ -626,14 +655,15 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     return mean_stderr(resid)
 
 
-def along_path_second_identity(sol, model, ensemble, t):
+def along_path_second_identity(sol, ensemble, t):
     """Residual of the along-path form of the E'' identity (no stopping).
 
     Per path: G(t, X_t) - G(0, x) - int_0^t Psi(s, X_s) ds where Psi is the
     second-variation integrand; zero in expectation on compact models when
     no stopping occurs.
     """
-    psi = second_variation_integrand(sol, model)
+    _same_model(sol, ensemble)
+    psi = second_variation_integrand(sol)
     times = [s for s in ensemble.times if s <= t + 1e-12]
     n = ensemble.n_paths
     integral = np.zeros(n)

@@ -52,6 +52,10 @@ ANALYSES = (
     "divergence",
 )
 
+# the settings `run` lets a caller override (the CLI's --paths, --dt, --seed
+# and --refine)
+OVERRIDE_KEYS = ("paths", "dt", "seed", "refine")
+
 _KEY_ORDER = (
     "id", "model", "window.min", "window.max", "solution", "kernel", "x",
     "t.min", "t.max", "t.count", "t.spacing",
@@ -272,6 +276,11 @@ class Scenario:
         unknown = set(self.analyses) - set(ANALYSES)
         if unknown:
             raise ConfigError(f"scenario {self.id!r}: unknown analyses {sorted(unknown)}")
+        if not (math.isfinite(self.bounds_delta) and self.bounds_delta > 0):
+            raise ConfigError(
+                f"scenario {self.id!r}: bounds.delta must be positive and finite, "
+                f"got {self.bounds_delta!r}"
+            )
         if self.mc is not None:
             self.mc.validate_against(built_model)
         _ = sol
@@ -379,6 +388,11 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
         scenario = load_scenario(scenario)
     level = DEFAULT_CURVE_LEVEL
     if overrides:
+        unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown override keys {unknown}; the keys are {list(OVERRIDE_KEYS)}"
+            )
         scenario = _apply_overrides(scenario, overrides)
         level = _whole("refine", overrides.get("refine", level))
         if level < 0:
@@ -420,15 +434,13 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
         with _timed(clocks, "entropy-curve"):
             with_conds = "conditions" in scenario.analyses
             curve = entropy.entropy_curve(
-                sol, model, kern, t_grid, method="quadrature",
-                level=level, with_conditions=with_conds,
+                sol, kern, t_grid, level=level, with_conditions=with_conds
             )
             curve.to_csv(outdir / "entropy.csv")
             outputs.append("entropy.csv")
             if ensemble is not None:
                 mc_curve = entropy.entropy_curve(
-                    sol, model, kern, _mc_times(t_grid, ensemble),
-                    method="monte-carlo", ensemble=ensemble,
+                    sol, ensemble, _mc_times(t_grid, ensemble),
                     level=level, with_conditions=False,
                 )
                 mc_curve.to_csv(outdir / "entropy_mc.csv")
@@ -452,9 +464,9 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     t_ref = float(t_grid[len(t_grid) // 2])
     if "bounds" in scenario.analyses:
         with _timed(clocks, "bounds"):
-            gb = analysis.gradient_entropy_check(sol, model, kern, x, t_ref, level=level)
+            gb = analysis.gradient_entropy_check(sol, kern, x, t_ref, level=level)
             cb = analysis.corollary_bounds(
-                sol, model, x, t_ref, scenario.bounds_delta, kernel=kern, level=level
+                sol, x, t_ref, scenario.bounds_delta, kernel=kern, level=level
             )
             report["bounds"] = {
                 "t": t_ref,
@@ -466,9 +478,9 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
         with _timed(clocks, "classify"):
             if curve is None:
                 curve = entropy.entropy_curve(
-                    sol, model, kern, t_grid, level=level, with_conditions=False
+                    sol, kern, t_grid, level=level, with_conditions=False
                 )
-            sup_grad = _sup_grad_sample(sol, model, kern, t_grid, level)
+            sup_grad = _sup_grad_sample(sol, kern, t_grid, level)
             ok = _super_ricci_verified(model, x, t_grid)
             rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
             d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
@@ -485,7 +497,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     if "rigidity" in scenario.analyses:
         with _timed(clocks, "rigidity"):
             rep = analysis.rigidity_check(
-                model, sol, x, t_grid[:: max(1, len(t_grid) // 8)],
+                sol, x, t_grid[:: max(1, len(t_grid) // 8)],
                 _default_ygrid(model), kernel=kern, level=level,
             )
             report["rigidity"] = _jsonable(asdict(rep))
@@ -558,11 +570,11 @@ def _default_ygrid(model):
     raise ValueError(model.kind)
 
 
-def _sup_grad_sample(sol, model, kern, t_grid, level):
+def _sup_grad_sample(sol, kern, t_grid, level):
     worst = 0.0
     for t in (t_grid[0], t_grid[-1]):
         pts, _ = quadrature.build_grid(
-            model, kern.base_point, t, level=min(level, 1),
+            kern.model, kern.base_point, t, level=min(level, 1),
             growth=entropy.shared_growth(sol),
         )
         worst = max(worst, float(np.max(sol.grad_term(t, pts))))

@@ -210,12 +210,13 @@ def parse_kernel(spec: str, model: MetricModel, x) -> HeatKernelField:
     raise ValueError(f"unknown kernel id {spec!r}")
 
 
-def adjoint_residual(kernel: HeatKernelField, model: MetricModel, t, y) -> float:
-    """|dp/dt - Lap p + (1/2) tr(dg/dt) p| at (t, y).
+def adjoint_residual(kernel: HeatKernelField, t, y) -> float:
+    """|dp/dt - Lap p + (1/2) tr(dg/dt) p| at (t, y), on the kernel's model.
 
     The space part is analytic per kernel family; the time derivative is a
     central finite difference, so the check is not a tautology.
     """
+    model = kernel.model
     model.check_time(t)
     y = model.check_point(y)
     pts = y[None, :]
@@ -231,10 +232,11 @@ def adjoint_residual(kernel: HeatKernelField, model: MetricModel, t, y) -> float
     return abs(dpdt - lap + 0.5 * tr * p_at(t))
 
 
-def kernel_mass(kernel: HeatKernelField, model: MetricModel, t, level=None) -> float:
-    """Quadrature of the kernel against the evolving volume; expected 1."""
+def kernel_mass(kernel: HeatKernelField, t, level=None) -> float:
+    """Quadrature of the kernel against its model's evolving volume;
+    expected 1."""
 
     def one(tt, pts):
         return np.ones(pts.shape[0])
 
-    return quadrature.kernel_integral(one, kernel, model, t, level=level, what="kernel mass")
+    return quadrature.kernel_integral(one, kernel, t, level=level, what="kernel mass")

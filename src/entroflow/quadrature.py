@@ -18,8 +18,14 @@ bit-reproducible.  Refinement stops on stabilization, or declares the
 integral divergent when three successive refinements each grow the value
 by more than 10%.
 
+The integrals take the heat kernel and build their grid on the kernel's
+model (``kernel.model``) about the kernel's base point; none takes a model
+of its own, so the grid and the density cannot come from two different
+manifolds.  `build_grid` alone takes a model: the model is what it builds
+for.
+
 The grid, its volume weights and the kernel density at the nodes depend
-on the kernel, model, time and level but on no integrand, so
+on the kernel, time and level but on no integrand, so
 `kernel_expectations` builds them once for several integrands (E, E' and
 E'' of one time step, or the integrals still refining at one level) and
 drops them on return: building the grid, and above all summing the
@@ -267,7 +273,7 @@ def _check_grid(model, x, t, level):
     return model.check_point(x)
 
 
-def curve_expectations(fs, kernel, model, ts, level=0, growth=0.0, **grid_opts):
+def curve_expectations(fs, kernel, ts, level=0, growth=0.0, **grid_opts):
     """`kernel_expectations` at each time of ``ts``: one tuple per time.
 
     Where the nodes do not move with t (circle, sphere) the curve builds
@@ -278,7 +284,7 @@ def curve_expectations(fs, kernel, model, ts, level=0, growth=0.0, **grid_opts):
     own `kernel_expectation` call bit for bit.
     """
     fs = fs if isinstance(fs, Integrands) else Integrands(fs)
-    x = kernel.base_point
+    model, x = kernel.model, kernel.base_point
     reweigh = _WEIGHTS_OF_FIXED_NODES.get(model.kind)
     nodes = None  # (pts, terms) of the last grid built
     rows = []
@@ -302,7 +308,7 @@ def _reduce(dens, w, col):
     return float(np.dot(np.asarray(col, dtype=float) * dens, w))
 
 
-def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
+def kernel_expectations(fs, kernel, t, level=0, growth=0.0, **grid_opts):
     """Single-level quadrature of each integrand against the kernel measure.
 
     ``fs`` is a sequence of integrands or an `Integrands` tuple.  The grid
@@ -311,18 +317,17 @@ def kernel_expectations(fs, kernel, model, t, level=0, growth=0.0, **grid_opts):
     `kernel_expectation` bit for bit.  It is the one-time case of
     `curve_expectations`.
     """
-    return curve_expectations(fs, kernel, model, (t,), level, growth, **grid_opts)[0]
+    return curve_expectations(fs, kernel, (t,), level, growth, **grid_opts)[0]
 
 
-def kernel_expectation(f, kernel, model, t, level=0, growth=0.0, **grid_opts):
+def kernel_expectation(f, kernel, t, level=0, growth=0.0, **grid_opts):
     """Single-level quadrature of f against the kernel measure."""
-    return kernel_expectations((f,), kernel, model, t, level, growth, **grid_opts)[0]
+    return kernel_expectations((f,), kernel, t, level, growth, **grid_opts)[0]
 
 
 def refine_expectation(
     f,
     kernel,
-    model,
     t,
     growth=0.0,
     levels=None,
@@ -330,13 +335,12 @@ def refine_expectation(
     atol=1e-12,
 ) -> Refinement:
     """Refine until stabilization or until the divergence rule fires."""
-    return refine_expectations((f,), kernel, model, t, growth, levels, rtol, atol)[0]
+    return refine_expectations((f,), kernel, t, growth, levels, rtol, atol)[0]
 
 
 def refine_expectations(
     fs,
     kernel,
-    model,
     t,
     growth=0.0,
     levels=None,
@@ -350,7 +354,7 @@ def refine_expectations(
     integrand is still refining.
     """
     if levels is None:
-        levels = range(7) if model.kind == geometry.PUNCTURED_3 else range(5)
+        levels = range(7) if kernel.model.kind == geometry.PUNCTURED_3 else range(5)
     levels = tuple(levels)
     if not levels:
         raise ValueError("refinement needs at least one level")
@@ -363,7 +367,7 @@ def refine_expectations(
         if not live:
             break
         live_fs = type(fs)(fs[i] for i in live)
-        got = kernel_expectations(live_fs, kernel, model, t, level, growth)
+        got = kernel_expectations(live_fs, kernel, t, level, growth)
         for i, v in zip(live, got):
             vals = values[i]
             vals.append(v)
@@ -382,11 +386,11 @@ def refine_expectations(
     )
 
 
-def kernel_integral(f, kernel, model, t, growth=0.0, level=None, what="integral"):
+def kernel_integral(f, kernel, t, growth=0.0, level=None, what="integral"):
     """Refined integral; raises QuadratureDivergence when it cannot settle."""
     if level is not None:
-        return kernel_expectation(f, kernel, model, t, level=level, growth=growth)
-    ref = refine_expectation(f, kernel, model, t, growth=growth)
+        return kernel_expectation(f, kernel, t, level=level, growth=growth)
+    ref = refine_expectation(f, kernel, t, growth=growth)
     if ref.converged:
         return ref.value
     raise QuadratureDivergence(

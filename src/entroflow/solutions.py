@@ -587,7 +587,7 @@ def backward_residual(sol: SolutionField, t, y) -> float:
     return abs(jet.du_dt + jet.laplacian_u)
 
 
-def bochner_identities(sol: SolutionField, model, t, y, h_space=None):
+def bochner_identities(sol: SolutionField, t, y, h_space=None):
     """Residuals of the two pointwise evolution identities behind E' and E''.
 
     residual1 checks (d/dt + Lap)(u log u) = |grad u|^2 / u,
@@ -598,9 +598,9 @@ def bochner_identities(sol: SolutionField, model, t, y, h_space=None):
     Laplacians of analytically evaluated fields (second identity); time
     derivatives are always finite differences, so both checks exercise the
     time-dependence of the metric rather than cancelling symbolically.
+    The metric is the solution's model.
     """
-    if model is None:
-        model = sol.model
+    model = sol.model
     model.check_time(t)
     y = model.check_point(y)
     pts = y[None, :]

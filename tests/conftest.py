@@ -67,6 +67,23 @@ def circle_ensemble(circle_model):
 
 
 @pytest.fixture(scope="session")
+def static_circle_model():
+    """circle_model without its shrinking: the same window, c(t) = 1."""
+    return geometry.circle(1.0, 0.0, time_window=(0.0, 1.25))
+
+
+@pytest.fixture(scope="session")
+def static_circle_kernel(static_circle_model):
+    return kernels.WrappedGaussianKernel(np.array([0.0]), static_circle_model)
+
+
+@pytest.fixture(scope="session")
+def static_circle_ensemble(static_circle_model):
+    cfg = SdeConfig(dt=1e-2, n_paths=64, seed=0xC0FFEE)
+    return stochastic.simulate(static_circle_model, [0.0], 1.0, cfg, record_times=[0.5, 1.0])
+
+
+@pytest.fixture(scope="session")
 def sphere_ensemble(sphere_model):
     cfg = SdeConfig(dt=1e-3, n_paths=10_000, seed=0xC0FFEE)
     return stochastic.simulate(

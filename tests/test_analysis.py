@@ -20,25 +20,23 @@ from entroflow.errors import InsufficientCurve
 from entroflow.solutions import Constant, ExponentialLine, SumOfExponentialsLine
 
 
-def _curve(sol, model, kernel, t_lo=0.25, t_hi=4.0, n=16):
-    return entropy_curve(
-        sol, model, kernel, np.geomspace(t_lo, t_hi, n), with_conditions=False
-    )
+def _curve(sol, kernel, t_lo=0.25, t_hi=4.0, n=16):
+    return entropy_curve(sol, kernel, np.geomspace(t_lo, t_hi, n), with_conditions=False)
 
 
 # --- growth classification -----------------------------------------------------
 
 
 def test_constant_classification(line_model, line_kernel):
-    curve = _curve(Constant(5.0, line_model), line_model, line_kernel)
+    curve = _curve(Constant(5.0, line_model), line_kernel)
     rep = classify_growth(curve, sup_grad_sample=0.0, super_ricci_ok=True)
     assert rep.growth_class == GROWTH_CONSTANT
     assert rep.theta == pytest.approx(0.0, abs=1e-12)
     assert not rep.inconsistent
 
 
-def test_linear_classification_eternal(line_model, line_sol, line_kernel):
-    rep = classify_growth(_curve(line_sol, line_model, line_kernel), super_ricci_ok=True)
+def test_linear_classification_eternal(line_sol, line_kernel):
+    rep = classify_growth(_curve(line_sol, line_kernel), super_ricci_ok=True)
     assert rep.growth_class == GROWTH_LINEAR
     assert rep.theta == pytest.approx(1.0, abs=1e-9)
     assert rep.slope == pytest.approx(1.0, abs=1e-6)
@@ -48,7 +46,7 @@ def test_linear_classification_eternal(line_model, line_sol, line_kernel):
 @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 1.0)])
 def test_linear_classification_general(a, b, line_model, line_kernel):
     sol = ExponentialLine(a, b, line_model)
-    rep = classify_growth(_curve(sol, line_model, line_kernel), super_ricci_ok=True)
+    rep = classify_growth(_curve(sol, line_kernel), super_ricci_ok=True)
     assert rep.growth_class == GROWTH_LINEAR
     assert rep.slope == pytest.approx(a * b * b, abs=1e-6)
 
@@ -56,27 +54,27 @@ def test_linear_classification_general(a, b, line_model, line_kernel):
 def test_theta_scales_with_amplitude(line_model, line_kernel):
     # replacing u by a*u multiplies the long-time slope by a
     base = classify_growth(
-        _curve(ExponentialLine(1.0, 1.0, line_model), line_model, line_kernel)
+        _curve(ExponentialLine(1.0, 1.0, line_model), line_kernel)
     ).theta
     tripled = classify_growth(
-        _curve(ExponentialLine(3.0, 1.0, line_model), line_model, line_kernel)
+        _curve(ExponentialLine(3.0, 1.0, line_model), line_kernel)
     ).theta
     assert tripled == pytest.approx(3.0 * base, rel=1e-9)
 
 
-def test_spectral_modes_grow_superlinearly(circle_model, circle_sol, circle_kernel):
-    curve = _curve(circle_sol, circle_model, circle_kernel, 0.125, 1.25, 12)
+def test_spectral_modes_grow_superlinearly(circle_sol, circle_kernel):
+    curve = _curve(circle_sol, circle_kernel, 0.125, 1.25, 12)
     rep = classify_growth(curve, super_ricci_ok=True)
     assert rep.growth_class == GROWTH_SUPERLINEAR
     assert rep.theta_infinite
     assert not rep.inconsistent
 
 
-def test_insufficient_curve(line_model, line_sol, line_kernel):
+def test_insufficient_curve(line_sol, line_kernel):
     with pytest.raises(InsufficientCurve):
-        classify_growth(_curve(line_sol, line_model, line_kernel, 1.0, 2.0, 8))
+        classify_growth(_curve(line_sol, line_kernel, 1.0, 2.0, 8))
     with pytest.raises(InsufficientCurve):
-        classify_growth(_curve(line_sol, line_model, line_kernel, 0.25, 4.0, 4))
+        classify_growth(_curve(line_sol, line_kernel, 0.25, 4.0, 4))
 
 
 # --- separation ------------------------------------------------------------------
@@ -122,30 +120,30 @@ def test_static_solution_separates_on_punctured_space():
 # --- gradient-entropy bounds ------------------------------------------------------
 
 
-def test_gradient_bound_saturates(line_model, line_sol, line_kernel):
-    gb = gradient_entropy_check(line_sol, line_model, line_kernel, [0.0], 1.0, level=2)
+def test_gradient_bound_saturates(line_sol, line_kernel):
+    gb = gradient_entropy_check(line_sol, line_kernel, [0.0], 1.0, level=2)
     assert gb.lhs == pytest.approx(1.0, abs=1e-12)
     assert gb.rhs == pytest.approx(1.0, abs=1e-8)
     assert gb.holds
 
 
 def test_gradient_bound_trivial_for_constants(line_model, line_kernel):
-    gb = gradient_entropy_check(Constant(1.0, line_model), line_model, line_kernel, [0.0], 1.0)
+    gb = gradient_entropy_check(Constant(1.0, line_model), line_kernel, [0.0], 1.0)
     assert gb.lhs == 0.0
     assert gb.rhs == pytest.approx(0.0, abs=1e-12)
     assert gb.holds
 
 
-def test_gradient_bound_strict_on_circle(circle_model, circle_sol, circle_kernel):
+def test_gradient_bound_strict_on_circle(circle_sol, circle_kernel):
     gb = gradient_entropy_check(
-        circle_sol, circle_model, circle_kernel, [0.0], 0.5, level=2
+        circle_sol, circle_kernel, [0.0], 0.5, level=2
     )
     assert gb.holds
     assert gb.lhs < gb.rhs  # base point at the flat spot of the mode
 
 
-def test_delta_bound_equality_case(line_model, line_sol, line_kernel):
-    cb = corollary_bounds(line_sol, line_model, [0.0], 1.0, 1.0, kernel=line_kernel, level=2)
+def test_delta_bound_equality_case(line_sol, line_kernel):
+    cb = corollary_bounds(line_sol, [0.0], 1.0, 1.0, kernel=line_kernel, level=2)
     assert cb.delta_lhs == pytest.approx(1.0, abs=1e-12)
     assert cb.delta_rhs == pytest.approx(1.0, abs=1e-8)
     assert cb.delta_bound_holds
@@ -156,16 +154,16 @@ def test_delta_bound_equality_case(line_model, line_sol, line_kernel):
 
 def test_bounds_trivial_for_constants(line_model, line_kernel):
     cb = corollary_bounds(
-        Constant(2.0, line_model), line_model, [0.0], 1.0, 0.7, kernel=line_kernel
+        Constant(2.0, line_model), [0.0], 1.0, 0.7, kernel=line_kernel
     )
     assert cb.delta_bound_holds
     assert not cb.sup_unbounded
     assert cb.sup_bound_holds
 
 
-def test_bounds_on_compact_circle(circle_model, circle_sol, circle_kernel):
+def test_bounds_on_compact_circle(circle_sol, circle_kernel):
     cb = corollary_bounds(
-        circle_sol, circle_model, [0.0], 1.0, 0.5, kernel=circle_kernel, level=2
+        circle_sol, [0.0], 1.0, 0.5, kernel=circle_kernel, level=2
     )
     assert cb.delta_bound_holds
     assert not cb.sup_unbounded
@@ -181,7 +179,7 @@ def test_rigidity_antecedent_false_on_static_circle():
     sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], model)
     kern = kernels.WrappedGaussianKernel(np.array([0.0]), model)
     rep = rigidity_check(
-        model, sol, [0.0], np.geomspace(0.2, 1.2, 6),
+        sol, [0.0], np.geomspace(0.2, 1.2, 6),
         np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=kern,
     )
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
@@ -192,7 +190,7 @@ def test_rigidity_antecedent_false_on_static_circle():
 def test_rigidity_holds_for_constant_on_shrinking_circle(circle_model, circle_kernel):
     sol = Constant(3.0, circle_model)
     rep = rigidity_check(
-        circle_model, sol, [0.0], np.geomspace(0.2, 1.2, 6),
+        sol, [0.0], np.geomspace(0.2, 1.2, 6),
         np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=circle_kernel,
     )
     assert rep.min_margin > 0
@@ -201,10 +199,10 @@ def test_rigidity_holds_for_constant_on_shrinking_circle(circle_model, circle_ke
     assert rep.consistent
 
 
-def test_rigidity_sharpness_on_the_flat_line(line_model, line_sol, line_kernel):
+def test_rigidity_sharpness_on_the_flat_line(line_sol, line_kernel):
     # gap matrix vanishes identically: linear entropy is permitted
     rep = rigidity_check(
-        line_model, line_sol, [0.0], np.geomspace(0.25, 2.0, 6),
+        line_sol, [0.0], np.geomspace(0.25, 2.0, 6),
         np.linspace(-1, 1, 9)[:, None], kernel=line_kernel,
     )
     assert not rep.antecedent
@@ -219,7 +217,7 @@ def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle
     # which it is not, so the report stays consistent
     sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle_model)
     rep = rigidity_check(
-        circle_model, sol, [0.0], np.geomspace(0.2, 1.2, 8),
+        sol, [0.0], np.geomspace(0.2, 1.2, 8),
         np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=circle_kernel,
     )
     assert rep.antecedent
@@ -254,14 +252,14 @@ def test_divergence_demo_equals_separate_integrals_bit_for_bit():
     sol = solutions.RadialHarmonic3(model)
     kernel = kernels.GaussianKernel(x, model)
     for lv in range(3):
-        e = quadrature.kernel_expectation(ulogu_integrand(sol), kernel, model, t, level=lv)
+        e = quadrature.kernel_expectation(ulogu_integrand(sol), kernel, t, level=lv)
         p = quadrature.kernel_expectation(
-            first_variation_integrand(sol), kernel, model, t, level=lv
+            first_variation_integrand(sol), kernel, t, level=lv
         )
         assert np.float64(rep.entropy_values[lv]).view(np.uint64) == np.float64(e).view(np.uint64)
         assert np.float64(rep.prime_values[lv]).view(np.uint64) == np.float64(p).view(np.uint64)
     tail = quadrature.kernel_expectation(
-        ulogu_integrand(sol), kernel, model, t, level=0, outer_scale=2.0
+        ulogu_integrand(sol), kernel, t, level=0, outer_scale=2.0
     )
     assert rep.tail_shift == abs(tail - rep.entropy_values[0])
 
@@ -294,3 +292,13 @@ def test_divergence_demo_refuses_bad_input():
         divergence_demo(0.0)
     with pytest.raises(ValueError, match="at least one level"):
         divergence_demo(1.0, levels=[])
+
+
+# --- corollary bounds ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0, 0.0])
+def test_corollary_bounds_refuse_a_bad_delta(line_sol, line_kernel, delta):
+    # delta = inf used to report delta_bound_holds with delta_rhs = inf
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        corollary_bounds(line_sol, [0.0], 1.0, delta, kernel=line_kernel)

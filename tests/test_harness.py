@@ -1,4 +1,5 @@
 import filecmp
+import json
 import math
 import os
 import re
@@ -55,6 +56,40 @@ def test_bundled_scenarios_all_parse():
     for name, path in paths.items():
         sc = load_scenario(path)
         assert parse_scenario(scenario_text(sc)) == sc
+
+
+# each bundled config's output files and analysis.json reports
+_BUNDLED_OUTPUTS = {
+    "circle_shrinking": (
+        {"entropy.csv", "entropy_mc.csv", "analysis.json"}, {"bounds", "rigidity"}
+    ),
+    "line_eternal": (
+        {"entropy.csv", "entropy_mc.csv", "local.csv", "analysis.json"},
+        {"local", "bounds", "classify", "separation"},
+    ),
+    "line_general_exponential": ({"entropy.csv", "analysis.json"}, {"classify", "separation"}),
+    "punctured_divergence": ({"analysis.json"}, {"divergence"}),
+    "sphere_ricci_flow": ({"entropy.csv", "analysis.json"}, {"bounds"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_OUTPUTS))
+def test_bundled_config_runs(name, tmp_path):
+    # every analysis branch of the run pipeline, rigidity and divergence
+    # included, at a small path count
+    files, reports = _BUNDLED_OUTPUTS[name]
+    manifest = run(bundled_scenarios()[name], tmp_path, overrides={"paths": 2000})
+    assert set(manifest.outputs) == files
+    report = json.loads((tmp_path / "analysis.json").read_text())
+    assert set(report) == {"scenario_id"} | reports
+    if "bounds" in reports:
+        assert report["bounds"]["gradient"]["holds"]
+        assert report["bounds"]["corollaries"]["delta_bound_holds"]
+    if "rigidity" in reports:
+        assert report["rigidity"]["consistent"]
+    if "divergence" in reports:
+        assert report["divergence"]["entropy_stable"]
+        assert report["divergence"]["prime_divergent"]
 
 
 def test_grammar_values():
@@ -166,7 +201,7 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          ValueError, "level must be a non-negative integer"),
         (lambda: quadrature.build_grid(geometry.line(), [0.0], 0.5, level=0.5),
          ValueError, "level must be a non-negative integer"),
-        (lambda: kernels.kernel_mass(_LINE_KERNEL, _LINE_KERNEL.model, 0.5, level=True),
+        (lambda: kernels.kernel_mass(_LINE_KERNEL, 0.5, level=True),
          ValueError, "level must be a non-negative integer"),
         # a bool is a number to Python; dt = True would step with dt = 1
         (lambda: stochastic.SdeConfig(dt=True, n_paths=10), ValueError, "dt must be"),
@@ -241,6 +276,17 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          ValueError, "need at least one mode"),
         # used to build a 2-dimensional space
         (lambda: geometry.space(2.5), ValueError, "needs a whole dimension >= 1"),
+        # -1 ran the earlier stages, then failed with a bare ValueError; 1e400
+        # reported the delta bound as holding against an infinite right side
+        (lambda: parse_scenario(MINIMAL + "bounds.delta = -1.0\n"),
+         ConfigError, "bounds.delta must be positive and finite"),
+        (lambda: parse_scenario(MINIMAL + "bounds.delta = 1e400\n"),
+         ConfigError, "bounds.delta must be positive and finite"),
+        # "path" used to run at the config's own path count; refused before
+        # the output directory is made
+        (lambda: run(parse_scenario(MC_BLOCK), Path(os.devnull) / "out",
+                     overrides={"path": 500}),
+         ConfigError, "unknown override keys ['path']"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
@@ -256,7 +302,8 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          "expline-inf", "expsum-nan", "circle-phase-inf", "circle-mode-fraction",
          "sphere-a0-nan", "sphere-amplitude-nan", "expsum-short-term", "radial3-param",
          "circle-spec-unbalanced", "sphere-spec-long", "circle-spec-no-modes",
-         "sphere-spec-no-modes", "space-fraction"],
+         "sphere-spec-no-modes", "space-fraction", "bounds-delta-negative",
+         "bounds-delta-inf", "override-unknown-key"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -15,22 +15,22 @@ from entroflow.kernels import (
 )
 
 
-def test_gaussian_mass_is_exact(line_model, line_kernel):
-    assert kernel_mass(line_kernel, line_model, 1.0) == pytest.approx(1.0, abs=1e-10)
+def test_gaussian_mass_is_exact(line_kernel):
+    assert kernel_mass(line_kernel, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gaussian_solves_static_heat_equation(line_model, line_kernel):
+def test_gaussian_solves_static_heat_equation(line_kernel):
     # dp/dt = Lap p on a static metric (tr dg/dt = 0)
-    assert adjoint_residual(line_kernel, line_model, 0.5, [1.0]) <= 1e-8
+    assert adjoint_residual(line_kernel, 0.5, [1.0]) <= 1e-8
 
 
-def test_wrapped_kernel_adjoint_equation(circle_model, circle_kernel):
-    assert adjoint_residual(circle_kernel, circle_model, 1.0, [2.0]) <= 1e-6
+def test_wrapped_kernel_adjoint_equation(circle_kernel):
+    assert adjoint_residual(circle_kernel, 1.0, [2.0]) <= 1e-6
 
 
-def test_sphere_kernel_adjoint_equation(sphere_model, sphere_kernel):
+def test_sphere_kernel_adjoint_equation(sphere_kernel):
     y = np.array([0.0, 0.6, 0.8])
-    assert adjoint_residual(sphere_kernel, sphere_model, 0.5, y) <= 1e-6
+    assert adjoint_residual(sphere_kernel, 0.5, y) <= 1e-6
 
 
 def test_wrapped_mass_against_brute_force_wrap_sum(circle_model, circle_kernel):
@@ -45,29 +45,28 @@ def test_wrapped_mass_against_brute_force_wrap_sum(circle_model, circle_kernel):
     dense /= np.sqrt(4 * np.pi * s)
     oracle = float(dense.mean() * 2 * np.pi)  # integral over dtheta
     assert oracle == pytest.approx(1.0, abs=1e-12)
-    assert kernel_mass(kern, model, t) == pytest.approx(1.0, abs=1e-8)
+    assert kernel_mass(kern, t) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_sphere_mass_only_constant_mode(sphere_model, sphere_kernel):
+def test_sphere_mass_only_constant_mode(sphere_kernel):
     # every l >= 1 harmonic integrates to zero, so the mass is the l = 0 term
     for t in (0.2, 0.7):
-        assert kernel_mass(sphere_kernel, sphere_model, t) == pytest.approx(
+        assert kernel_mass(sphere_kernel, t) == pytest.approx(
             1.0, abs=1e-8
         )
 
 
 @pytest.mark.parametrize("t", np.geomspace(0.1, 1.0, 5).tolist())
-def test_masses_on_log_grid(t, line_model, line_kernel, circle_model, circle_kernel,
-                            sphere_model, sphere_kernel):
-    assert kernel_mass(line_kernel, line_model, t) == pytest.approx(1.0, abs=1e-8)
-    assert kernel_mass(circle_kernel, circle_model, t) == pytest.approx(1.0, abs=1e-8)
-    assert kernel_mass(sphere_kernel, sphere_model, t) == pytest.approx(1.0, abs=1e-8)
+def test_masses_on_log_grid(t, line_kernel, circle_kernel, sphere_kernel):
+    assert kernel_mass(line_kernel, t) == pytest.approx(1.0, abs=1e-8)
+    assert kernel_mass(circle_kernel, t) == pytest.approx(1.0, abs=1e-8)
+    assert kernel_mass(sphere_kernel, t) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_gaussian_mass_in_three_dimensions():
     model = geometry.space(3)
     kern = GaussianKernel(np.zeros(3), model)
-    assert kernel_mass(kern, model, 0.5) == pytest.approx(1.0, abs=1e-9)
+    assert kernel_mass(kern, 0.5) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kernel_positivity_on_quadrature_nodes(circle_model, circle_kernel,
@@ -136,12 +135,12 @@ def test_every_catalog_model_parses_and_has_a_kernel(form):
     model = geometry.parse_model(spec)
     kern = canonical_kernel(model, _CATALOG_POINTS[model.kind])
     assert kern.model == model
-    assert kernel_mass(kern, model, 0.5) == pytest.approx(1.0, abs=1e-6)
+    assert kernel_mass(kern, 0.5) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mass_requires_positive_time(line_model, line_kernel):
+def test_mass_requires_positive_time(line_kernel):
     with pytest.raises(ValueError):
-        kernel_mass(line_kernel, line_model, 0.0)
+        kernel_mass(line_kernel, 0.0)
 
 
 def test_kernels_refuse_non_positive_times(line_kernel, circle_kernel, sphere_kernel):

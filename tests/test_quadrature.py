@@ -19,28 +19,28 @@ from entroflow.quadrature import (
 )
 
 
-def test_exponential_moments_against_closed_form(line_model, line_kernel):
+def test_exponential_moments_against_closed_form(line_kernel):
     # E[exp(bY)] = exp(b^2 t) for Y ~ N(0, 2t): the moment generating oracle
     for b in (0.5, 1.0, 2.0, 3.0):
         for t in (0.25, 1.0, 2.0):
             f = lambda tt, pts: np.exp(b * pts[:, 0])
-            got = kernel_integral(f, line_kernel, line_model, t, growth=b)
+            got = kernel_integral(f, line_kernel, t, growth=b)
             assert got == pytest.approx(math.exp(b * b * t), rel=1e-10)
 
 
-def test_polynomial_moments(line_model, line_kernel):
+def test_polynomial_moments(line_kernel):
     # E[Y^2] = 2t, E[Y^4] = 3 (2t)^2
     t = 0.7
-    got2 = kernel_integral(lambda tt, p: p[:, 0] ** 2, line_kernel, line_model, t)
-    got4 = kernel_integral(lambda tt, p: p[:, 0] ** 4, line_kernel, line_model, t)
+    got2 = kernel_integral(lambda tt, p: p[:, 0] ** 2, line_kernel, t)
+    got4 = kernel_integral(lambda tt, p: p[:, 0] ** 4, line_kernel, t)
     assert got2 == pytest.approx(2 * t, rel=1e-10)
     assert got4 == pytest.approx(3 * (2 * t) ** 2, rel=1e-10)
 
 
-def test_fixed_level_values_are_bit_reproducible(line_model, line_kernel):
+def test_fixed_level_values_are_bit_reproducible(line_kernel):
     f = lambda tt, pts: np.exp(pts[:, 0])
-    a = kernel_expectation(f, line_kernel, line_model, 0.5, level=1, growth=1.0)
-    b = kernel_expectation(f, line_kernel, line_model, 0.5, level=1, growth=1.0)
+    a = kernel_expectation(f, line_kernel, 0.5, level=1, growth=1.0)
+    b = kernel_expectation(f, line_kernel, 0.5, level=1, growth=1.0)
     assert a == b
 
 
@@ -49,12 +49,12 @@ def test_truncation_radius_covers_growth():
     assert truncation_radius(1.0, growth=2.0) == pytest.approx(4.0 + 16.0)
 
 
-def test_tail_control_under_radius_growth(line_model, line_kernel):
+def test_tail_control_under_radius_growth(line_kernel):
     # enlarging the box through a bigger growth parameter must not move a
     # mild integral
     f = lambda tt, pts: np.exp(pts[:, 0])
-    a = kernel_integral(f, line_kernel, line_model, 1.0, growth=1.0)
-    b = kernel_integral(f, line_kernel, line_model, 1.0, growth=3.0)
+    a = kernel_integral(f, line_kernel, 1.0, growth=1.0)
+    b = kernel_integral(f, line_kernel, 1.0, growth=3.0)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -62,10 +62,10 @@ def test_divergence_rule_fires_for_radial_first_variation():
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
-    ref = refine_expectation(first_variation_integrand(sol), kern, model, 1.0)
+    ref = refine_expectation(first_variation_integrand(sol), kern, 1.0)
     assert ref.divergent and not ref.converged
     with pytest.raises(QuadratureDivergence) as err:
-        kernel_integral(first_variation_integrand(sol), kern, model, 1.0)
+        kernel_integral(first_variation_integrand(sol), kern, 1.0)
     assert err.value.divergent
     assert len(err.value.levels) >= 4
 
@@ -74,7 +74,7 @@ def test_radial_entropy_integral_stabilizes():
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
-    ref = refine_expectation(ulogu_integrand(sol), kern, model, 1.0)
+    ref = refine_expectation(ulogu_integrand(sol), kern, 1.0)
     assert ref.converged
     spread = max(ref.values[:4]) - min(ref.values[:4])
     assert spread <= 1e-4
@@ -94,7 +94,7 @@ def test_punctured_shell_increment_matches_log_rate():
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
     t = 1.0
     vals = [
-        kernel_expectation(first_variation_integrand(sol), kern, model, t, level=lv)
+        kernel_expectation(first_variation_integrand(sol), kern, t, level=lv)
         for lv in range(3)
     ]
     rate = math.log(10.0) * 4 * math.pi * (4 * math.pi * t) ** -1.5 * math.exp(-0.25)
@@ -193,16 +193,16 @@ def _bundle(which, request):
 def test_node_set_gives_the_single_integral_bit_for_bit(which, grid_opts, request):
     # the integrands of one kernel_expectations call share its grid and
     # kernel density; each value must equal its own single-integral call
-    model, sol, kernel = _bundle(which, request)
+    _, sol, kernel = _bundle(which, request)
     fs = (ulogu_integrand(sol), first_variation_integrand(sol))
-    shared = kernel_expectations(fs, kernel, model, 0.5, 1, 2.0, **grid_opts)
+    shared = kernel_expectations(fs, kernel, 0.5, 1, 2.0, **grid_opts)
     assert len(shared) == len(fs)
     for f, got in zip(fs, shared):
-        alone = kernel_expectation(f, kernel, model, 0.5, level=1, growth=2.0, **grid_opts)
+        alone = kernel_expectation(f, kernel, 0.5, level=1, growth=2.0, **grid_opts)
         assert np.float64(got).view(np.uint64) == np.float64(alone).view(np.uint64)
 
 
-def test_shared_nodes_are_read_only(line_model, line_kernel):
+def test_shared_nodes_are_read_only(line_kernel):
     # an integrand cannot change the nodes the next integrand sees
     def scribble(tt, pts):
         pts[0, 0] = 0.0
@@ -210,7 +210,7 @@ def test_shared_nodes_are_read_only(line_model, line_kernel):
 
     one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
     with pytest.raises(ValueError, match="read-only"):
-        kernel_expectations((one, scribble), line_kernel, line_model, 0.5)
+        kernel_expectations((one, scribble), line_kernel, 0.5)
 
 
 def test_quadrature_refuses_non_positive_times(line_model, line_kernel, circle_model,
@@ -228,20 +228,20 @@ def test_quadrature_refuses_non_positive_times(line_model, line_kernel, circle_m
         with pytest.raises(ValueError, match="t > 0"):
             build_grid(model, kern.base_point, 0.0)
         with pytest.raises(ValueError, match="t > 0"):
-            kernel_expectations((one, one), kern, model, 0.0)
+            kernel_expectations((one, one), kern, 0.0)
         with pytest.raises(ValueError, match="t > 0"):
-            refine_expectation(one, kern, model, 0.0)
+            refine_expectation(one, kern, 0.0)
 
 
-def test_refinement_refuses_an_empty_level_list(line_model, line_kernel):
+def test_refinement_refuses_an_empty_level_list(line_kernel):
     # an empty list used to give a Refinement without values, whose .value
     # raised IndexError
     one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
     for levels in ([], (), range(0)):
         with pytest.raises(ValueError, match="at least one level"):
-            refine_expectation(one, line_kernel, line_model, 0.5, levels=levels)
-    assert refine_expectation(one, line_kernel, line_model, 0.5, levels=[2]).values == (
-        kernel_expectation(one, line_kernel, line_model, 0.5, level=2),
+            refine_expectation(one, line_kernel, 0.5, levels=levels)
+    assert refine_expectation(one, line_kernel, 0.5, levels=[2]).values == (
+        kernel_expectation(one, line_kernel, 0.5, level=2),
     )
 
 
@@ -249,13 +249,13 @@ def test_flat_space_radial_grid_mass():
     model = geometry.space(2)
     kern = kernels.GaussianKernel(np.zeros(2), model)
     assert kernel_integral(
-        lambda tt, p: np.ones(p.shape[0]), kern, model, 0.5
+        lambda tt, p: np.ones(p.shape[0]), kern, 0.5
     ) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_refinement_object_shape(line_model, line_kernel):
+def test_refinement_object_shape(line_kernel):
     ref = refine_expectation(
-        lambda tt, p: np.ones(p.shape[0]), line_kernel, line_model, 0.5
+        lambda tt, p: np.ones(p.shape[0]), line_kernel, 0.5
     )
     assert isinstance(ref, Refinement)
     assert ref.converged and not ref.divergent

@@ -164,13 +164,13 @@ def test_sum_of_exponentials_closure(line_model):
 def test_pointwise_identities(idx, line_model, circle_model, sphere_model):
     sol = _catalog(line_model, circle_model, sphere_model)[idx]
     if isinstance(sol, Constant):
-        r1, r2 = bochner_identities(sol, sol.model, 0.5, _sample(sol, np.random.default_rng(1))[1])
+        r1, r2 = bochner_identities(sol, 0.5, _sample(sol, np.random.default_rng(1))[1])
         assert r1 == 0.0 and r2 == 0.0
         return
     gen = np.random.default_rng(idx + 40)
     for _ in range(15):
         t, y = _sample(sol, gen)
-        r1, r2 = bochner_identities(sol, sol.model, t, y)
+        r1, r2 = bochner_identities(sol, t, y)
         assert r1 <= 1e-6
         assert r2 <= 1e-6
 
@@ -178,7 +178,7 @@ def test_pointwise_identities(idx, line_model, circle_model, sphere_model):
 def test_exponential_identity_closed_form(line_model):
     # (d/dt + Lap)(u log u) = b^2 u at the symbol level for u = e^{y-t}
     sol = ExponentialLine(1.0, 1.0, line_model)
-    r1, r2 = bochner_identities(sol, line_model, 1.0, [0.0])
+    r1, r2 = bochner_identities(sol, 1.0, [0.0])
     assert r1 <= 1e-8
     assert r2 <= 1e-8
 
@@ -227,7 +227,7 @@ def test_multi_mode_circle_solution():
         t = gen.uniform(0.05, 0.35)
         y = np.array([gen.uniform(0, 2 * np.pi)])
         assert backward_residual(sol, t, y) <= 1e-10
-        r1, r2 = bochner_identities(sol, model, t, y)
+        r1, r2 = bochner_identities(sol, t, y)
         assert r1 <= 1e-6 and r2 <= 1e-6
 
 
@@ -240,7 +240,7 @@ def test_multi_mode_sphere_solution():
         v = gen.normal(size=3)
         y = v / np.linalg.norm(v)
         assert backward_residual(sol, t, y) <= 1e-10
-        r1, r2 = bochner_identities(sol, model, t, y)
+        r1, r2 = bochner_identities(sol, t, y)
         assert r1 <= 1e-6 and r2 <= 1e-6
 
 
