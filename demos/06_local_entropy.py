@@ -10,11 +10,7 @@ nested intervals (-n, n) climb toward E(1) = 1.
 import numpy as np
 
 from entroflow import geometry, solutions, stochastic
-from entroflow.entropy import (
-    grad_term_exit_diagnostic,
-    local_entropy,
-    stopped_increment_residual,
-)
+from entroflow.entropy import local_entropy, stopped_increment_residual
 from entroflow.stochastic import DomainSpec, SdeConfig
 
 line = geometry.line()
@@ -44,11 +40,3 @@ print("per-path identity: stopped increment equals the stopped time integral")
 for n in (1, 2):
     mean, se = stopped_increment_residual(sol, ens, domains[n - 1], 1.0)
     print(f"  (-{n}, {n}): residual {mean:+.5f} +- {se:.5f}")
-
-print()
-print("exit-value diagnostic along the exhaustion (no pass/fail attached):")
-seq = grad_term_exit_diagnostic(sol, ens, domains, 1.0)
-for n, v in zip((1, 2, 3, 4), seq):
-    print(f"  E[(|grad u|^2/u)(tau, X_tau); tau <= 1] on (-{n}, {n}) = {v:.5f}")
-print("  a vanishing tail of this sequence is the borderline condition for")
-print("  the stopped-process argument to reach the unstopped statement")

@@ -7,6 +7,15 @@ and exits nonzero on any failure, and the test suite asserts each row.
 Suites: ``paper-examples`` (exact worked-example values), ``properties``
 (derivative consistency, monotonicity, bound and identity checks), and
 ``all``.
+
+Two tables of plain data name everything the rows read: `BUNDLES` gives
+each (model, solution, kernel) triple as catalog ids, and `ENSEMBLES` gives
+each path ensemble as a bundle, horizon, path count, snapshot times and exit
+intervals.  A suite builds an entry on first use and keeps it, so
+``paper-examples`` simulates only ``ens-line-t4``.  The benchmark's
+``perfbench/worker.VERIFY_ENSEMBLES`` restates the ensemble plan as (paths,
+steps, chart dimension, replayed); it must match `ENSEMBLES` until the
+benchmark reads the table, and a test checks that it does.
 """
 
 from __future__ import annotations
@@ -83,114 +92,86 @@ def _row_bool(ident, desc, flag, note=""):
 
 
 # ---------------------------------------------------------------------------
-# the scenario matrix
+# the plan: every bundle and ensemble the criteria read, each named once
+
+# name -> (model id, time window, solution id, kernel base point); a window of
+# None keeps the model's default
+BUNDLES = {
+    "line-eternal": ("euclidean-line", None, "expline:1,1", (0.0,)),
+    "line-a2b3": ("euclidean-line", None, "expline:2,3", (0.0,)),
+    "line-a05b1": ("euclidean-line", None, "expline:0.5,1", (0.0,)),
+    "line-sum": ("euclidean-line", None, "expsum:1,1;1,2", (0.0,)),
+    "line-const": ("euclidean-line", None, "const:5", (0.0,)),
+    "circle-static": ("circle:1,0", (0.0, 1.3), "circle-spec:2,(1,0.5,0)", (0.0,)),
+    "circle-shrink": ("circle:1,-0.1", (0.0, 1.25), "circle-spec:2,(1,0.5,0)", (0.0,)),
+    "sphere-ricci": ("sphere2:1,2", (0.0, 1.2), "sphere-spec:2,(1,0.5)", (1.0, 0.0, 0.0)),
+    "punctured": ("punctured-3", None, "radial3", (1.0, 0.0, 0.0)),
+}
+
+# name -> (bundle, horizon, paths, snapshot times, exit half-widths); each
+# ensemble starts at its bundle's kernel base point and finds its exits from
+# the intervals (-n, n) of the half-widths n by replay
+ENSEMBLES = {
+    "ens-line-t4": ("line-eternal", 4.0, 100_000, (0.25, 0.5, 1.0, 2.0, 4.0), ()),
+    "ens-line-t1": (
+        "line-eternal", 1.0, 100_000, tuple(np.round(np.linspace(0.0, 1.0, 21), 3)),
+        (1, 2, 3, 4),
+    ),
+    "ens-circle": ("circle-shrink", 1.0, 100_000, (0.25, 0.5, 1.0), ()),
+    "ens-sphere": ("sphere-ricci", 1.0, 20_000, (0.25, 0.5, 1.0), ()),
+}
+DT = 1e-3  # the step of every ensemble; each runs at DEFAULT_SEED
+
+
+def _exit_domains(name):
+    """The exit intervals of the `ENSEMBLES` entry `name`."""
+    return [DomainSpec.interval(-n, n) for n in ENSEMBLES[name][4]]
 
 
 class _Context:
-    """Lazy cache of models, solutions, kernels and ensembles."""
+    """Builds each bundle and ensemble of the plan on first use, then keeps it."""
 
     def __init__(self):
-        self._cache = {}
+        self._built = {}
 
-    def get(self, name, builder):
-        if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
+    def bundle(self, name):
+        """(model, solution, kernel) of the `BUNDLES` entry `name`."""
+        if name not in self._built:
+            model_id, window, sol_id, x = BUNDLES[name]
+            model = geometry.parse_model(model_id, time_window=window)
+            sol = solutions.parse_solution(sol_id, model)
+            self._built[name] = model, sol, kernels.canonical_kernel(model, x)
+        return self._built[name]
 
-    # geometry / solution bundles -------------------------------------
-    def line_bundle(self, a=1.0, b=1.0):
-        def build():
-            model = geometry.line()
-            sol = solutions.ExponentialLine(a, b, model)
-            kern = kernels.GaussianKernel(np.array([0.0]), model)
-            return model, sol, kern
-        return self.get(("line", a, b), build)
-
-    def line_sum_bundle(self):
-        def build():
-            model = geometry.line()
-            sol = solutions.SumOfExponentialsLine([(1.0, 1.0), (1.0, 2.0)], model)
-            kern = kernels.GaussianKernel(np.array([0.0]), model)
-            return model, sol, kern
-        return self.get("line-sum", build)
-
-    def line_const_bundle(self):
-        def build():
-            model = geometry.line()
-            sol = solutions.Constant(5.0, model)
-            kern = kernels.GaussianKernel(np.array([0.0]), model)
-            return model, sol, kern
-        return self.get("line-const", build)
-
-    def circle_bundle(self, rate):
-        def build():
-            window = (0.0, 1.3) if rate == 0.0 else (0.0, 1.25)
-            model = geometry.circle(1.0, rate, time_window=window)
-            sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], model)
-            kern = kernels.WrappedGaussianKernel(np.array([0.0]), model)
-            return model, sol, kern
-        return self.get(("circle", rate), build)
-
-    def sphere_bundle(self):
-        def build():
-            model = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
-            sol = solutions.SphereSpectral(2.0, [(1, 0.5)], model)
-            kern = kernels.SphereHeatKernel(np.array([1.0, 0.0, 0.0]), model)
-            return model, sol, kern
-        return self.get("sphere", build)
-
-    # ensembles --------------------------------------------------------
-    def line_t4_ensemble(self):
-        def build():
-            model, _, _ = self.line_bundle()
-            cfg = SdeConfig(dt=1e-3, n_paths=100_000, seed=DEFAULT_SEED)
-            return stochastic.simulate(
-                model, [0.0], 4.0, cfg, record_times=[0.25, 0.5, 1.0, 2.0, 4.0]
-            )
-        return self.get("ens-line-t4", build)
-
-    def line_t1_ensemble(self):
-        def build():
-            model, _, _ = self.line_bundle()
-            cfg = SdeConfig(dt=1e-3, n_paths=100_000, seed=DEFAULT_SEED)
-            record = np.round(np.linspace(0.0, 1.0, 21), 3)
-            ens = stochastic.simulate(model, [0.0], 1.0, cfg, record_times=record)
-            ens.ensure_exits([DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)])
-            return ens
-        return self.get("ens-line-t1", build)
-
-    def circle_ensemble(self):
-        def build():
-            model, _, _ = self.circle_bundle(-0.1)
-            cfg = SdeConfig(dt=1e-3, n_paths=100_000, seed=DEFAULT_SEED)
-            return stochastic.simulate(
-                model, [0.0], 1.0, cfg, record_times=[0.25, 0.5, 1.0]
-            )
-        return self.get("ens-circle", build)
-
-    def sphere_ensemble(self):
-        def build():
-            model, _, _ = self.sphere_bundle()
-            cfg = SdeConfig(dt=1e-3, n_paths=20_000, seed=DEFAULT_SEED)
-            return stochastic.simulate(
-                model, [1.0, 0.0, 0.0], 1.0, cfg, record_times=[0.25, 0.5, 1.0]
-            )
-        return self.get("ens-sphere", build)
+    def ensemble(self, name):
+        """The `PathEnsemble` of the `ENSEMBLES` entry `name`."""
+        if name not in self._built:
+            bundle, horizon, paths, record, widths = ENSEMBLES[name]
+            model, _, kern = self.bundle(bundle)
+            cfg = SdeConfig(dt=DT, n_paths=paths, seed=DEFAULT_SEED)
+            ens = stochastic.simulate(model, kern.base_point, horizon, cfg, record_times=record)
+            if widths:
+                ens.ensure_exits(_exit_domains(name))
+            self._built[name] = ens
+        return self._built[name]
 
 
-# scenario list for the consistency/identity sweeps:
-# (ident, bundle getter, (t_lo, t_hi), needs finite conditions)
-def _matrix(ctx):
-    return [
-        ("line-eternal", ctx.line_bundle(1.0, 1.0), (0.25, 3.0), True),
-        ("line-a2b3", ctx.line_bundle(2.0, 3.0), (0.25, 2.0), True),
-        ("line-a05b1", ctx.line_bundle(0.5, 1.0), (0.25, 3.0), True),
-        ("line-sum", ctx.line_sum_bundle(), (0.25, 2.0), True),
-        ("line-const", ctx.line_const_bundle(), (0.25, 3.0), True),
-        ("circle-static", ctx.circle_bundle(0.0), (0.2, 1.1), True),
-        ("circle-shrink", ctx.circle_bundle(-0.1), (0.2, 1.1), True),
-        ("sphere-ricci", ctx.sphere_bundle(), (0.15, 1.0), True),
-    ]
+def _paired(ctx, name):
+    """(solution, ensemble) of the `ENSEMBLES` entry `name`."""
+    return ctx.bundle(ENSEMBLES[name][0])[1], ctx.ensemble(name)
+
+
+# (bundle, (t_lo, t_hi)) of the derivative and identity sweeps
+_SWEEP = (
+    ("line-eternal", (0.25, 3.0)),
+    ("line-a2b3", (0.25, 2.0)),
+    ("line-a05b1", (0.25, 3.0)),
+    ("line-sum", (0.25, 2.0)),
+    ("line-const", (0.25, 3.0)),
+    ("circle-static", (0.2, 1.1)),
+    ("circle-shrink", (0.2, 1.1)),
+    ("sphere-ricci", (0.15, 1.0)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +181,11 @@ def _matrix(ctx):
 def _criterion_1(ctx, rows):
     t0 = time.perf_counter()
     cpu0 = time.process_time()
-    _, sol, kern = ctx.line_bundle(1.0, 1.0)
+    _, sol, kern = ctx.bundle("line-eternal")
     for t in (0.25, 1.0, 4.0):
         eq = entropy_q(sol, kern, t, level=LEVEL)
         rows.append(_row(f"1-quad-t{t:g}", "entropy equals t (quadrature)", eq, t, 1e-8))
-    ens = ctx.line_t4_ensemble()
+    ens = ctx.ensemble("ens-line-t4")
     for t in (0.25, 1.0, 4.0):
         r = entropy_mc(sol, ens, t)
         rows.append(
@@ -223,7 +204,7 @@ def _criterion_1(ctx, rows):
 
 
 def _criterion_2(ctx, rows):
-    _, sol, kern = ctx.line_bundle(1.0, 1.0)
+    _, sol, kern = ctx.bundle("line-eternal")
     for t in (0.5, 1.0, 2.0):
         rep = conditions(sol, kern, t)
         c1_target = (9 * t * t + 8 * t + 1) * math.exp(2 * t)
@@ -243,8 +224,9 @@ def _criterion_2(ctx, rows):
 
 
 def _criterion_3(ctx, rows):
-    for a, b in ((2.0, 3.0), (0.5, 1.0)):
-        _, sol, kern = ctx.line_bundle(a, b)
+    for name in ("line-a2b3", "line-a05b1"):
+        _, sol, kern = ctx.bundle(name)
+        a, b = sol.a, sol.b
         worst = 0.0
         for t in (0.5, 1.0, 2.0):
             eq = entropy_q(sol, kern, t, level=LEVEL)
@@ -269,7 +251,8 @@ def _criterion_3(ctx, rows):
 
 def _criterion_4(ctx, rows):
     h = 1e-3
-    for ident, (_, sol, kern), (t_lo, t_hi), _ in _matrix(ctx):
+    for ident, (t_lo, t_hi) in _SWEEP:
+        _, sol, kern = ctx.bundle(ident)
         worst1 = 0.0
         worst2 = 0.0
         ts = np.geomspace(max(t_lo, 2 * h), t_hi, 3)
@@ -287,12 +270,13 @@ def _criterion_4(ctx, rows):
 
 
 def _criterion_5(ctx, rows):
-    cases = [
-        ("line-eternal", ctx.line_bundle(1.0, 1.0), (0.25, 3.0)),
-        ("circle-shrink", ctx.circle_bundle(-0.1), (0.125, 1.25)),
-        ("sphere-ricci", ctx.sphere_bundle(), (0.12, 1.2)),
-    ]
-    for ident, (_, sol, kern), (t_lo, t_hi) in cases:
+    cases = (
+        ("line-eternal", (0.25, 3.0)),
+        ("circle-shrink", (0.125, 1.25)),
+        ("sphere-ricci", (0.12, 1.2)),
+    )
+    for ident, (t_lo, t_hi) in cases:
+        _, sol, kern = ctx.bundle(ident)
         grid = np.geomspace(t_lo, t_hi, 16)
         curve = entropy_curve(sol, kern, grid, level=LEVEL, with_conditions=False)
         ep, es = curve.E_prime.tolist(), curve.E_second.tolist()
@@ -301,16 +285,14 @@ def _criterion_5(ctx, rows):
 
 
 def _criterion_6(ctx, rows):
-    _, sol, _ = ctx.line_bundle(1.0, 1.0)
-    g = submartingale_gap(sol, ctx.line_t4_ensemble(), 1.0)
+    g = submartingale_gap(*_paired(ctx, "ens-line-t4"), 1.0)
     rows.append(
         _row(
             "6-saturation-line", "gap vanishes for the eternal exponential",
             g.gap, 0.0, 3.0 * g.stderr, note=f"stderr {g.stderr:.3g}",
         )
     )
-    _, csol, _ = ctx.circle_bundle(-0.1)
-    g = submartingale_gap(csol, ctx.circle_ensemble(), 1.0)
+    g = submartingale_gap(*_paired(ctx, "ens-circle"), 1.0)
     rows.append(
         _row_ge(
             "6-gap-circle", "gap nonnegative within error",
@@ -323,8 +305,7 @@ def _criterion_6(ctx, rows):
             g.midpoint_gap, -3.0 * g.midpoint_stderr,
         )
     )
-    _, ssol, _ = ctx.sphere_bundle()
-    g = submartingale_gap(ssol, ctx.sphere_ensemble(), 1.0)
+    g = submartingale_gap(*_paired(ctx, "ens-sphere"), 1.0)
     rows.append(
         _row_ge(
             "6-gap-sphere", "gap nonnegative within error",
@@ -334,32 +315,34 @@ def _criterion_6(ctx, rows):
 
 
 def _criterion_7(ctx, rows):
-    quad_cases = [
-        ("line-eternal", ctx.line_bundle(1.0, 1.0), 1.0),
-        ("line-a2b3", ctx.line_bundle(2.0, 3.0), 1.0),
-        ("line-a05b1", ctx.line_bundle(0.5, 1.0), 1.0),
-        ("circle-static", ctx.circle_bundle(0.0), 0.5),
-        ("circle-shrink", ctx.circle_bundle(-0.1), 0.5),
-        ("sphere-ricci", ctx.sphere_bundle(), 0.5),
-    ]
-    for ident, (_, sol, kern), t in quad_cases:
+    quad_cases = (
+        ("line-eternal", 1.0),
+        ("line-a2b3", 1.0),
+        ("line-a05b1", 1.0),
+        ("circle-static", 0.5),
+        ("circle-shrink", 0.5),
+        ("sphere-ricci", 0.5),
+    )
+    for ident, t in quad_cases:
+        _, sol, kern = ctx.bundle(ident)
         gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, t, level=LEVEL)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (quadrature)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g}")
         )
-    _, sol, kern = ctx.line_bundle(1.0, 1.0)
+    _, sol, kern = ctx.bundle("line-eternal")
     gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, 1.0, level=LEVEL)
     rows.append(
         _row("7-equality-line", "saturation: lhs equals rhs", gb.lhs - gb.rhs, 0.0, 1e-6)
     )
-    mc_cases = [
-        ("line-mc", ctx.line_bundle(1.0, 1.0), ctx.line_t4_ensemble(), 1.0),
-        ("circle-mc", ctx.circle_bundle(-0.1), ctx.circle_ensemble(), 1.0),
-        ("sphere-mc", ctx.sphere_bundle(), ctx.sphere_ensemble(), 1.0),
-    ]
-    for ident, (_, sol, _), ens, t in mc_cases:
-        gb = analysis.gradient_entropy_check(sol, ens, ens.x, t)
+    mc_cases = (
+        ("line-mc", "ens-line-t4"),
+        ("circle-mc", "ens-circle"),
+        ("sphere-mc", "ens-sphere"),
+    )
+    for ident, name in mc_cases:
+        sol, ens = _paired(ctx, name)
+        gb = analysis.gradient_entropy_check(sol, ens, ens.x, 1.0)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (Monte Carlo)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g} se {gb.stderr:.3g}")
@@ -367,10 +350,8 @@ def _criterion_7(ctx, rows):
 
 
 def _criterion_8(ctx, rows):
-    model, sol, _ = ctx.line_bundle(1.0, 1.0)
-    ens = ctx.line_t1_ensemble()
-    domains = [DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]
-    table = local_entropy(sol, ens, domains, [0.25, 0.5, 1.0])
+    sol, ens = _paired(ctx, "ens-line-t1")
+    table = local_entropy(sol, ens, _exit_domains("ens-line-t1"), [0.25, 0.5, 1.0])
     rows.append(
         _row_ge("8-monotone-t", "stopped entropy nondecreasing in t (z)",
                 table.monotone_t_z, -3.0)
@@ -421,16 +402,15 @@ def _ks_distance(samples, sigma):
 
 
 def _criterion_10(ctx, rows):
-    ens = ctx.line_t4_ensemble()
+    ens = ctx.ensemble("ens-line-t4")
     n = ens.n_paths
     crit = 1.6276 / math.sqrt(n)  # asymptotic 1% Kolmogorov-Smirnov point
     for t in (0.25, 1.0):
         samples = ens.state_at(t)[:, 0]
         ks = _ks_distance(samples, math.sqrt(2 * t))
         rows.append(_row_le(f"10-ks-t{t:g}", "KS distance to N(0, 2t)", ks, crit))
-    cens = ctx.circle_ensemble()
-    cmodel, _, _ = ctx.circle_bundle(-0.1)
-    s1 = float(cmodel.time_change(1.0))
+    cens = ctx.ensemble("ens-circle")
+    s1 = float(cens.model.time_change(1.0))
     th = cens.state_at(1.0)[:, 0]
     for k in (1, 2):
         target = math.exp(-k * k * s1)
@@ -442,8 +422,8 @@ def _criterion_10(ctx, rows):
 
 
 def _criterion_11(ctx, rows):
-    _, product, _ = ctx.line_bundle(2.0, 3.0)
-    _, witness, _ = ctx.line_sum_bundle()
+    _, product, _ = ctx.bundle("line-a2b3")
+    _, witness, _ = ctx.bundle("line-sum")
     ts = np.linspace(0.0, 1.0, 6)
     ys = np.linspace(-1.0, 1.0, 9)
     rep_p = analysis.separation_test(product, ts, ys)
@@ -463,12 +443,8 @@ def _criterion_11(ctx, rows):
 
 def _criterion_12(ctx, rows):
     gen = np.random.default_rng(214748364)
-    cases = list(_matrix(ctx))
-    pmodel = geometry.punctured3()
-    cases.append(
-        ("punctured", (pmodel, solutions.RadialHarmonic3(pmodel), None), (0.2, 3.0), False)
-    )
-    for ident, (model, sol, _), (t_lo, t_hi), _finite in cases:
+    for ident, (t_lo, t_hi) in _SWEEP + (("punctured", (0.2, 3.0)),):
+        model, sol, _ = ctx.bundle(ident)
         worst1 = 0.0
         worst2 = 0.0
         for _ in range(100):

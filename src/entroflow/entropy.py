@@ -594,29 +594,8 @@ def _worst_z(diffs, ses):
     return float(np.min(z))
 
 
-def grad_term_exit_diagnostic(sol, ensemble, domains, t):
-    """E[(|grad u|^2/u)(tau_n, X_tau_n); tau_n <= t] along the exhaustion.
-
-    A Monte Carlo stand-in for the liminf criterion governing the true
-    submartingale property; reported as a diagnostic sequence only, with
-    no pass/fail attached, since a finite ensemble cannot certify a liminf.
-    """
-    _same_model(sol, ensemble)
-    out = []
-    for dom in domains:
-        rec = ensemble.exit_records(dom)
-        hit = (~rec.censored) & (rec.tau <= t)
-        if not np.any(hit):
-            out.append(0.0)
-            continue
-        vals = np.zeros(ensemble.n_paths)
-        vals[hit] = np.asarray(sol.grad_term(rec.tau[hit], rec.state[hit]))
-        out.append(float(np.mean(vals)))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# along-path identities (paired per-path estimators)
+# the along-path identity (a paired per-path estimator)
 
 
 def stopped_increment_residual(sol, ensemble, domain, t):
@@ -654,25 +633,3 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     resid = end_vals - start - integral
     return mean_stderr(resid)
 
-
-def along_path_second_identity(sol, ensemble, t):
-    """Residual of the along-path form of the E'' identity (no stopping).
-
-    Per path: G(t, X_t) - G(0, x) - int_0^t Psi(s, X_s) ds where Psi is the
-    second-variation integrand; zero in expectation on compact models when
-    no stopping occurs.
-    """
-    _same_model(sol, ensemble)
-    psi = second_variation_integrand(sol)
-    times = [s for s in ensemble.times if s <= t + 1e-12]
-    n = ensemble.n_paths
-    integral = np.zeros(n)
-    p_prev = np.asarray(psi(times[0], ensemble.state_at(times[0])))
-    for s_prev, s_next in zip(times[:-1], times[1:]):
-        p_next = np.asarray(psi(s_next, ensemble.state_at(s_next)))
-        integral += 0.5 * (s_next - s_prev) * (p_prev + p_next)
-        p_prev = p_next
-    end_vals = np.asarray(sol.grad_term(t, ensemble.state_at(times[-1])))
-    start = float(sol.grad_term(0.0, ensemble.x[None, :])[0])
-    resid = end_vals - start - integral
-    return mean_stderr(resid)

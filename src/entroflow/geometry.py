@@ -293,31 +293,6 @@ def metric_at(model: MetricModel, t, y) -> MetricData:
     raise ValueError(f"unhandled model kind {model.kind}")
 
 
-def metric_in_local_chart(model: MetricModel, t, y, dy) -> np.ndarray:
-    """Metric components at chart displacement ``dy`` from ``y``.
-
-    This is the closed form the finite-difference Christoffel oracle
-    differentiates; for the sphere it is the round metric in normal
-    coordinates centered at ``y``.
-    """
-    model.check_time(t)
-    y = model.check_point(y)
-    dy = np.asarray(dy, dtype=float)
-    d = model.dim
-    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3):
-        return np.eye(d)
-    if model.kind == CIRCLE:
-        return np.array([[float(model.conformal(t))]])
-    if model.kind == SPHERE_2:
-        c = float(model.conformal(t))
-        r = np.linalg.norm(dy)
-        if r < 1e-12:
-            return c * np.eye(2)
-        rad = np.outer(dy, dy) / (r * r)
-        return c * (rad + (math.sin(r) / r) ** 2 * (np.eye(2) - rad))
-    raise ValueError(f"unhandled model kind {model.kind}")
-
-
 def super_ricci_gap(model: MetricModel, t, y) -> float:
     """Largest eigenvalue of (dg/dt - 2 Ric) in the g-orthonormal frame.
 

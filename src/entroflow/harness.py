@@ -1,4 +1,4 @@
-"""Scenario engine: configs, the run pipeline, and the acceptance suites.
+"""Scenario engine: configs and the run pipeline.
 
 Scenario files use a flat key-path grammar, one assignment per line::
 
@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, entropy, geometry, kernels, quadrature, rng, solutions, stochastic
-from .acceptance import format_rows, verify  # re-exported: the verify op lives here
 from .entropy import DEFAULT_CURVE_LEVEL
 from .errors import ConfigError, EntroflowError
 from .stochastic import DEFAULT_SEED, SdeConfig
@@ -246,18 +245,14 @@ class Scenario:
 
     def validate(self):
         try:
-            built_model = geometry.parse_model(self.model, time_window=self.window)
-            sol = solutions.parse_solution(self.solution, built_model)
-            x = built_model.check_point(np.asarray(self.x, dtype=float))
-            if _needs_kernel(self.analyses):
-                kernels.parse_kernel(self.kernel, built_model, x)
-            for d in self.domains:
-                stochastic.parse_domain(d).validate_against(built_model)
+            model, _, _, _, doms = self.build()
+            for dom in doms:
+                dom.validate_against(model)
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(f"scenario {self.id!r}: {exc}") from exc
-        t0, t1 = built_model.time_window
+        t0, t1 = model.time_window
         if not (t0 <= self.t_min < self.t_max <= t1):
             raise ConfigError(
                 f"scenario {self.id!r}: t grid [{self.t_min}, {self.t_max}] outside "
@@ -282,8 +277,7 @@ class Scenario:
                 f"got {self.bounds_delta!r}"
             )
         if self.mc is not None:
-            self.mc.validate_against(built_model)
-        _ = sol
+            self.mc.validate_against(model)
 
     def t_grid(self) -> np.ndarray:
         if self.t_spacing == "log":
@@ -338,10 +332,6 @@ def _needs_kernel(analyses):
 
 def parse_scenario(text: str) -> Scenario:
     return Scenario.from_mapping(parse_config_text(text))
-
-
-def scenario_text(sc: Scenario) -> str:
-    return serialize_config(sc.to_mapping())
 
 
 def load_scenario(path) -> Scenario:
@@ -504,7 +494,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
 
     if "divergence" in scenario.analyses:
         with _timed(clocks, "divergence"):
-            rep = analysis.divergence_demo(t_ref if 0 < t_ref else 1.0)
+            rep = analysis.divergence_demo(t_ref)
             report["divergence"] = _jsonable(asdict(rep))
 
     if len(report) > 1:

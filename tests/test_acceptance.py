@@ -19,13 +19,19 @@ if any row fails.  Criteria covered:
 12. the two pointwise evolution identities on randomized samples.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from entroflow import acceptance
+from entroflow import acceptance, geometry, stochastic
+from entroflow.stochastic import DomainSpec
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +56,68 @@ def test_every_criterion_is_represented(all_rows):
     assert idents == {str(k) for k in range(1, 13)}
 
 
-def test_suite_selection():
+def test_suite_selection(monkeypatch):
+    horizons = _count_calls(monkeypatch, "simulate", lambda args: args[2])
     rows, _ = acceptance.verify("paper-examples")
     groups = {row.ident.split("-")[0] for row in rows}
     assert groups == {"1", "2", "3", "9"}
+    # ensembles are built on first use: only ens-line-t4, inside 1-runtime
+    assert horizons == [4.0]
     with pytest.raises(ValueError):
         acceptance.verify("nope")
+
+
+def _count_calls(monkeypatch, name, record):
+    """Wrap ``stochastic.<name>``; returns the list it appends record(args) to."""
+    seen = []
+    inner = getattr(stochastic, name)
+
+    def counted(*args, **kwargs):
+        seen.append(record(args))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, name, counted)
+    return seen
+
+
+def test_every_plan_entry_builds(monkeypatch):
+    # the ensembles at 200 paths: the same horizons, snapshots and exits
+    small = {
+        name: (bundle, horizon, 200, record, widths)
+        for name, (bundle, horizon, _, record, widths) in acceptance.ENSEMBLES.items()
+    }
+    monkeypatch.setattr(acceptance, "ENSEMBLES", small)
+    replays = _count_calls(monkeypatch, "replay_exits", lambda args: list(args[1]))
+    ctx = acceptance._Context()
+    for name, (_, _, _, x) in acceptance.BUNDLES.items():
+        model, sol, kern = ctx.bundle(name)
+        assert sol.model is model and kern.model is model
+        assert kern.base_point.tolist() == list(x)
+    for name, (bundle, horizon, _, record, widths) in small.items():
+        model, _, kern = ctx.bundle(bundle)
+        ens = ctx.ensemble(name)
+        assert ens.model is model
+        assert ens.x.tolist() == kern.base_point.tolist()
+        assert ens.horizon == pytest.approx(horizon)
+        assert set(np.round(record, 9)) <= set(np.round(ens.times, 9))
+        assert ctx.ensemble(name) is ens
+    # one replay pass, for the one ensemble with exit intervals
+    assert replays == [[DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]]
+
+
+def test_benchmark_restates_the_ensemble_plan(monkeypatch):
+    # perfbench derives its expected traced counts from VERIFY_ENSEMBLES; a
+    # plan change that leaves it behind fails here before the benchmark
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    derived = []
+    for bundle, horizon, paths, _, widths in acceptance.ENSEMBLES.values():
+        model_id, window, _, _ = acceptance.BUNDLES[bundle]
+        dim = geometry.parse_model(model_id, time_window=window).dim_chart
+        derived.append((paths, round(horizon / acceptance.DT), dim, bool(widths)))
+    assert tuple(derived) == worker.VERIFY_ENSEMBLES
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20_000])

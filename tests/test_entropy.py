@@ -7,14 +7,12 @@ import pytest
 from entroflow import analysis, entropy, geometry, kernels, quadrature, solutions
 from entroflow.entropy import (
     EntropyCurve,
-    along_path_second_identity,
     conditions,
     entropy_curve,
     entropy_mc,
     entropy_prime,
     entropy_q,
     entropy_second,
-    grad_term_exit_diagnostic,
     local_entropy,
     stopped_increment_residual,
     submartingale_gap,
@@ -203,18 +201,6 @@ def test_stopped_increment_identity(line_model, line_sol, line_ensemble):
         line_sol, line_ensemble, DomainSpec.interval(-1.0, 1.0), 1.0
     )
     assert abs(mean) <= max(3 * se, 1e-3)
-
-
-def test_along_path_second_identity_on_circle(circle_sol, circle_ensemble):
-    mean, se = along_path_second_identity(circle_sol, circle_ensemble, 1.0)
-    assert abs(mean) <= max(3 * se, 2e-3)
-
-
-def test_exit_diagnostic_sequence(line_model, line_sol, line_ensemble):
-    domains = [DomainSpec.interval(-n, n) for n in (1, 2, 3)]
-    seq = grad_term_exit_diagnostic(line_sol, line_ensemble, domains, 1.0)
-    assert len(seq) == 3
-    assert all(v >= 0.0 for v in seq)
 
 
 # --- submartingale gaps --------------------------------------------------------
@@ -656,13 +642,7 @@ _PAIRED_CALLS = {
         "ensemble", lambda sol, e: entropy_curve(sol, e, [0.5], with_conditions=False)
     ),
     "submartingale_gap": ("ensemble", lambda sol, e: submartingale_gap(sol, e, 1.0)),
-    "along_path_second_identity": (
-        "ensemble", lambda sol, e: along_path_second_identity(sol, e, 1.0)
-    ),
     "local_entropy": ("ensemble", lambda sol, e: local_entropy(sol, e, [_DOMAIN], [0.5])),
-    "grad_term_exit_diagnostic": (
-        "ensemble", lambda sol, e: grad_term_exit_diagnostic(sol, e, [_DOMAIN], 0.5)
-    ),
     "stopped_increment_residual": (
         "ensemble", lambda sol, e: stopped_increment_residual(sol, e, _DOMAIN, 0.5)
     ),

@@ -20,8 +20,12 @@ from entroflow.harness import (
     parse_config_text,
     parse_scenario,
     run,
-    scenario_text,
+    serialize_config,
 )
+
+
+def scenario_text(sc):
+    return serialize_config(sc.to_mapping())
 
 
 MINIMAL = """
