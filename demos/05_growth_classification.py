@@ -60,6 +60,6 @@ for sol, label in [
     (solutions.Constant(3.0, circle), "constant on the shrinking circle"),
     (csol, "spectral mode on the shrinking circle"),
 ]:
-    rep = rigidity_check(sol, [0.0], np.geomspace(0.2, 1.2, 6), thetas, kernel=ckern)
+    rep = rigidity_check(sol, ckern, np.geomspace(0.2, 1.2, 6), thetas)
     print(f"{label:<40} margin = {rep.min_margin:.4f}  linear = {rep.entropy_linear}"
           f"  max |grad log u| = {rep.max_grad_log:.4f}  consistent = {rep.consistent}")

@@ -325,13 +325,13 @@ def _criterion_7(ctx, rows):
     )
     for ident, t in quad_cases:
         _, sol, kern = ctx.bundle(ident)
-        gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, t, level=LEVEL)
+        gb = analysis.gradient_entropy_check(sol, kern, t, level=LEVEL)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (quadrature)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g}")
         )
     _, sol, kern = ctx.bundle("line-eternal")
-    gb = analysis.gradient_entropy_check(sol, kern, kern.base_point, 1.0, level=LEVEL)
+    gb = analysis.gradient_entropy_check(sol, kern, 1.0, level=LEVEL)
     rows.append(
         _row("7-equality-line", "saturation: lhs equals rhs", gb.lhs - gb.rhs, 0.0, 1e-6)
     )
@@ -342,7 +342,7 @@ def _criterion_7(ctx, rows):
     )
     for ident, name in mc_cases:
         sol, ens = _paired(ctx, name)
-        gb = analysis.gradient_entropy_check(sol, ens, ens.x, 1.0)
+        gb = analysis.gradient_entropy_check(sol, ens, 1.0)
         rows.append(
             _row_bool(f"7-holds-{ident}", "gradient bound holds (Monte Carlo)", gb.holds,
                       note=f"lhs {gb.lhs:.6g} rhs {gb.rhs:.6g} se {gb.stderr:.3g}")

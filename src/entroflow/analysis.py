@@ -25,7 +25,7 @@ from .entropy import (
     ulogu_integrand,
 )
 from .errors import InsufficientCurve, LogOfZero
-from .kernels import GaussianKernel, canonical_kernel
+from .kernels import GaussianKernel
 from .stochastic import AtTime, PathEnsemble, expect
 
 GROWTH_CONSTANT = "constant-solution"
@@ -46,15 +46,17 @@ class GradientBound:
     holds: bool
 
 
-def gradient_entropy_check(sol, target, x, t, level=None) -> GradientBound:
+def gradient_entropy_check(sol, target, t, level=None) -> GradientBound:
     """Check t |grad u/u|^2(0,x) <= E[(u/u0) log(u/u0)(t, X_t)].
 
     ``target`` is a heat kernel (quadrature) or a path ensemble (Monte
-    Carlo) on the solution's model.  Equality is attained by the
-    exponential eternal solutions.
+    Carlo) on the solution's model; x is where it starts, the kernel's base
+    point or the ensemble's start point.  ``level`` applies to a kernel
+    only.  Equality is attained by the exponential eternal solutions.
     """
     _same_model(sol, target)
-    x = sol.model.check_point(x)
+    monte_carlo = isinstance(target, PathEnsemble)
+    x = target.x if monte_carlo else target.base_point
     u0 = float(sol.value(0.0, x[None, :])[0])
     if u0 <= 0:
         raise LogOfZero("the bound needs u(0, x) > 0")
@@ -64,7 +66,7 @@ def gradient_entropy_check(sol, target, x, t, level=None) -> GradientBound:
         u = sol.value(tt, pts) / u0
         return xlogy(u, u)
 
-    if isinstance(target, PathEnsemble):
+    if monte_carlo:
         r = expect(target, normalized, AtTime(t))
         rhs, se = r.mean, r.stderr
     else:
@@ -89,23 +91,16 @@ class CorollaryBounds:
     sup_bound_holds: bool | None    # None = NotApplicable (unbounded sup)
 
 
-def corollary_bounds(sol, x, t, delta, kernel=None, level=None) -> CorollaryBounds:
-    """The delta-form and sup-form corollaries of the gradient bound.
-
-    ``kernel`` defaults to the catalog kernel of the solution's model at x.
+def corollary_bounds(sol, kernel, t, delta, level=None) -> CorollaryBounds:
+    """The delta-form and sup-form corollaries of the gradient bound, at
+    the kernel's base point x.
     """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    model = sol.model
-    x = model.check_point(x)
-    if kernel is None:
-        kernel = canonical_kernel(model, x)
-    _same_model(sol, kernel)
+    base = gradient_entropy_check(sol, kernel, t, level=level)
+    x = kernel.base_point
     u0 = float(sol.value(0.0, x[None, :])[0])
-    if u0 <= 0:
-        raise LogOfZero("the bounds need u(0, x) > 0")
-    base = gradient_entropy_check(sol, kernel, x, t, level=level)
-    grad_sq = base.lhs / t if t > 0 else 0.0  # |grad u / u|^2 (0, x)
+    grad_sq = base.lhs / t  # |grad u / u|^2 (0, x)
     delta_rhs = delta / (2.0 * t) + base.rhs / (2.0 * delta)
     delta_holds = grad_sq <= delta_rhs + 1e-8 * (1.0 + abs(delta_rhs))
 
@@ -307,17 +302,16 @@ class RigidityReport:
 
 
 def rigidity_check(
-    sol, x, t_grid, y_grid, kernel=None, level=2, margin_eps=1e-9,
+    sol, kernel, t_grid, y_grid, level=2, margin_eps=1e-9,
     linear_rtol=1e-3, grad_tol=1e-6,
 ) -> RigidityReport:
     """Instance check: strict 2 Ric - dg/dt > 0 plus linear entropy forces
     a spatially constant solution (max |grad log u| below tolerance).
 
-    ``kernel`` defaults to the catalog kernel of the solution's model at x.
+    The entropy is the quadrature against ``kernel`` at the fixed
+    refinement ``level``.
     """
     model = sol.model
-    if kernel is None:
-        kernel = canonical_kernel(model, model.check_point(x))
     _same_model(sol, kernel)
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(model, y_grid)
@@ -327,14 +321,10 @@ def rigidity_check(
         for j in range(pts.shape[0])
     )
     antecedent = margin >= margin_eps
-    # entropy_q at each time, without repeating the model check made above
-    e_vals = np.array([
-        quadrature.kernel_integral(
-            ulogu_integrand(sol), kernel, t,
-            growth=shared_growth(sol), level=level, what="entropy",
-        )
-        for t in t_grid
-    ])
+    rows = quadrature.curve_expectations(
+        (ulogu_integrand(sol),), kernel, t_grid, level, shared_growth(sol)
+    )
+    e_vals = np.array([e for (e,) in rows])
     fit_residual = _linear_fit_residual(t_grid, e_vals)
     entropy_linear = fit_residual <= linear_rtol
 
@@ -391,7 +381,9 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
         # E and E' of one level share its grid and one jet, dropped before
         # the next
         rows = [
-            quadrature.kernel_expectations(fs, kernel, t, lv, mesh_scale=mesh_scale)
+            quadrature.curve_expectations(
+                fs, kernel, (t,), lv, mesh_scale=mesh_scale
+            )[0]
             for lv in levels
         ]
         return [e for e, _ in rows], [p for _, p in rows]
@@ -410,8 +402,8 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
     spread2, _, divergent2 = classify(e2, p2)
     stable_mesh = (spread2 <= 1e-4) == (spread <= 1e-4) and divergent2 == divergent
 
-    tail = quadrature.kernel_expectation(
-        ulogu_integrand(sol), kernel, t, level=levels[0], outer_scale=2.0
+    ((tail,),) = quadrature.curve_expectations(
+        (ulogu_integrand(sol),), kernel, (t,), levels[0], outer_scale=2.0
     )
     return DivergenceReport(
         t=t,

@@ -241,24 +241,26 @@ def entropy_mc(sol, ensemble: PathEnsemble, t) -> ExpectResult:
 
 def entropy_prime(sol, target, t, level=None):
     """First variation; quadrature against a kernel or MC over an ensemble."""
-    _same_model(sol, target)
-    if isinstance(target, PathEnsemble):
-        return expect(target, sol.grad_term, AtTime(t))
-    return quadrature.kernel_integral(
-        first_variation_integrand(sol), target, t,
-        growth=shared_growth(sol), level=level, what="first variation",
+    return _kernel_or_ensemble(
+        sol, target, t, level, sol.grad_term, first_variation_integrand(sol),
+        "first variation",
     )
 
 
 def entropy_second(sol, target, t, level=None):
     """Second variation; nonnegative whenever dg/dt <= 2 Ric pointwise."""
-    _same_model(sol, target)
     f = second_variation_integrand(sol)
+    return _kernel_or_ensemble(sol, target, t, level, f, f, "second variation")
+
+
+def _kernel_or_ensemble(sol, target, t, level, on_paths, on_nodes, what):
+    """Monte Carlo of ``on_paths`` over an ensemble at t, or the quadrature
+    of ``on_nodes`` against a kernel (refined unless ``level`` is given)."""
+    _same_model(sol, target)
     if isinstance(target, PathEnsemble):
-        return expect(target, f, AtTime(t))
+        return expect(target, on_paths, AtTime(t))
     return quadrature.kernel_integral(
-        f, target, t,
-        growth=shared_growth(sol), level=level, what="second variation",
+        on_nodes, target, t, growth=shared_growth(sol), level=level, what=what,
     )
 
 
@@ -435,9 +437,10 @@ def entropy_curve(
     must hold every time of the grid).  Condition integrals are evaluated by
     refinement quadrature, so they need a kernel: asking for them with an
     ensemble raises ValueError.
-    The quadrature entries use a fixed refinement level so the curve is a
-    smooth deterministic function of t.  E, E' and E'' of one time share its
-    grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
+    The quadrature entries use a fixed refinement ``level`` so the curve is
+    a smooth deterministic function of t; ``level`` applies to a kernel
+    only, and a Monte Carlo curve ignores it.  E, E' and E'' of one time
+    share its grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
     each equals its own `entropy_q`/`entropy_prime`/`entropy_second` (or
     `entropy_mc`) value bit for bit.  Where the nodes do not move with t
     (circle, sphere), the quadrature curve builds them, and the jet's terms

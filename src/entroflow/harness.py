@@ -248,6 +248,8 @@ class Scenario:
             model, _, _, _, doms = self.build()
             for dom in doms:
                 dom.validate_against(model)
+            if self.mc is not None:
+                self.mc.validate_against(model)
         except ConfigError:
             raise
         except Exception as exc:
@@ -276,8 +278,18 @@ class Scenario:
                 f"scenario {self.id!r}: bounds.delta must be positive and finite, "
                 f"got {self.bounds_delta!r}"
             )
-        if self.mc is not None:
-            self.mc.validate_against(model)
+        horizon = self._mc_horizon() if self.mc is not None else t1
+        # the tolerance of geometry's check_time, which simulate applies
+        if horizon > t1 + 1e-12:
+            raise ConfigError(
+                f"scenario {self.id!r}: mc.dt = {self.mc.dt} steps to "
+                f"t = {horizon:.12g}, past the window end {t1}"
+            )
+
+    def _mc_horizon(self) -> float:
+        """t.max rounded up to a whole number of Monte Carlo steps."""
+        dt = self.mc.dt
+        return math.ceil(self.t_max / dt - 1e-9) * dt
 
     def t_grid(self) -> np.ndarray:
         if self.t_spacing == "log":
@@ -407,7 +419,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     if scenario.mc is not None:
         with _timed(clocks, "simulate"):
             dt = scenario.mc.dt
-            horizon = math.ceil(scenario.t_max / dt - 1e-9) * dt
+            horizon = scenario._mc_horizon()
             # snap requested times onto the step grid (within half a step)
             record = sorted(
                 {round(t / dt) * dt for t in np.concatenate([t_grid, t_grid / 2.0])}
@@ -430,8 +442,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
             outputs.append("entropy.csv")
             if ensemble is not None:
                 mc_curve = entropy.entropy_curve(
-                    sol, ensemble, _mc_times(t_grid, ensemble),
-                    level=level, with_conditions=False,
+                    sol, ensemble, _mc_times(t_grid, ensemble), with_conditions=False
                 )
                 mc_curve.to_csv(outdir / "entropy_mc.csv")
                 outputs.append("entropy_mc.csv")
@@ -454,9 +465,9 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     t_ref = float(t_grid[len(t_grid) // 2])
     if "bounds" in scenario.analyses:
         with _timed(clocks, "bounds"):
-            gb = analysis.gradient_entropy_check(sol, kern, x, t_ref, level=level)
+            gb = analysis.gradient_entropy_check(sol, kern, t_ref, level=level)
             cb = analysis.corollary_bounds(
-                sol, x, t_ref, scenario.bounds_delta, kernel=kern, level=level
+                sol, kern, t_ref, scenario.bounds_delta, level=level
             )
             report["bounds"] = {
                 "t": t_ref,
@@ -487,8 +498,8 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     if "rigidity" in scenario.analyses:
         with _timed(clocks, "rigidity"):
             rep = analysis.rigidity_check(
-                sol, x, t_grid[:: max(1, len(t_grid) // 8)],
-                _default_ygrid(model), kernel=kern, level=level,
+                sol, kern, t_grid[:: max(1, len(t_grid) // 8)],
+                _default_ygrid(model), level=level,
             )
             report["rigidity"] = _jsonable(asdict(rep))
 
@@ -531,7 +542,9 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
             n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
             seed=_whole("seed", overrides.get("seed", mc.seed)),
         )
-    return replace(sc, mc=mc)
+    sc = replace(sc, mc=mc)
+    sc.validate()
+    return sc
 
 
 def _mc_times(t_grid, ensemble):

@@ -24,26 +24,34 @@ of its own, so the grid and the density cannot come from two different
 manifolds.  `build_grid` alone takes a model: the model is what it builds
 for.
 
+Three entry points integrate against the kernel measure, one for each
+need:
+
+* `curve_expectations`: several integrands at a fixed level, at each time
+  of a curve (a single time is the one-time curve ``(t,)``);
+* `refine_expectations`: several integrands at one time, each refined
+  until it stabilizes or diverges, on its own;
+* `kernel_integral`: one integrand, one value at a fixed level or refined,
+  or a typed `QuadratureDivergence`.
+
 The grid, its volume weights and the kernel density at the nodes depend
-on the kernel, time and level but on no integrand, so
-`kernel_expectations` builds them once for several integrands (E, E' and
-E'' of one time step, or the integrals still refining at one level) and
-drops them on return: building the grid, and above all summing the
-sphere's zonal kernel series, is most of the cost of a quadrature.  The
-integrands of one call come as an `Integrands` tuple, whose
-`reduce_columns` hands each integrand's column to the reduction as soon as
-it is formed; `entropy.JetIntegrands` evaluates the solution's jet once
-for the whole node set that way.  `curve_expectations` does this at each
-time of a curve, and where the nodes do not move with t (circle, sphere:
-only their weights scale with ``c(t)``) it builds them once, with the
+on the kernel, time and level but on no integrand, so `curve_expectations`
+builds them once for the integrands of one time (E, E' and E'' of one time
+step, or the integrals still refining at one level) and drops them on
+return: building the grid, and above all summing the sphere's zonal
+kernel series, is most of the cost of a quadrature.  The integrands of one
+call come as an `Integrands` tuple, whose `reduce_columns` hands each
+integrand's column to the reduction as soon as it is formed;
+`entropy.JetIntegrands` evaluates the solution's jet once for the whole
+node set that way.  Where the nodes do not move with t (circle, sphere:
+only their weights scale with ``c(t)``) a curve builds them once, with the
 integrands' `node_terms` on them (the sphere solution's ``mu`` and frame
 components), and forms only the weights, the density and the columns per
-time; `kernel_expectations` is its one-time case.  A curve holds one node
-set until it returns; nothing caches a grid, a density or a jet beyond
-the call that made it, so memory holds one of each at a time whatever the
-length of the time grid.  `refine_expectations` refines several
-integrands this way; each keeps its own stopping level and divergence
-flag, so its values are those it gets refined alone.
+time.  A curve holds one node set until it returns; nothing caches a grid,
+a density or a jet beyond the call that made it, so memory holds one of
+each at a time whatever the length of the time grid.  In
+`refine_expectations` each integrand keeps its own stopping level and
+divergence flag, so its values are those it gets refined alone.
 
 Every entry point refuses ``t <= 0`` (`build_grid`): the kernel measure is
 a point mass at ``t = 0``.
@@ -274,14 +282,17 @@ def _check_grid(model, x, t, level):
 
 
 def curve_expectations(fs, kernel, ts, level=0, growth=0.0, **grid_opts):
-    """`kernel_expectations` at each time of ``ts``: one tuple per time.
+    """Single-level quadrature of each integrand against the kernel measure,
+    at each time of ``ts``: one tuple of values per time.
 
-    Where the nodes do not move with t (circle, sphere) the curve builds
-    them once, with what the integrands share on them
+    ``fs`` is a sequence of integrands or an `Integrands` tuple.  The nodes
+    and the kernel density are made read-only, so every integrand sees the
+    same ones.  Where the nodes do not move with t (circle, sphere) the
+    curve builds them once, with what the integrands share on them
     (`Integrands.node_terms`), and each later time forms only its weights,
     the kernel density and the integrands' columns; elsewhere each time
-    builds its own grid.  Nothing outlives the call.  Every value equals its
-    own `kernel_expectation` call bit for bit.
+    builds its own grid.  Nothing outlives the call.  Every value equals
+    the one its integrand gets alone, at its time alone, bit for bit.
     """
     fs = fs if isinstance(fs, Integrands) else Integrands(fs)
     model, x = kernel.model, kernel.base_point
@@ -308,36 +319,6 @@ def _reduce(dens, w, col):
     return float(np.dot(np.asarray(col, dtype=float) * dens, w))
 
 
-def kernel_expectations(fs, kernel, t, level=0, growth=0.0, **grid_opts):
-    """Single-level quadrature of each integrand against the kernel measure.
-
-    ``fs`` is a sequence of integrands or an `Integrands` tuple.  The grid
-    and the kernel density are built once and made read-only, so every
-    integrand sees the same nodes; each value equals the integrand's own
-    `kernel_expectation` bit for bit.  It is the one-time case of
-    `curve_expectations`.
-    """
-    return curve_expectations(fs, kernel, (t,), level, growth, **grid_opts)[0]
-
-
-def kernel_expectation(f, kernel, t, level=0, growth=0.0, **grid_opts):
-    """Single-level quadrature of f against the kernel measure."""
-    return kernel_expectations((f,), kernel, t, level, growth, **grid_opts)[0]
-
-
-def refine_expectation(
-    f,
-    kernel,
-    t,
-    growth=0.0,
-    levels=None,
-    rtol=1e-10,
-    atol=1e-12,
-) -> Refinement:
-    """Refine until stabilization or until the divergence rule fires."""
-    return refine_expectations((f,), kernel, t, growth, levels, rtol, atol)[0]
-
-
 def refine_expectations(
     fs,
     kernel,
@@ -347,7 +328,8 @@ def refine_expectations(
     rtol=1e-10,
     atol=1e-12,
 ) -> tuple:
-    """`refine_expectation` of each integrand, on one grid per level.
+    """Refine each integrand until it stabilizes or the divergence rule
+    fires, on one grid per level.
 
     Each integrand stops at its own level, so each `Refinement` is the one
     it gets alone, bit for bit; a level's grid is built only while some
@@ -367,7 +349,7 @@ def refine_expectations(
         if not live:
             break
         live_fs = type(fs)(fs[i] for i in live)
-        got = kernel_expectations(live_fs, kernel, t, level, growth)
+        got = curve_expectations(live_fs, kernel, (t,), level, growth)[0]
         for i, v in zip(live, got):
             vals = values[i]
             vals.append(v)
@@ -387,10 +369,11 @@ def refine_expectations(
 
 
 def kernel_integral(f, kernel, t, growth=0.0, level=None, what="integral"):
-    """Refined integral; raises QuadratureDivergence when it cannot settle."""
+    """One integral: at ``level``, or refined when ``level`` is None; raises
+    QuadratureDivergence when the refinement cannot settle."""
     if level is not None:
-        return kernel_expectation(f, kernel, t, level=level, growth=growth)
-    ref = refine_expectation(f, kernel, t, growth=growth)
+        return curve_expectations((f,), kernel, (t,), level, growth)[0][0]
+    (ref,) = refine_expectations((f,), kernel, t, growth)
     if ref.converged:
         return ref.value
     raise QuadratureDivergence(

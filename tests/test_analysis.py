@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import geometry, kernels, quadrature, solutions
+from entroflow import analysis, geometry, kernels, quadrature, solutions, stochastic
 from entroflow.analysis import (
     GROWTH_CONSTANT,
     GROWTH_LINEAR,
@@ -15,7 +15,12 @@ from entroflow.analysis import (
     rigidity_check,
     separation_test,
 )
-from entroflow.entropy import entropy_curve, first_variation_integrand, ulogu_integrand
+from entroflow.entropy import (
+    entropy_curve,
+    entropy_q,
+    first_variation_integrand,
+    ulogu_integrand,
+)
 from entroflow.errors import InsufficientCurve
 from entroflow.solutions import Constant, ExponentialLine, SumOfExponentialsLine
 
@@ -121,29 +126,51 @@ def test_static_solution_separates_on_punctured_space():
 
 
 def test_gradient_bound_saturates(line_sol, line_kernel):
-    gb = gradient_entropy_check(line_sol, line_kernel, [0.0], 1.0, level=2)
+    gb = gradient_entropy_check(line_sol, line_kernel, 1.0, level=2)
     assert gb.lhs == pytest.approx(1.0, abs=1e-12)
     assert gb.rhs == pytest.approx(1.0, abs=1e-8)
     assert gb.holds
 
 
 def test_gradient_bound_trivial_for_constants(line_model, line_kernel):
-    gb = gradient_entropy_check(Constant(1.0, line_model), line_kernel, [0.0], 1.0)
+    gb = gradient_entropy_check(Constant(1.0, line_model), line_kernel, 1.0)
     assert gb.lhs == 0.0
     assert gb.rhs == pytest.approx(0.0, abs=1e-12)
     assert gb.holds
 
 
 def test_gradient_bound_strict_on_circle(circle_sol, circle_kernel):
-    gb = gradient_entropy_check(
-        circle_sol, circle_kernel, [0.0], 0.5, level=2
-    )
+    gb = gradient_entropy_check(circle_sol, circle_kernel, 0.5, level=2)
     assert gb.holds
     assert gb.lhs < gb.rhs  # base point at the flat spot of the mode
 
 
+def test_gradient_bound_reads_the_start_point_of_its_target(line_model):
+    # |grad u/u|^2 (0, y) varies for a sum of exponentials, so the bound
+    # depends on where the kernel or the paths start
+    sol = SumOfExponentialsLine([(1, 1), (1, 2)], line_model)
+    t = 0.5
+    cfg = stochastic.SdeConfig(dt=1e-2, n_paths=2000, seed=0xC0FFEE)
+    lhs = {}
+    for x in (-0.5, 0.5):
+        pt = np.array([[x]])
+        u0 = float(sol.value(0.0, pt)[0])
+        want = t * float(sol.grad_term(0.0, pt)[0]) / u0
+        kern = kernels.GaussianKernel(np.array([x]), line_model)
+        gb = gradient_entropy_check(sol, kern, t, level=2)
+        assert gb.lhs == want and gb.holds
+        # E[u(t, X_t)] = u0, so the normalized entropy is (E(t) - u0 log u0) / u0
+        e = entropy_q(sol, kern, t, level=2)
+        assert gb.rhs == pytest.approx((e - u0 * math.log(u0)) / u0, rel=1e-9)
+        ens = stochastic.simulate(line_model, [x], t, cfg, record_times=[t])
+        gb = gradient_entropy_check(sol, ens, t)
+        assert gb.lhs == want and gb.holds
+        lhs[x] = want
+    assert lhs[0.5] > 1.3 * lhs[-0.5]
+
+
 def test_delta_bound_equality_case(line_sol, line_kernel):
-    cb = corollary_bounds(line_sol, [0.0], 1.0, 1.0, kernel=line_kernel, level=2)
+    cb = corollary_bounds(line_sol, line_kernel, 1.0, 1.0, level=2)
     assert cb.delta_lhs == pytest.approx(1.0, abs=1e-12)
     assert cb.delta_rhs == pytest.approx(1.0, abs=1e-8)
     assert cb.delta_bound_holds
@@ -153,18 +180,14 @@ def test_delta_bound_equality_case(line_sol, line_kernel):
 
 
 def test_bounds_trivial_for_constants(line_model, line_kernel):
-    cb = corollary_bounds(
-        Constant(2.0, line_model), [0.0], 1.0, 0.7, kernel=line_kernel
-    )
+    cb = corollary_bounds(Constant(2.0, line_model), line_kernel, 1.0, 0.7)
     assert cb.delta_bound_holds
     assert not cb.sup_unbounded
     assert cb.sup_bound_holds
 
 
 def test_bounds_on_compact_circle(circle_sol, circle_kernel):
-    cb = corollary_bounds(
-        circle_sol, [0.0], 1.0, 0.5, kernel=circle_kernel, level=2
-    )
+    cb = corollary_bounds(circle_sol, circle_kernel, 1.0, 0.5, level=2)
     assert cb.delta_bound_holds
     assert not cb.sup_unbounded
     assert cb.sup_bound_holds
@@ -179,8 +202,8 @@ def test_rigidity_antecedent_false_on_static_circle():
     sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], model)
     kern = kernels.WrappedGaussianKernel(np.array([0.0]), model)
     rep = rigidity_check(
-        sol, [0.0], np.geomspace(0.2, 1.2, 6),
-        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=kern,
+        sol, kern, np.geomspace(0.2, 1.2, 6),
+        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None],
     )
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
     assert not rep.antecedent
@@ -190,8 +213,8 @@ def test_rigidity_antecedent_false_on_static_circle():
 def test_rigidity_holds_for_constant_on_shrinking_circle(circle_model, circle_kernel):
     sol = Constant(3.0, circle_model)
     rep = rigidity_check(
-        sol, [0.0], np.geomspace(0.2, 1.2, 6),
-        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=circle_kernel,
+        sol, circle_kernel, np.geomspace(0.2, 1.2, 6),
+        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None],
     )
     assert rep.min_margin > 0
     assert rep.antecedent and rep.entropy_linear
@@ -202,13 +225,35 @@ def test_rigidity_holds_for_constant_on_shrinking_circle(circle_model, circle_ke
 def test_rigidity_sharpness_on_the_flat_line(line_sol, line_kernel):
     # gap matrix vanishes identically: linear entropy is permitted
     rep = rigidity_check(
-        line_sol, [0.0], np.geomspace(0.25, 2.0, 6),
-        np.linspace(-1, 1, 9)[:, None], kernel=line_kernel,
+        line_sol, line_kernel, np.geomspace(0.25, 2.0, 6),
+        np.linspace(-1, 1, 9)[:, None],
     )
     assert not rep.antecedent
     assert rep.entropy_linear
     assert rep.max_grad_log > 0.5
     assert rep.consistent
+
+
+@pytest.mark.parametrize("which", ["circle", "sphere"])
+def test_rigidity_entropy_is_entropy_q_bit_for_bit(which, request, monkeypatch):
+    # one curve serves every time of the series (the nodes do not move
+    # with t here); each value equals its own entropy_q
+    sol, kern = (request.getfixturevalue(f"{which}_{k}") for k in ("sol", "kernel"))
+    ts = np.geomspace(0.2, 1.1, 5)
+    seen = []
+    fit = analysis._linear_fit_residual
+
+    def recorded(t, e):
+        seen.append(e)
+        return fit(t, e)
+
+    monkeypatch.setattr(analysis, "_linear_fit_residual", recorded)
+    y_grid = [[0.0]] if which == "circle" else [[0.0, 0.0, 1.0]]
+    rigidity_check(sol, kern, ts, y_grid, level=1)
+    want = [entropy_q(sol, kern, t, level=1) for t in ts]
+    assert np.asarray(seen[0]).view(np.uint64).tolist() == (
+        np.asarray(want).view(np.uint64).tolist()
+    )
 
 
 def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle_kernel):
@@ -217,8 +262,8 @@ def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle
     # which it is not, so the report stays consistent
     sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle_model)
     rep = rigidity_check(
-        sol, [0.0], np.geomspace(0.2, 1.2, 8),
-        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None], kernel=circle_kernel,
+        sol, circle_kernel, np.geomspace(0.2, 1.2, 8),
+        np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None],
     )
     assert rep.antecedent
     assert not rep.entropy_linear
@@ -245,21 +290,19 @@ def test_divergence_demo_tables():
 
 def test_divergence_demo_equals_separate_integrals_bit_for_bit():
     # E and E' of a level share one grid; each must equal the value of
-    # its own kernel_expectation call
+    # its own kernel_integral call
     t, x = 0.5, np.array([0.0, 0.8, 0.6])
     rep = divergence_demo(t, x=x, levels=range(3))
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
     kernel = kernels.GaussianKernel(x, model)
     for lv in range(3):
-        e = quadrature.kernel_expectation(ulogu_integrand(sol), kernel, t, level=lv)
-        p = quadrature.kernel_expectation(
-            first_variation_integrand(sol), kernel, t, level=lv
-        )
+        e = quadrature.kernel_integral(ulogu_integrand(sol), kernel, t, level=lv)
+        p = quadrature.kernel_integral(first_variation_integrand(sol), kernel, t, level=lv)
         assert np.float64(rep.entropy_values[lv]).view(np.uint64) == np.float64(e).view(np.uint64)
         assert np.float64(rep.prime_values[lv]).view(np.uint64) == np.float64(p).view(np.uint64)
-    tail = quadrature.kernel_expectation(
-        ulogu_integrand(sol), kernel, t, level=0, outer_scale=2.0
+    ((tail,),) = quadrature.curve_expectations(
+        (ulogu_integrand(sol),), kernel, (t,), 0, outer_scale=2.0
     )
     assert rep.tail_shift == abs(tail - rep.entropy_values[0])
 
@@ -301,4 +344,4 @@ def test_divergence_demo_refuses_bad_input():
 def test_corollary_bounds_refuse_a_bad_delta(line_sol, line_kernel, delta):
     # delta = inf used to report delta_bound_holds with delta_rhs = inf
     with pytest.raises(ValueError, match="delta must be positive and finite"):
-        corollary_bounds(line_sol, [0.0], 1.0, delta, kernel=line_kernel)
+        corollary_bounds(line_sol, line_kernel, 1.0, delta)

@@ -342,9 +342,9 @@ def test_conditions_share_nodes_bit_for_bit(which, monkeypatch):
     # and as it ends when refined alone, with the same bits
     sol, kern, t = _condition_cases()[which]
     alone = {
-        name: quadrature.refine_expectation(
-            f(sol), kern, t, growth=entropy.shared_growth(sol)
-        )
+        name: quadrature.refine_expectations(
+            (f(sol),), kern, t, growth=entropy.shared_growth(sol)
+        )[0]
         for name, f in (
             ("cond1", entropy.cond1_integrand),
             ("cond2", entropy.cond2_integrand),
@@ -380,8 +380,8 @@ def test_refinements_stop_at_their_own_levels(line_kernel):
     kink = lambda tt, p: np.abs(p[:, 0] - 0.1)  # noqa: E731
     refs = quadrature.refine_expectations((one, kink), line_kernel, 0.5)
     assert refs == (
-        quadrature.refine_expectation(one, line_kernel, 0.5),
-        quadrature.refine_expectation(kink, line_kernel, 0.5),
+        quadrature.refine_expectations((one,), line_kernel, 0.5)[0],
+        quadrature.refine_expectations((kink,), line_kernel, 0.5)[0],
     )
     assert len(refs[0].values) == 2 and refs[0].converged
     assert len(refs[1].values) == 5 and not (refs[1].converged or refs[1].divergent)
@@ -401,17 +401,17 @@ _ALL_INTEGRANDS = (
 @pytest.mark.parametrize("level", [0, 2])
 def test_shared_jet_gives_each_single_integral_bit_for_bit(which, level):
     # every subset of the six integrands (with and without the Hessian,
-    # u alone) shares one jet; each value equals its own kernel_expectation
+    # u alone) shares one jet; each value equals its own kernel_integral
     sol, kern, t = _condition_cases()[which]
     growth = entropy.shared_growth(sol)
     fs = [make(sol) for make in _ALL_INTEGRANDS]
     alone = [
-        quadrature.kernel_expectation(f, kern, t, level=level, growth=growth)
+        quadrature.kernel_integral(f, kern, t, growth=growth, level=level)
         for f in fs
     ]
     for pick in ((0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 5), (0,), (4, 0)):
-        shared = quadrature.kernel_expectations(
-            entropy.JetIntegrands(fs[i] for i in pick), kern, t, level, growth
+        (shared,) = quadrature.curve_expectations(
+            entropy.JetIntegrands(fs[i] for i in pick), kern, (t,), level, growth
         )
         assert _bits(shared).tolist() == _bits([alone[i] for i in pick]).tolist(), pick
 
@@ -466,7 +466,7 @@ def test_curve_gives_each_single_time_bit_for_bit(which, level):
     row = entropy.JetIntegrands(make(sol) for make in _ALL_INTEGRANDS[:3])
     got = quadrature.curve_expectations(row, kern, _CURVE_TIMES, level, growth)
     want = [
-        quadrature.kernel_expectations(row, kern, t, level, growth)
+        quadrature.curve_expectations(row, kern, (t,), level, growth)[0]
         for t in _CURVE_TIMES
     ]
     assert _bits(got).tolist() == _bits(want).tolist()
@@ -556,7 +556,7 @@ def test_hessian_only_while_a_reader_refines(line_model, line_kernel, monkeypatc
     fs = entropy.JetIntegrands(
         (entropy.cond2_integrand(sol), entropy.JetIntegrand(sol, kink))
     )
-    alone = [quadrature.refine_expectation(f, line_kernel, 0.5) for f in fs]
+    alone = [quadrature.refine_expectations((f,), line_kernel, 0.5)[0] for f in fs]
     calls = _count_jets(monkeypatch, sol)
     refs = quadrature.refine_expectations(fs, line_kernel, 0.5)
     assert refs == tuple(alone)
@@ -647,18 +647,16 @@ _PAIRED_CALLS = {
         "ensemble", lambda sol, e: stopped_increment_residual(sol, e, _DOMAIN, 0.5)
     ),
     "gradient_entropy_check-kernel": (
-        "kernel", lambda sol, k: analysis.gradient_entropy_check(sol, k, [0.0], 0.5, level=0)
+        "kernel", lambda sol, k: analysis.gradient_entropy_check(sol, k, 0.5, level=0)
     ),
     "gradient_entropy_check-ensemble": (
-        "ensemble", lambda sol, e: analysis.gradient_entropy_check(sol, e, [0.0], 0.5)
+        "ensemble", lambda sol, e: analysis.gradient_entropy_check(sol, e, 0.5)
     ),
     "corollary_bounds": (
-        "kernel",
-        lambda sol, k: analysis.corollary_bounds(sol, [0.0], 0.5, 1.0, kernel=k, level=0),
+        "kernel", lambda sol, k: analysis.corollary_bounds(sol, k, 0.5, 1.0, level=0)
     ),
     "rigidity_check": (
-        "kernel",
-        lambda sol, k: analysis.rigidity_check(sol, [0.0], [0.5], [[0.0]], kernel=k, level=0),
+        "kernel", lambda sol, k: analysis.rigidity_check(sol, k, [0.5], [[0.0]], level=0)
     ),
 }
 

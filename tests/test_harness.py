@@ -291,6 +291,17 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
         (lambda: run(parse_scenario(MC_BLOCK), Path(os.devnull) / "out",
                      overrides={"path": 500}),
          ConfigError, "unknown override keys ['path']"),
+        # a too-coarse step was a bare ValueError from the config, and from
+        # --dt a traceback after the output directory was made
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.dt = 0.001", "mc.dt = 1.0")),
+         ConfigError, "dt must not exceed a tenth of the time window"),
+        (lambda: run(parse_scenario(MC_BLOCK), Path(os.devnull) / "out",
+                     overrides={"dt": 1.0}),
+         ConfigError, "dt must not exceed a tenth of the time window"),
+        # 1.25 rounds up to 417 steps of 0.003, past the window end 1.25
+        (lambda: run(parse_scenario(CIRCLE), Path(os.devnull) / "out",
+                     overrides={"dt": 0.003}),
+         ConfigError, "mc.dt = 0.003 steps to t = 1.251, past the window end 1.25"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
@@ -307,7 +318,8 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          "sphere-a0-nan", "sphere-amplitude-nan", "expsum-short-term", "radial3-param",
          "circle-spec-unbalanced", "sphere-spec-long", "circle-spec-no-modes",
          "sphere-spec-no-modes", "space-fraction", "bounds-delta-negative",
-         "bounds-delta-inf", "override-unknown-key"],
+         "bounds-delta-inf", "override-unknown-key", "mc.dt-coarse",
+         "dt-override-coarse", "dt-override-past-window"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -10,11 +10,10 @@ from entroflow.errors import QuadratureDivergence
 from entroflow.quadrature import (
     Refinement,
     build_grid,
+    curve_expectations,
     inner_cutoff,
-    kernel_expectation,
-    kernel_expectations,
     kernel_integral,
-    refine_expectation,
+    refine_expectations,
     truncation_radius,
 )
 
@@ -39,8 +38,8 @@ def test_polynomial_moments(line_kernel):
 
 def test_fixed_level_values_are_bit_reproducible(line_kernel):
     f = lambda tt, pts: np.exp(pts[:, 0])
-    a = kernel_expectation(f, line_kernel, 0.5, level=1, growth=1.0)
-    b = kernel_expectation(f, line_kernel, 0.5, level=1, growth=1.0)
+    a = kernel_integral(f, line_kernel, 0.5, growth=1.0, level=1)
+    b = kernel_integral(f, line_kernel, 0.5, growth=1.0, level=1)
     assert a == b
 
 
@@ -62,7 +61,7 @@ def test_divergence_rule_fires_for_radial_first_variation():
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
-    ref = refine_expectation(first_variation_integrand(sol), kern, 1.0)
+    (ref,) = refine_expectations((first_variation_integrand(sol),), kern, 1.0)
     assert ref.divergent and not ref.converged
     with pytest.raises(QuadratureDivergence) as err:
         kernel_integral(first_variation_integrand(sol), kern, 1.0)
@@ -74,7 +73,7 @@ def test_radial_entropy_integral_stabilizes():
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
-    ref = refine_expectation(ulogu_integrand(sol), kern, 1.0)
+    (ref,) = refine_expectations((ulogu_integrand(sol),), kern, 1.0)
     assert ref.converged
     spread = max(ref.values[:4]) - min(ref.values[:4])
     assert spread <= 1e-4
@@ -94,7 +93,7 @@ def test_punctured_shell_increment_matches_log_rate():
     kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), model)
     t = 1.0
     vals = [
-        kernel_expectation(first_variation_integrand(sol), kern, t, level=lv)
+        kernel_integral(first_variation_integrand(sol), kern, t, level=lv)
         for lv in range(3)
     ]
     rate = math.log(10.0) * 4 * math.pi * (4 * math.pi * t) ** -1.5 * math.exp(-0.25)
@@ -191,14 +190,14 @@ def _bundle(which, request):
     ids=["line", "circle", "sphere", "punctured"],
 )
 def test_node_set_gives_the_single_integral_bit_for_bit(which, grid_opts, request):
-    # the integrands of one kernel_expectations call share its grid and
-    # kernel density; each value must equal its own single-integral call
+    # the integrands of one time share its grid and kernel density; each
+    # value must equal its own single-integral call
     _, sol, kernel = _bundle(which, request)
     fs = (ulogu_integrand(sol), first_variation_integrand(sol))
-    shared = kernel_expectations(fs, kernel, 0.5, 1, 2.0, **grid_opts)
+    (shared,) = curve_expectations(fs, kernel, (0.5,), 1, 2.0, **grid_opts)
     assert len(shared) == len(fs)
     for f, got in zip(fs, shared):
-        alone = kernel_expectation(f, kernel, 0.5, level=1, growth=2.0, **grid_opts)
+        ((alone,),) = curve_expectations((f,), kernel, (0.5,), 1, 2.0, **grid_opts)
         assert np.float64(got).view(np.uint64) == np.float64(alone).view(np.uint64)
 
 
@@ -210,7 +209,7 @@ def test_shared_nodes_are_read_only(line_kernel):
 
     one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
     with pytest.raises(ValueError, match="read-only"):
-        kernel_expectations((one, scribble), line_kernel, 0.5)
+        curve_expectations((one, scribble), line_kernel, (0.5,))
 
 
 def test_quadrature_refuses_non_positive_times(line_model, line_kernel, circle_model,
@@ -228,9 +227,9 @@ def test_quadrature_refuses_non_positive_times(line_model, line_kernel, circle_m
         with pytest.raises(ValueError, match="t > 0"):
             build_grid(model, kern.base_point, 0.0)
         with pytest.raises(ValueError, match="t > 0"):
-            kernel_expectations((one, one), kern, 0.0)
+            curve_expectations((one, one), kern, (0.0,))
         with pytest.raises(ValueError, match="t > 0"):
-            refine_expectation(one, kern, 0.0)
+            refine_expectations((one,), kern, 0.0)
 
 
 def test_refinement_refuses_an_empty_level_list(line_kernel):
@@ -239,9 +238,9 @@ def test_refinement_refuses_an_empty_level_list(line_kernel):
     one = lambda tt, p: np.ones(p.shape[0])  # noqa: E731
     for levels in ([], (), range(0)):
         with pytest.raises(ValueError, match="at least one level"):
-            refine_expectation(one, line_kernel, 0.5, levels=levels)
-    assert refine_expectation(one, line_kernel, 0.5, levels=[2]).values == (
-        kernel_expectation(one, line_kernel, 0.5, level=2),
+            refine_expectations((one,), line_kernel, 0.5, levels=levels)
+    assert refine_expectations((one,), line_kernel, 0.5, levels=[2])[0].values == (
+        kernel_integral(one, line_kernel, 0.5, level=2),
     )
 
 
@@ -254,8 +253,8 @@ def test_flat_space_radial_grid_mass():
 
 
 def test_refinement_object_shape(line_kernel):
-    ref = refine_expectation(
-        lambda tt, p: np.ones(p.shape[0]), line_kernel, 0.5
+    (ref,) = refine_expectations(
+        (lambda tt, p: np.ones(p.shape[0]),), line_kernel, 0.5
     )
     assert isinstance(ref, Refinement)
     assert ref.converged and not ref.divergent
