@@ -536,12 +536,13 @@ def _timed(clocks, stage):
 
 def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     mc = sc.mc
-    if mc is not None:
-        mc = SdeConfig(
-            dt=_step("dt", overrides.get("dt", mc.dt)),
-            n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
-            seed=_whole("seed", overrides.get("seed", mc.seed)),
-        )
+    if mc is None:
+        return sc
+    mc = SdeConfig(
+        dt=_step("dt", overrides.get("dt", mc.dt)),
+        n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
+        seed=_whole("seed", overrides.get("seed", mc.seed)),
+    )
     sc = replace(sc, mc=mc)
     sc.validate()
     return sc
