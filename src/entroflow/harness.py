@@ -278,13 +278,14 @@ class Scenario:
                 f"scenario {self.id!r}: bounds.delta must be positive and finite, "
                 f"got {self.bounds_delta!r}"
             )
-        horizon = self._mc_horizon() if self.mc is not None else t1
-        # the tolerance of geometry's check_time, which simulate applies
-        if horizon > t1 + 1e-12:
-            raise ConfigError(
-                f"scenario {self.id!r}: mc.dt = {self.mc.dt} steps to "
-                f"t = {horizon:.12g}, past the window end {t1}"
-            )
+        if self.mc is not None:
+            horizon = self._mc_horizon()
+            # the tolerance of geometry's check_time, which simulate applies
+            if horizon > t1 + 1e-12:
+                raise ConfigError(
+                    f"scenario {self.id!r}: mc.dt = {self.mc.dt} steps to "
+                    f"t = {horizon:.12g}, past the window end {t1}"
+                )
 
     def _mc_horizon(self) -> float:
         """t.max rounded up to a whole number of Monte Carlo steps."""
