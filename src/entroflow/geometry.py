@@ -1,19 +1,25 @@
 """Catalog of time-dependent metric families and their curvature data.
 
-Every model fixes a chart (and, for the sphere, a point-dependent
-orthonormal frame) in which all tensor components are reported:
+Every model is a conformal evolution ``g(t) = c(t) g0`` with
+``c(t) = c0 + rate*t`` affine (``c0 = 1``, ``rate = 0`` on the static flat
+kinds) and ``g0`` flat or round, so ``Ric(g0) = K g0`` for one constant
+``K``: 1 on the unit sphere, 0 elsewhere.  Each model fixes a chart (and,
+for the sphere, a point-dependent orthonormal frame) in which all tensor
+components are reported:
 
 * ``euclidean-line`` / ``euclidean-space:n`` / ``punctured-3`` --
   Cartesian coordinates, static flat metric.
-* ``circle:c0,rate`` -- angle chart ``theta`` with metric ``c(t) dtheta^2``,
-  ``c(t) = c0 + rate*t`` affine.
+* ``circle:c0,rate`` -- angle chart ``theta`` with metric ``c(t) dtheta^2``.
 * ``sphere2:c0,rate`` -- points are unit vectors in 3-space; tensors are
   reported in the orthonormal tangent frame at the query point, i.e. in
   normal coordinates centered there, where the round metric is the
-  identity and its Christoffel symbols vanish.
+  identity.
 
-The conformal factor is affine so the time change
-``s(t) = integral_0^t c(sigma)^-1 dsigma`` stays in closed form.
+In every gauge ``g``, ``g^-1``, ``dg/dt`` and ``Ric`` are ``c(t)``,
+``1/c(t)``, ``rate`` and ``K`` times the identity, and the Christoffel
+symbols vanish; every quantity below is derived from ``c(t)`` and ``K``.
+The affine ``c`` keeps the time change
+``s(t) = integral_0^t c(sigma)^-1 dsigma`` in closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ _FIXED_DIMS = {EUCLIDEAN_LINE: 1, PUNCTURED_3: 3, CIRCLE: 1, SPHERE_2: 2}
 # paths closer to the puncture than this are treated as having left the chart
 PUNCTURE_RADIUS = 1e-8
 
-_EIG_TOL = 1e-12
+_GAP_TOL = 1e-12
 
 
 def finite_params(what, values):
@@ -86,13 +92,13 @@ class MetricModel:
             raise ValueError(f"{self.kind} does not take a conformal factor")
 
     def conformal(self, t):
-        """Conformal factor c(t); identically 1 off the conformal families."""
-        if self.kind in _CONFORMAL_KINDS:
-            return self.c0 + self.rate * np.asarray(t, dtype=float)
-        return np.ones_like(np.asarray(t, dtype=float))
+        """Conformal factor c(t) = c0 + rate*t; identically 1 on the flat kinds."""
+        return self.c0 + self.rate * np.asarray(t, dtype=float)
 
-    def conformal_rate(self):
-        return self.rate if self.kind in _CONFORMAL_KINDS else 0.0
+    @property
+    def ricci_constant(self):
+        """K with Ric(g0) = K g0: 1 on the sphere, 0 on the other kinds."""
+        return 1.0 if self.kind == SPHERE_2 else 0.0
 
     def time_change(self, t):
         """Clock s(t) = integral of 1/c over [0, t], in closed form."""
@@ -100,10 +106,6 @@ class MetricModel:
         if self.kind not in _CONFORMAL_KINDS or self.rate == 0.0:
             return t / self.c0 if self.kind in _CONFORMAL_KINDS else t + 0.0
         return np.log1p(self.rate * t / self.c0) / self.rate
-
-    @property
-    def compact(self):
-        return self.kind in (CIRCLE, SPHERE_2)
 
     def check_time(self, t):
         t0, t1 = self.time_window
@@ -269,45 +271,29 @@ class MetricData:
 def metric_at(model: MetricModel, t, y) -> MetricData:
     """Exact metric data at (t, y); raises OutOfWindow / ChartViolation."""
     model.check_time(t)
-    y = model.check_point(y)
+    model.check_point(y)
     d = model.dim
+    c = float(model.conformal(t))
     eye = np.eye(d)
-    zero3 = np.zeros((d, d, d))
-    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3):
-        return MetricData(eye, eye, 0.0 * eye, zero3, 0.0 * eye, 1.0, 0.0)
-    if model.kind == CIRCLE:
-        c = float(model.conformal(t))
-        g = np.array([[c]])
-        return MetricData(
-            g, np.array([[1.0 / c]]), np.array([[model.rate]]), zero3,
-            np.zeros((1, 1)), math.sqrt(c), model.rate / c,
-        )
-    if model.kind == SPHERE_2:
-        c = float(model.conformal(t))
-        # frame components at the center of normal coordinates: round metric
-        # is the identity, its Ricci tensor equals itself, Christoffels vanish
-        return MetricData(
-            c * eye, eye / c, model.rate * eye, zero3, eye.copy(),
-            c, 2.0 * model.rate / c,
-        )
-    raise ValueError(f"unhandled model kind {model.kind}")
+    # sqrt(c**d) as sqrt(c) on odd and a power of c on even dimensions, so
+    # the circle's value is math.sqrt(c) and the sphere's is c itself
+    sqrt_det_g = c ** (d // 2) * math.sqrt(c) ** (d % 2)
+    return MetricData(
+        c * eye, eye / c, model.rate * eye, np.zeros((d, d, d)),
+        model.ricci_constant * eye, sqrt_det_g, d * model.rate / c,
+    )
 
 
 def super_ricci_gap(model: MetricModel, t, y) -> float:
     """Largest eigenvalue of (dg/dt - 2 Ric) in the g-orthonormal frame.
 
-    A value <= 0 means the evolution satisfies dg/dt <= 2 Ric at (t, y);
-    exactly 0 is the equality case.
+    Both tensors are multiples of g, so this is (rate - 2K) / c(t).  A value
+    <= 0 means the evolution satisfies dg/dt <= 2 Ric at (t, y); exactly 0
+    is the equality case.
     """
-    data = metric_at(model, t, y)
-    a = data.dg_dt - 2.0 * data.ricci
-    if model.dim == 1:
-        return float(a[0, 0] / data.g[0, 0])
-    # a deferred import: start-up skips scipy.linalg, which 1-D models never need
-    from scipy.linalg import eigh
-
-    vals = eigh(a, data.g, eigvals_only=True)
-    return float(vals[-1])
+    model.check_time(t)
+    model.check_point(y)
+    return float((model.rate - 2.0 * model.ricci_constant) / model.conformal(t))
 
 
 def strict_positivity_margin(model: MetricModel, t, y) -> float:
@@ -319,7 +305,7 @@ def strict_positivity_margin(model: MetricModel, t, y) -> float:
     return -super_ricci_gap(model, t, y)
 
 
-def flow_condition_verdict(model: MetricModel, t, y, tol=_EIG_TOL) -> str:
+def flow_condition_verdict(model: MetricModel, t, y, tol=_GAP_TOL) -> str:
     """Classify dg/dt <= 2 Ric at (t, y): 'satisfied', 'equality', 'violated'.
 
     A gap within +-tol of zero counts as the equality case.
@@ -339,84 +325,50 @@ def flow_condition_verdict(model: MetricModel, t, y, tol=_EIG_TOL) -> str:
 
 def inv_metric_scale(model: MetricModel, t, pts):
     """g^{ij} = scale * delta^{ij} in the gauge; returns scale per point."""
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3):
-        return np.broadcast_to(1.0, _tshape(t, n)).copy()
-    if model.kind in _CONFORMAL_KINDS:
-        return np.broadcast_to(1.0 / model.conformal(t), _tshape(t, n)).copy()
-    raise ValueError(model.kind)
+    return _per_point(1.0 / model.conformal(t), t, pts)
 
 
 def ricci_scale(model: MetricModel, t, pts):
     """Ric_{ij} = scale * delta_{ij} in the gauge."""
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    if model.kind == SPHERE_2:
-        return np.broadcast_to(1.0, _tshape(t, n)).copy()
-    return np.broadcast_to(0.0, _tshape(t, n)).copy()
+    return _per_point(model.ricci_constant, t, pts)
 
 
 def dg_dt_scale(model: MetricModel, t, pts):
     """(dg/dt)_{ij} = scale * delta_{ij} in the gauge."""
-    n = np.asarray(pts).shape[0]
-    if model.kind in _CONFORMAL_KINDS:
-        return np.broadcast_to(model.conformal_rate(), _tshape(t, n)).copy()
-    return np.broadcast_to(0.0, _tshape(t, n)).copy()
+    return _per_point(model.rate, t, pts)
 
 
-def _tshape(t, n):
-    return np.broadcast_shapes(np.shape(np.asarray(t)), (n,))
+def _per_point(scale, t, pts):
+    # scale broadcast against t and one entry per point, as a fresh array
+    shape = np.broadcast_shapes(np.shape(np.asarray(t)), (np.asarray(pts).shape[0],))
+    return np.broadcast_to(scale, shape).copy()
 
 
-def _second_derivative(samples, h):
-    """Fourth-order central second derivative from samples at
-    (-2h, -h, 0, +h, +2h)."""
-    m2, m1, f0, p1, p2 = samples
+def _second_derivative(func, f0, curve, h):
+    """Fourth-order central second derivative of ``func(curve(s))`` at s = 0,
+    where ``f0 = func(curve(0))``, from samples at s = -2h, -h, 0, h, 2h."""
+    m2, m1, p1, p2 = (func(curve(s * h)) for s in (-2, -1, 1, 2))
     return (-m2 + 16.0 * m1 - 30.0 * f0 + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
 def fd_laplacian(model: MetricModel, t, y, func, h=4e-4):
     """Finite-difference Laplace-Beltrami of a scalar ``func(point)`` at y.
 
-    Differentiates along straight chart lines (flat charts)
-    or great circles (circle, sphere), which is exact for the catalog since
-    none of the gauges carries first-order correction terms; the stencil is
-    fourth order so the check stays below 1e-6 even for the singular radial
-    solution near the puncture.
+    Differentiates along straight chart lines (flat charts, circle)
+    or great circles (sphere) and divides by c(t), which is exact for the
+    catalog since none of the gauges carries first-order correction terms;
+    the stencil is fourth order so the check stays below 1e-6 even for the
+    singular radial solution near the puncture.
     """
     model.check_time(t)
     y = model.check_point(y)
-    f0 = func(y)
-    if model.kind in (EUCLIDEAN_LINE, EUCLIDEAN_SPACE, PUNCTURED_3):
-        acc = 0.0
-        for i in range(model.dim):
-            e = np.zeros(model.dim)
-            e[i] = 1.0
-            samples = [func(y + s * h * e) for s in (-2, -1)]
-            samples.append(f0)
-            samples += [func(y + s * h * e) for s in (1, 2)]
-            acc += _second_derivative(samples, h)
-        return acc
-    if model.kind == CIRCLE:
-        e = np.array([1.0])
-        samples = [func(y + s * h * e) for s in (-2, -1)]
-        samples.append(f0)
-        samples += [func(y + s * h * e) for s in (1, 2)]
-        return _second_derivative(samples, h) / float(model.conformal(t))
     if model.kind == SPHERE_2:
-        e1, e2 = tangent_frame(y)
-        acc = 0.0
-        for e in (e1, e2):
-            samples = []
-            for s in (-2, -1):
-                samples.append(func(math.cos(s * h) * y + math.sin(s * h) * e))
-            samples.append(f0)
-            for s in (1, 2):
-                samples.append(func(math.cos(s * h) * y + math.sin(s * h) * e))
-            acc += _second_derivative(samples, h)
-        return acc / float(model.conformal(t))
-    raise ValueError(model.kind)
+        curves = [lambda s, e=e: math.cos(s) * y + math.sin(s) * e for e in tangent_frame(y)]
+    else:
+        curves = [lambda s, e=e: y + s * e for e in np.eye(model.dim)]
+    f0 = func(y)
+    acc = sum(_second_derivative(func, f0, curve, h) for curve in curves)
+    return acc / float(model.conformal(t))
 
 
 CATALOG_IDS = (

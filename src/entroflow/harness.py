@@ -29,6 +29,7 @@ import json
 import math
 import numbers
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -538,6 +539,13 @@ def _timed(clocks, stage):
 def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     mc = sc.mc
     if mc is None:
+        # not refused: a caller may pass one seed to every config it runs
+        ignored = sorted(set(overrides) & {"paths", "dt", "seed"})
+        if ignored:
+            warnings.warn(
+                f"scenario {sc.id!r} runs no Monte Carlo; ignoring overrides {ignored}",
+                UserWarning, stacklevel=3,
+            )
         return sc
     mc = SdeConfig(
         dt=_step("dt", overrides.get("dt", mc.dt)),

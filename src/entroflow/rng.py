@@ -12,18 +12,19 @@ hash, the float map and ``ndtri`` then work on arrays that stay in cache
 instead of streaming a dozen path-length temporaries through memory.  The
 blocking changes no bit of any draw.
 
-Threads.  A normal draw of at least ``_SPLIT_MIN`` paths also uses a
-second core when more than one is usable.  It runs in two halves.
-``_start``, on the calling thread, hashes every path into a fresh array
-and hands ``ndtri`` on the first ``_LEAD`` share, as one call, to a single
-helper thread.  ``_finish``, again on the calling thread, transforms the
-rest and waits for the helper's share.  A plain call runs the two halves
-back to back.  Only ``ndtri`` is handed over: it is one long native loop
-that runs without the interpreter lock, whereas the hash and the float map
-are a score of short ufunc calls per block, and two threads running those
-queue on the lock and gain nothing.  The helper runs no entroflow code and
-takes its jobs in the order they were queued.  Uniforms, small draws and
-draws on one usable core stay on the calling thread.
+Threads.  Only the stepping loop's draws use a second core, and only
+through the lookahead below, when more than one core is usable and the
+ensemble has at least ``_SPLIT_MIN`` paths.  Such a draw runs in two
+halves.  The calling thread hashes every path into a fresh array and
+hands ``ndtri`` on the first ``_LEAD`` share, as one call, to a single
+helper thread; when the draw is asked for, it transforms the rest and
+waits for the helper's share.  Only ``ndtri`` is handed over: it is one
+long native loop that runs without the interpreter lock, whereas the hash
+and the float map are a score of short ufunc calls per block, and two
+threads running those queue on the lock and gain nothing.  The helper
+runs no entroflow code and takes its jobs in the order they were queued.
+Every other call (uniforms, a plain ``normals`` call of any size, draws
+on one usable core) stays on the calling thread.
 
 Lookahead.  The stepping loop (``stochastic._march``) knows its keys in
 advance: one draw per step and chart coordinate, on its own index array.
@@ -45,7 +46,7 @@ computed by the same elementwise arithmetic, so neither the thread that
 computes it nor how early it is computed enters the result.  Blocking and
 the split point do not either, for the same reason.
 
-The helper is started by the first split draw or lookahead, never at
+The helper is started by the first lookahead that uses it, never at
 import, and belongs to the process that started it: a child made by
 ``os.fork`` forgets its parent's helper, whose thread does not exist in
 the child, and any lookahead open at the fork, and starts its own helper
@@ -81,7 +82,7 @@ _BLOCK = 1 << 15
 # rounding tie that goes up to 1.0, where ndtri is +inf
 _U_MAX = 1.0 - 2.0**-53
 
-# normal draws of at least this many paths split ndtri with the helper
+# a lookahead on at least this many paths splits ndtri with the helper
 # thread; below it the hand-off costs more than the overlap saves
 _SPLIT_MIN = 1 << 13
 
@@ -92,7 +93,7 @@ _SPLIT_MIN = 1 << 13
 # 7% slower than 0.8; 0.85 and 0.9 were within noise of it
 _LEAD = 0.8
 
-# the helper's one-thread executor: None until a split call needs it, False
+# the helper's one-thread executor: None until a lookahead needs it, False
 # when only one core is usable
 _pool = None
 _pool_lock = threading.Lock()
@@ -226,42 +227,30 @@ def _base(seed):
     return base
 
 
-def _start(pool, base, low, idx):
-    """Hash the 1-D paths idx into a fresh array and hand ndtri on its lead
-    share to the helper; ``_finish`` completes the draw."""
-    n = idx.size
-    out = np.empty(n)
-    bufs = _scratch(n)
-    lead = int(n * _LEAD)
-    head = out[:lead]
-    _fill(idx[:lead], head, base, low, False, *bufs)
-    job = pool.submit(ndtri, head, out=head)
-    _fill(idx[lead:], out[lead:], base, low, False, *bufs)
-    return out, lead, job
-
-
-def _finish(started):
-    # ndtri on the tail here, then wait for the helper's lead share
-    out, lead, job = started
-    tail = out[lead:]
-    ndtri(tail, out=tail)
-    job.result()
-    return out
-
-
 class _Lookahead:
     # the normal draws of a known key sequence on one index array, each
-    # started while the call for the key before it is served
+    # started while the call for the key before it is served: starting a
+    # draw hashes every path and hands ndtri on the lead share to the
+    # helper, serving it transforms the rest and waits for that share
     def __init__(self, pool, seed, idx, keys):
         self.pool, self.seed, self.idx, self.base = pool, seed, idx, _base(seed)
+        self.lead = int(idx.size * _LEAD)
         self.keys = iter(keys)
         self.pending = self._start_next()
 
     def _start_next(self):
+        # (key, draw, helper's job) of the next key, or None past the last
         key = next(self.keys, None)
         if key is None:
             return None
-        return key, _start(self.pool, self.base, _low(*key), self.idx)
+        low, idx, lead = _low(*key), self.idx, self.lead
+        out = np.empty(idx.size)
+        bufs = _scratch(idx.size)
+        head = out[:lead]
+        _fill(idx[:lead], head, self.base, low, False, *bufs)
+        job = self.pool.submit(ndtri, head, out=head)
+        _fill(idx[lead:], out[lead:], self.base, low, False, *bufs)
+        return key, out, job
 
     def serves(self, seed, path_idx, step, stream):
         return (
@@ -272,15 +261,17 @@ class _Lookahead:
         )
 
     def serve(self):
-        (_, started), self.pending = self.pending, self._start_next()
-        return _finish(started)
+        (_, out, job), self.pending = self.pending, self._start_next()
+        tail = out[self.lead:]
+        ndtri(tail, out=tail)
+        job.result()
+        return out
 
     def close(self):
         # the helper runs its jobs in order, so the last one queued is the
         # last one to wait for
         if self.pending is not None:
-            _, (_, _, job) = self.pending
-            job.result()
+            self.pending[2].result()
             self.pending = None
 
 
@@ -322,13 +313,8 @@ def _draws(seed, path_idx, step, stream, normal):
     if normal and ahead is not None and ahead.serves(seed, path_idx, step, stream):
         return ahead.serve()
     flat_idx = path_idx.reshape(-1)
-    n = flat_idx.size
-    pool = _helper() if normal and n >= _SPLIT_MIN else False
-    if pool:
-        out = _finish(_start(pool, _base(seed), low, flat_idx))
-    else:
-        out = np.empty(n)
-        _fill(flat_idx, out, _base(seed), low, normal, *_scratch(n))
+    out = np.empty(flat_idx.size)
+    _fill(flat_idx, out, _base(seed), low, normal, *_scratch(flat_idx.size))
     out = out.reshape(path_idx.shape)
     return out if out.ndim else out[()]
 

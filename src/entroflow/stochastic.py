@@ -284,19 +284,6 @@ class PathEnsemble:
         return self._exits[domain.key()]
 
 
-def _diffusion_scale(model: MetricModel, t):
-    """sigma with sigma^2 = g^{-1} scale in the chart gauge."""
-    if model.kind in (
-        geometry.EUCLIDEAN_LINE,
-        geometry.EUCLIDEAN_SPACE,
-        geometry.PUNCTURED_3,
-    ):
-        return 1.0
-    if model.kind == geometry.CIRCLE:
-        return 1.0 / math.sqrt(float(model.conformal(t)))
-    raise ValueError(model.kind)
-
-
 def _frozen_mask(model: MetricModel, states):
     """Paths that left the chart; they stay frozen from then on."""
     if model.kind == geometry.PUNCTURED_3:
@@ -329,7 +316,8 @@ def _advance(model, states, t, dt, xi, blown):
         for yc in (y0, y1, y2):
             yc /= norm
         return blown
-    sig = _diffusion_scale(model, t)
+    # sigma with sigma^2 = g^{-1} = 1/c(t); exactly 1.0 on the flat kinds
+    sig = 1.0 / math.sqrt(float(model.conformal(t)))
     xi *= math.sqrt(2.0 * dt)
     if sig != 1.0:
         xi *= sig

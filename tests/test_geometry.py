@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.linalg import eigh
 
 from entroflow import geometry
 from entroflow.errors import ChartViolation, OutOfWindow
@@ -192,6 +193,26 @@ def test_gap_is_a_pure_function_on_the_circle(t, theta):
     b = super_ricci_gap(model, t, [theta])
     assert a == b
     assert a == pytest.approx(-0.1 / float(model.conformal(t)))
+
+
+def _eigen_gap(model, t, y):
+    # the largest lambda of (dg/dt - 2 Ric) v = lambda g v, solved from
+    # metric_at's tensors: the oracle for the closed form (rate - 2K) / c(t)
+    data = metric_at(model, t, y)
+    return float(eigh(data.dg_dt - 2.0 * data.ricci, data.g, eigvals_only=True)[-1])
+
+
+@pytest.mark.parametrize(
+    "model",
+    _all_models() + [geometry.sphere2(1.0, 0.0), geometry.sphere2(1.5, -0.2)],
+    ids=lambda m: f"{m.kind}:{m.c0:g},{m.rate:g}",
+)
+def test_super_ricci_gap_matches_the_eigen_solve(model):
+    gen = np.random.default_rng(17)
+    for t in np.linspace(*model.time_window, 25):
+        y = _sample_point(model, gen)
+        oracle = _eigen_gap(model, t, y)
+        assert super_ricci_gap(model, t, y) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

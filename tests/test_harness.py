@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,8 @@ _BUNDLED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_BUNDLED_OUTPUTS))
+# the three configs without mc.* name the paths override they ignore
+@pytest.mark.filterwarnings("ignore:scenario .* runs no Monte Carlo:UserWarning")
 def test_bundled_config_runs(name, tmp_path):
     # every analysis branch of the run pipeline, rigidity and divergence
     # included, at a small path count
@@ -390,6 +393,22 @@ def test_run_overrides(tmp_path):
     man = run(cfg, out, overrides={"paths": 500, "seed": 99, "refine": 1})
     assert man.seed == 99
     assert man.refinement_level == 1
+
+
+def test_overrides_without_monte_carlo_are_named(tmp_path):
+    # paths, dt and seed act on nothing in a config without mc.*; they are
+    # not refused (one seed may be passed to every config of a batch), but
+    # they used to be dropped without a sign
+    cfg = bundled_scenarios()["sphere_ricci_flow"]
+    with pytest.warns(UserWarning, match=re.escape("ignoring overrides ['dt', 'paths', 'seed']")):
+        man = run(cfg, tmp_path, overrides={"seed": 3, "paths": 500, "dt": 0.01})
+    assert man.seed is None
+    with pytest.warns(UserWarning, match=re.escape("ignoring overrides ['seed']")):
+        _apply_overrides(parse_scenario(MINIMAL), {"seed": 3, "refine": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _apply_overrides(parse_scenario(MINIMAL), {"refine": 1})
+        assert _apply_overrides(parse_scenario(MC_BLOCK), {"seed": 3}).mc.seed == 3
 
 
 def test_wrong_diffusion_scale_fails_the_marginal_law(line_model, monkeypatch):

@@ -189,15 +189,18 @@ def _path_orders(n):
     "n", [rng._SPLIT_MIN - 1, rng._SPLIT_MIN, 25_000, rng._BLOCK + 1, 100_003]
 )
 def test_split_normals_equal_serial_normals_bit_for_bit(n, helper, monkeypatch):
+    # only a lookahead splits a draw: a plain call of any size, with the
+    # helper running, hands it nothing and keeps its bits
     for step, stream in ((7, 2), (rng.MAX_STEPS - 1, rng.MAX_STREAMS - 1)):
         for order, idx in _path_orders(n).items():
             monkeypatch.setattr(rng, "_pool", False)
             serial = rng.normals(SEED, idx, step, stream)
             monkeypatch.setattr(rng, "_pool", helper)
             before = helper.submitted
-            split = rng.normals(SEED, idx, step, stream)
-            assert helper.submitted - before == (idx.size >= rng._SPLIT_MIN), order
-            _assert_bits_equal(split, serial)
+            plain = rng.normals(SEED, idx, step, stream)
+            assert helper.submitted == before, order
+            _assert_bits_equal(plain, serial)
+            _assert_bits_equal(plain, _reference(SEED, idx, step, stream, True))
 
 
 def test_uniforms_never_use_the_helper(monkeypatch):
@@ -205,8 +208,10 @@ def test_uniforms_never_use_the_helper(monkeypatch):
     for n in (rng._SPLIT_MIN, 100_003):
         idx = np.arange(n, dtype=np.uint64)
         _assert_bits_equal(rng.uniforms(SEED, idx, 7, 2), _reference(SEED, idx, 7, 2, False))
+    # the stand-in does catch a use: a lookahead's normal draws use the helper
     with pytest.raises(AssertionError, match="helper thread was used"):
-        rng.normals(SEED, idx, 7, 2)
+        with rng._lookahead(SEED, _read_only(idx), [(7, 2)]):
+            pass
 
 
 def _read_only(idx):
@@ -248,10 +253,11 @@ def test_lookahead_serves_only_its_own_index_array(helper, monkeypatch):
     with rng._lookahead(SEED, idx, [(0, 0), (0, 1)]):
         ahead = rng._slot.ahead
         before = helper.submitted
-        # the same key on an equal array that is another object: plain path
+        # the same key on an equal array that is another object: plain path,
+        # which hands the helper nothing
         twin = _read_only(idx)
         _assert_bits_equal(rng.normals(SEED, twin, 0, 0), want)
-        assert ahead.pending[0] == (0, 0) and helper.submitted == before + 1
+        assert ahead.pending[0] == (0, 0) and helper.submitted == before
         # another seed, a key out of order and uniforms are not served either
         rng.normals(SEED + 1, idx, 0, 0)
         rng.normals(SEED, idx, 0, 1)
@@ -291,11 +297,13 @@ def test_lookahead_slots_are_per_thread(helper, monkeypatch):
 
 
 def _draw_in_child(conn, n, step, idx=None):
-    # a forked child starts with no lookahead open, whatever its parent had
+    # a forked child starts with no lookahead open, whatever its parent had,
+    # and draws under one of its own, on a helper of its own
     assert rng._slot.ahead is None
     if idx is None:
-        idx = np.arange(n, dtype=np.uint64)
-    conn.send_bytes(rng.normals(SEED, idx, step).tobytes())
+        idx = _read_only(np.arange(n))
+    with rng._lookahead(SEED, idx, [(step, 0)]):
+        conn.send_bytes(rng.normals(SEED, idx, step).tobytes())
     conn.close()
 
 
@@ -329,7 +337,9 @@ def test_forked_child_draws_with_its_own_helper(helper, monkeypatch):
     # that kept its parent's executor would wait forever for its first split
     monkeypatch.setattr(rng, "_pool", helper)
     n, step = 25_000, 5
-    want = rng.normals(SEED, np.arange(n, dtype=np.uint64), step)
+    idx = _read_only(np.arange(n))
+    with rng._lookahead(SEED, idx, [(step, 0)]):
+        want = rng.normals(SEED, idx, step)
     assert helper.submitted == 1  # the helper thread is running at the fork
     _assert_bits_equal(_draw_in_forked_child(n, step), want)
 
