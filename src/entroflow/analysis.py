@@ -33,6 +33,18 @@ GROWTH_SUBLINEAR = "sublinear"
 GROWTH_LINEAR = "linear"
 GROWTH_SUPERLINEAR = "superlinear"
 
+# relative residual of a linear fit to E (and relative E' spread) below
+# which an entropy curve counts as linear, in the growth and rigidity checks
+_LINEAR_RTOL = 1e-3
+# the rigidity antecedent needs min (2 Ric - dg/dt) at least this
+_MARGIN_EPS = 1e-9
+# max |grad log u| below which the rigidity check calls u spatially constant
+_GRAD_TOL = 1e-6
+# max |mixed second difference of log u| of a separable solution
+_SEPARATION_TOL = 1e-8
+# times in the grid sup of u over [0, t] on the circle and the sphere
+_SUP_TIMES = 33
+
 
 # ---------------------------------------------------------------------------
 # gradient-entropy bound
@@ -122,10 +134,11 @@ def corollary_bounds(sol, kernel, t, delta, level=None) -> CorollaryBounds:
     )
 
 
-def _sup_over_window(sol, x, t, n_t=33):
-    """Grid sup of u over [0, t] x M; detects growth under box enlargement."""
+def _sup_over_window(sol, x, t):
+    """Grid sup of u over [0, t] x M, at `_SUP_TIMES` (33) times on the
+    compact kinds; detects growth under box enlargement."""
     model = sol.model
-    ts = np.linspace(0.0, t, n_t)
+    ts = np.linspace(0.0, t, _SUP_TIMES)
     if model.kind == geometry.CIRCLE:
         pts = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)[:, None]
         return max(float(np.max(sol.value(s, pts))) for s in ts), False
@@ -167,20 +180,17 @@ class GrowthReport:
     evidence: object = field(repr=False, default=None)
 
 
-def classify_growth(
-    curve,
-    sup_grad_sample=None,
-    super_ricci_ok=None,
-    linear_rtol=1e-3,
-    tol_theta=None,
-) -> GrowthReport:
+def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthReport:
     """Classify an entropy curve by its long-time first variation.
 
     ``sup_grad_sample`` is an independently sampled maximum of
     |grad u|^2/u; the constant class additionally requires it to be small.
     ``super_ricci_ok`` (when provided) marks whether dg/dt <= 2 Ric was
     verified: a sublinear-but-nonconstant outcome is then flagged as a
-    numerical inconsistency rather than reported as a finding.
+    numerical inconsistency rather than reported as a finding.  The linear
+    class takes `_LINEAR_RTOL` (1e-3) as its relative tolerance, and the
+    report's ``tol_theta``, the absolute tolerance on E', is
+    ``1e-4 * (1 + |E(t_end)| / t_end)``.
     """
     t = np.asarray(curve.t_grid, dtype=float)
     ep = np.asarray(curve.E_prime, dtype=float)
@@ -188,8 +198,7 @@ def classify_growth(
     e = np.asarray(curve.E, dtype=float)
     if t.size < 8 or t[-1] / max(t[0], 1e-300) < 10.0:
         raise InsufficientCurve("need >= 8 points spanning at least a decade")
-    if tol_theta is None:
-        tol_theta = 1e-4 * (1.0 + abs(e[-1]) / t[-1])
+    tol_theta = 1e-4 * (1.0 + abs(e[-1]) / t[-1])
 
     i_third = (2 * t.size) // 3
     theta = float(np.mean(ep[i_third:]))
@@ -202,7 +211,7 @@ def classify_growth(
     flat = float(np.max(ep[i_third:]) - np.min(ep[i_third:]))
     increasing = ep[-1] - ep[i_third] > max(0.05 * theta, 10.0 * tol_theta)
     second_small = float(np.max(np.abs(es))) <= max(
-        linear_rtol * (1.0 + theta) / max(1.0, t[-1]), 10.0 * tol_theta
+        _LINEAR_RTOL * (1.0 + theta) / max(1.0, t[-1]), 10.0 * tol_theta
     )
 
     inconsistent = False
@@ -210,8 +219,8 @@ def classify_growth(
         cls, slope = GROWTH_SUPERLINEAR, None
     elif theta <= tol_theta and (sup_grad_sample is None or sup_grad_sample <= 1e-6):
         cls, slope = GROWTH_CONSTANT, 0.0
-    elif second_small and flat <= max(linear_rtol * abs(theta), 10.0 * tol_theta) \
-            and fit_residual <= linear_rtol:
+    elif second_small and flat <= max(_LINEAR_RTOL * abs(theta), 10.0 * tol_theta) \
+            and fit_residual <= _LINEAR_RTOL:
         cls, slope = GROWTH_LINEAR, theta
     else:
         cls, slope = GROWTH_SUBLINEAR, None
@@ -244,11 +253,12 @@ class SeparationReport:
     ode_residual: float         # |phi'/phi + (Lap psi)/psi|, max over the grid
 
 
-def separation_test(sol, t_grid, y_grid, tol=1e-8) -> SeparationReport:
+def separation_test(sol, t_grid, y_grid) -> SeparationReport:
     """Mixed second differences of log u decide whether u = psi(y) phi(t).
 
     The residual is the unnormalized discrete mixed difference, exactly
-    zero (to rounding) for product solutions; the factor gauge is fixed by
+    zero (to rounding) for product solutions, and separable means at most
+    `_SEPARATION_TOL` (1e-8); the factor gauge is fixed by
     psi(y0) = phi(t0) = sqrt(u(t0, y0)) at the grid anchor.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -259,7 +269,7 @@ def separation_test(sol, t_grid, y_grid, tol=1e-8) -> SeparationReport:
     logu = np.log(vals)
     mixed = logu[1:, 1:] - logu[1:, :-1] - logu[:-1, 1:] + logu[:-1, :-1]
     mixed_residual = float(np.max(np.abs(mixed))) if mixed.size else 0.0
-    separable = mixed_residual <= tol
+    separable = mixed_residual <= _SEPARATION_TOL
 
     j0 = pts.shape[0] // 2
     anchor = math.sqrt(vals[0, j0])
@@ -301,15 +311,14 @@ class RigidityReport:
     consistent: bool            # implication holds on this instance
 
 
-def rigidity_check(
-    sol, kernel, t_grid, y_grid, level=2, margin_eps=1e-9,
-    linear_rtol=1e-3, grad_tol=1e-6,
-) -> RigidityReport:
+def rigidity_check(sol, kernel, t_grid, y_grid, level=2) -> RigidityReport:
     """Instance check: strict 2 Ric - dg/dt > 0 plus linear entropy forces
     a spatially constant solution (max |grad log u| below tolerance).
 
     The entropy is the quadrature against ``kernel`` at the fixed
-    refinement ``level``.
+    refinement ``level``.  Strict means a margin of at least `_MARGIN_EPS`
+    (1e-9), linear a fit residual of at most `_LINEAR_RTOL` (1e-3), and
+    constant a max |grad log u| of at most `_GRAD_TOL` (1e-6).
     """
     model = sol.model
     _same_model(sol, kernel)
@@ -320,13 +329,13 @@ def rigidity_check(
         for t in t_grid
         for j in range(pts.shape[0])
     )
-    antecedent = margin >= margin_eps
+    antecedent = margin >= _MARGIN_EPS
     rows = quadrature.curve_expectations(
         (ulogu_integrand(sol),), kernel, t_grid, level, shared_growth(sol)
     )
     e_vals = np.array([e for (e,) in rows])
     fit_residual = _linear_fit_residual(t_grid, e_vals)
-    entropy_linear = fit_residual <= linear_rtol
+    entropy_linear = fit_residual <= _LINEAR_RTOL
 
     max_grad_log = 0.0
     for t in t_grid:
@@ -335,7 +344,7 @@ def rigidity_check(
             raise LogOfZero("rigidity check needs u > 0 on the grid")
         gns = sol.grad_norm_sq(t, pts, jet)
         max_grad_log = max(max_grad_log, float(np.max(np.sqrt(gns) / jet.u)))
-    consistent = (not (antecedent and entropy_linear)) or max_grad_log <= grad_tol
+    consistent = (not (antecedent and entropy_linear)) or max_grad_log <= _GRAD_TOL
     return RigidityReport(
         min_margin=float(margin), antecedent=antecedent,
         entropy_fit_residual=fit_residual, entropy_linear=entropy_linear,

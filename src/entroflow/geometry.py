@@ -46,6 +46,7 @@ _FIXED_DIMS = {EUCLIDEAN_LINE: 1, PUNCTURED_3: 3, CIRCLE: 1, SPHERE_2: 2}
 # paths closer to the puncture than this are treated as having left the chart
 PUNCTURE_RADIUS = 1e-8
 
+# a super-Ricci gap within this of zero is the equality case dg/dt = 2 Ric
 _GAP_TOL = 1e-12
 
 
@@ -305,43 +306,24 @@ def strict_positivity_margin(model: MetricModel, t, y) -> float:
     return -super_ricci_gap(model, t, y)
 
 
-def flow_condition_verdict(model: MetricModel, t, y, tol=_GAP_TOL) -> str:
+def flow_condition_verdict(model: MetricModel, t, y) -> str:
     """Classify dg/dt <= 2 Ric at (t, y): 'satisfied', 'equality', 'violated'.
 
-    A gap within +-tol of zero counts as the equality case.
+    A gap within +-_GAP_TOL (1e-12) of zero counts as the equality case.
     """
     gap = super_ricci_gap(model, t, y)
-    if abs(gap) <= tol:
+    if abs(gap) <= _GAP_TOL:
         return "equality"
     return "satisfied" if gap < 0 else "violated"
 
 
 # ---------------------------------------------------------------------------
-# vectorized helpers used by the integrand/SDE layers
+# finite-difference Laplacian
 #
-# In each model's gauge the inverse metric, Ricci tensor and metric speed
-# are scalar multiples of the identity; these return the per-point scalars.
-
-
-def inv_metric_scale(model: MetricModel, t, pts):
-    """g^{ij} = scale * delta^{ij} in the gauge; returns scale per point."""
-    return _per_point(1.0 / model.conformal(t), t, pts)
-
-
-def ricci_scale(model: MetricModel, t, pts):
-    """Ric_{ij} = scale * delta_{ij} in the gauge."""
-    return _per_point(model.ricci_constant, t, pts)
-
-
-def dg_dt_scale(model: MetricModel, t, pts):
-    """(dg/dt)_{ij} = scale * delta_{ij} in the gauge."""
-    return _per_point(model.rate, t, pts)
-
-
-def _per_point(scale, t, pts):
-    # scale broadcast against t and one entry per point, as a fresh array
-    shape = np.broadcast_shapes(np.shape(np.asarray(t)), (np.asarray(pts).shape[0],))
-    return np.broadcast_to(scale, shape).copy()
+# The curvature factors of the integrand layers are scalars of t alone,
+# g^{ij} = delta^{ij} / c(t), Ric = K delta and dg/dt = rate * delta in
+# every gauge, so those layers read ``1 / model.conformal(t)``,
+# ``model.ricci_constant`` and ``model.rate`` and build no per-point arrays.
 
 
 def _second_derivative(func, f0, curve, h):

@@ -19,8 +19,8 @@ Scenario files use a flat key-path grammar, one assignment per line::
     analyses = ["entropy-curve", "classify"]
 
 Values are quoted strings, numbers, ``true``/``false``, or flat lists of
-numbers/strings; ``#`` starts a comment.  Parsing then serializing then
-parsing is the identity on scenarios.
+numbers/strings, each list on one line; ``#`` starts a comment.  Parsing
+then serializing then parsing is the identity on scenarios.
 """
 
 from __future__ import annotations
@@ -420,15 +420,9 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     ensemble = None
     if scenario.mc is not None:
         with _timed(clocks, "simulate"):
-            dt = scenario.mc.dt
-            horizon = scenario._mc_horizon()
-            # snap requested times onto the step grid (within half a step)
-            record = sorted(
-                {round(t / dt) * dt for t in np.concatenate([t_grid, t_grid / 2.0])}
-            )
-            record = [t for t in record if 0.0 < t <= horizon + 1e-12]
+            mc_times = _mc_times(t_grid, scenario.mc.dt)
             ensemble = stochastic.simulate(
-                model, x, horizon, scenario.mc, record_times=record
+                model, x, scenario._mc_horizon(), scenario.mc, record_times=mc_times
             )
             if doms:
                 ensemble.ensure_exits(doms)
@@ -444,7 +438,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
             outputs.append("entropy.csv")
             if ensemble is not None:
                 mc_curve = entropy.entropy_curve(
-                    sol, ensemble, _mc_times(t_grid, ensemble), with_conditions=False
+                    sol, ensemble, mc_times, with_conditions=False
                 )
                 mc_curve.to_csv(outdir / "entropy_mc.csv")
                 outputs.append("entropy_mc.csv")
@@ -453,7 +447,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
         if ensemble is None or not doms:
             raise ConfigError("the local analysis needs mc.* settings and domains")
         with _timed(clocks, "local"):
-            table = entropy.local_entropy(sol, ensemble, doms, _mc_times(t_grid, ensemble))
+            table = entropy.local_entropy(sol, ensemble, doms, mc_times)
             table.to_csv(outdir / "local.csv")
             outputs.append("local.csv")
             report["local"] = {
@@ -484,7 +478,10 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
                     sol, kern, t_grid, level=level, with_conditions=False
                 )
             sup_grad = _sup_grad_sample(sol, kern, t_grid, level)
-            ok = _super_ricci_verified(model, x, t_grid)
+            ok = not any(
+                geometry.flow_condition_verdict(model, t, x) == "violated"
+                for t in (t_grid[0], t_grid[-1])
+            )
             rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
             d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
             report["classify"] = _jsonable(d)
@@ -557,14 +554,11 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
     return sc
 
 
-def _mc_times(t_grid, ensemble):
-    dt = ensemble.cfg.dt
-    snapped = sorted({round(t / dt) * dt for t in t_grid})
-    return np.asarray([t for t in snapped if _on_grid(t, ensemble.times)])
-
-
-def _on_grid(t, times):
-    return bool(np.any(np.isclose(times, t, rtol=0.0, atol=1e-12)))
+def _mc_times(t_grid, dt):
+    """The grid's times snapped onto the step grid (within half a step),
+    sorted and without repeats: the snapshots a Monte Carlo run records and
+    reads.  None passes the horizon, t.max rounded up to a whole step."""
+    return np.asarray(sorted({round(t / dt) * dt for t in t_grid}))
 
 
 def _default_ygrid(model):
@@ -592,13 +586,6 @@ def _sup_grad_sample(sol, kern, t_grid, level):
         )
         worst = max(worst, float(np.max(sol.grad_term(t, pts))))
     return worst
-
-
-def _super_ricci_verified(model, x, t_grid, tol=1e-10):
-    for t in (t_grid[0], t_grid[-1]):
-        if geometry.super_ricci_gap(model, t, x) > tol:
-            return False
-    return True
 
 
 def _jsonable(obj):

@@ -87,6 +87,10 @@ def _gauss_legendre(n):
 _GL16 = _gauss_legendre(16)
 _GROWTH_FRACTION = 0.10
 _GROWTH_STREAK = 3
+# a refinement has stabilized when two successive levels differ by at most
+# _STABLE_ATOL + _STABLE_RTOL * |value|
+_STABLE_RTOL = 1e-10
+_STABLE_ATOL = 1e-12
 
 
 class Integrands(tuple):
@@ -319,17 +323,10 @@ def _reduce(dens, w, col):
     return float(np.dot(np.asarray(col, dtype=float) * dens, w))
 
 
-def refine_expectations(
-    fs,
-    kernel,
-    t,
-    growth=0.0,
-    levels=None,
-    rtol=1e-10,
-    atol=1e-12,
-) -> tuple:
+def refine_expectations(fs, kernel, t, growth=0.0, levels=None) -> tuple:
     """Refine each integrand until it stabilizes or the divergence rule
-    fires, on one grid per level.
+    fires, on one grid per level; stable means two successive levels within
+    `_STABLE_ATOL` + `_STABLE_RTOL` * |value| (1e-12 and 1e-10).
 
     Each integrand stops at its own level, so each `Refinement` is the one
     it gets alone, bit for bit; a level's grid is built only while some
@@ -355,7 +352,7 @@ def refine_expectations(
             vals.append(v)
             if len(vals) >= 2:
                 prev = vals[-2]
-                if abs(v - prev) <= atol + rtol * abs(v):
+                if abs(v - prev) <= _STABLE_ATOL + _STABLE_RTOL * abs(v):
                     ends[i] = (True, False)
                     continue
                 grew = (v - prev) / max(abs(prev), 1e-300)

@@ -105,12 +105,13 @@ class SolutionField:
         return np.stack([np.stack(row, axis=-1) for row in jet.hess], axis=-2)
 
     def grad_norm_sq(self, t, pts, jet=None):
-        """|grad u|^2 in the time-t metric; ``jet`` is `log_jet` at (t, pts)."""
+        """|grad u|^2 = |du|^2 / c(t) in the time-t metric; ``jet`` is
+        `log_jet` at (t, pts)."""
         if jet is None:
             jet = self.log_jet(t, pts, hess=False)
         total = sum_squares(jet.du)
-        # in place: the bits of scale * total, without one more array alive
-        total *= geometry.inv_metric_scale(self.model, t, pts)
+        # in place: the bits of (1/c) * total, without one more array alive
+        total *= 1.0 / self.model.conformal(t)
         return total
 
     def ulogu(self, t, pts):
@@ -407,12 +408,13 @@ class CircleSpectral(SolutionField):
 class SphereSpectral(SolutionField):
     """Zonal spherical-harmonic combination on the conformal 2-sphere.
 
-    u(t, y) = a0 + sum_l a_l exp(l(l+1) s(t)) P_l(y . axis), with P_l the
-    Legendre polynomial; the eigenvalue of the round Laplacian is -l(l+1)
-    and the conformal factor enters only through the time change s.
+    u(t, y) = a0 + sum_l a_l exp(l(l+1) s(t)) P_l(y . SPHERE_AXIS), with
+    P_l the Legendre polynomial and the axis the unit z vector; the
+    eigenvalue of the round Laplacian is -l(l+1) and the conformal factor
+    enters only through the time change s.
     """
 
-    def __init__(self, a0, modes, model, axis=SPHERE_AXIS):
+    def __init__(self, a0, modes, model):
         if model.kind != geometry.SPHERE_2:
             raise ValueError("sphere solutions require a sphere model")
         (self.a0,) = finite_params("a0", (a0,))
@@ -420,7 +422,6 @@ class SphereSpectral(SolutionField):
             (_mode_number(l), *finite_params("amplitudes", (al,))) for l, al in _nonempty(modes)
         ]
         self.model = model
-        self.axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
         # coefficients of P_l, P_l' and P_l'', evaluated with legval
         self._legendre = {
             l: tuple(Legendre.basis(l).deriv(m).coef for m in range(3)) for l, _ in self.modes
@@ -458,8 +459,9 @@ class SphereSpectral(SolutionField):
                 out[m] = out[m] + amp * legval(x, coef)
         return out
 
-    def _mu(self, pts):
-        return np.asarray(pts) @ self.axis
+    def _mu(self, v):
+        """Components ``v . SPHERE_AXIS`` of points or tangent vectors."""
+        return np.asarray(v) @ SPHERE_AXIS
 
     def value(self, t, pts):
         return self._profile(t, self._mu(pts), 1)[0]
@@ -477,14 +479,14 @@ class SphereSpectral(SolutionField):
         return out
 
     def node_terms(self, pts):
-        """``mu = y . axis`` and the axis' components ``w1``, ``w2`` in the
-        tangent frame at each point, read-only."""
+        """``mu = y . SPHERE_AXIS`` and the axis' components ``w1``, ``w2``
+        in the tangent frame at each point, read-only."""
         pts = np.asarray(pts, dtype=float)
         mu = self._mu(pts)
         e1, e2 = geometry.tangent_frames(pts)
-        w1 = e1 @ self.axis
+        w1 = self._mu(e1)
         del e1  # one (n, 3) frame fewer alive beside the terms
-        terms = (mu, w1, e2 @ self.axis)
+        terms = (mu, w1, self._mu(e2))
         for a in terms:
             a.flags.writeable = False
         return terms
@@ -581,13 +583,18 @@ def time_step(t):
     return 1e-5 * max(1.0, abs(t))
 
 
+# the Bochner check's space step at unit frequency: the optimum of the
+# fourth-order stencil, (720 eps)^(1/6)
+_BOCHNER_SPACE_STEP = 7.4e-3
+
+
 def backward_residual(sol: SolutionField, t, y) -> float:
     """|du/dt + Lap u| from the analytic jets (zero for exact solutions)."""
     jet = eval_jet(sol, t, y)
     return abs(jet.du_dt + jet.laplacian_u)
 
 
-def bochner_identities(sol: SolutionField, t, y, h_space=None):
+def bochner_identities(sol: SolutionField, t, y):
     """Residuals of the two pointwise evolution identities behind E' and E''.
 
     residual1 checks (d/dt + Lap)(u log u) = |grad u|^2 / u,
@@ -598,7 +605,8 @@ def bochner_identities(sol: SolutionField, t, y, h_space=None):
     Laplacians of analytically evaluated fields (second identity); time
     derivatives are always finite differences, so both checks exercise the
     time-dependence of the metric rather than cancelling symbolically.
-    The metric is the solution's model.
+    The metric is the solution's model.  The Laplacian's space step is
+    `_BOCHNER_SPACE_STEP` (7.4e-3) over the solution's `space_scale`.
     """
     model = sol.model
     model.check_time(t)
@@ -622,16 +630,12 @@ def bochner_identities(sol: SolutionField, t, y, h_space=None):
     def gterm_at_time(tt):
         return float(sol.grad_term(tt, pts)[0])
 
-    if h_space is None:
-        # optimum for the fourth-order stencil: (720 eps)^(1/6) / frequency
-        h_space = 7.4e-3 / sol.space_scale(t, y)
-
+    h_space = _BOCHNER_SPACE_STEP / sol.space_scale(t, y)
     grad_log = sol.grad(t, pts)[0] / u
-    scale = float(geometry.inv_metric_scale(model, t, pts)[0])
+    scale = float(1.0 / model.conformal(t))
     hess = sol.hess_log(t, pts)[0]
     hess_sq = scale * scale * float(np.sum(hess * hess))
-    curv = 2.0 * float(geometry.ricci_scale(model, t, pts)[0])
-    curv -= float(geometry.dg_dt_scale(model, t, pts)[0])
+    curv = 2.0 * model.ricci_constant - model.rate
     quad = curv * scale * scale * float(np.sum(grad_log * grad_log))
     rhs2 = u * (2.0 * hess_sq + quad)
     lhs2 = _fd_time(gterm_at_time, t, model.time_window, ht)

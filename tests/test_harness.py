@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from entroflow import geometry, kernels, quadrature, solutions, stochastic
 from entroflow.errors import ChartViolation, ConfigError, OutOfWindow
 from entroflow.harness import (
+    ANALYSES,
     Scenario,
     _apply_overrides,
     bundled_scenarios,
@@ -79,13 +80,13 @@ _BUNDLED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_BUNDLED_OUTPUTS))
-# the three configs without mc.* name the paths override they ignore
-@pytest.mark.filterwarnings("ignore:scenario .* runs no Monte Carlo:UserWarning")
 def test_bundled_config_runs(name, tmp_path):
     # every analysis branch of the run pipeline, rigidity and divergence
-    # included, at a small path count
+    # included, at a small path count; only configs with mc.* take one
     files, reports = _BUNDLED_OUTPUTS[name]
-    manifest = run(bundled_scenarios()[name], tmp_path, overrides={"paths": 2000})
+    path = bundled_scenarios()[name]
+    overrides = {"paths": 2000} if load_scenario(path).mc is not None else None
+    manifest = run(path, tmp_path, overrides=overrides)
     assert set(manifest.outputs) == files
     report = json.loads((tmp_path / "analysis.json").read_text())
     assert set(report) == {"scenario_id"} | reports
@@ -97,6 +98,42 @@ def test_bundled_config_runs(name, tmp_path):
     if "divergence" in reports:
         assert report["divergence"]["entropy_stable"]
         assert report["divergence"]["prime_divergent"]
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario configs", 1)[1]
+    block = section.split("```\n", 2)[1]
+    sc = parse_scenario(block)
+    assert sc.id == "line-eternal"
+    assert sc.analyses == ANALYSES
+    assert sc.domains == ("interval:-1,1", "interval:-2,2")
+
+
+def test_run_records_only_the_snapshots_it_reads(tmp_path, monkeypatch):
+    # the Monte Carlo curve and the local entropies read the t grid snapped
+    # to whole steps; simulate records those times and no others
+    recorded = []
+    simulate = stochastic.simulate
+
+    def spy(*args, record_times=None, **kwargs):
+        recorded.append(list(record_times))
+        ensemble = simulate(*args, record_times=record_times, **kwargs)
+        recorded.append(ensemble.times.tolist())
+        return ensemble
+
+    monkeypatch.setattr(stochastic, "simulate", spy)
+    sc = load_scenario(bundled_scenarios()["line_eternal"])
+    run(sc, tmp_path, overrides={"paths": 2000})
+    dt = sc.mc.dt
+    snapped = [k * dt for k in np.round(sc.t_grid() / dt).astype(int)]
+    assert recorded[0] == snapped
+    assert recorded[1] == [0.0] + snapped
+    mc_times = [
+        float(line.split(",")[0])
+        for line in (tmp_path / "entropy_mc.csv").read_text().splitlines()[1:]
+    ]
+    assert mc_times == snapped
 
 
 def test_grammar_values():

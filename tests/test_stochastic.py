@@ -111,7 +111,7 @@ def test_em_drift_vanishes_on_catalog_charts():
             data = geometry.metric_at(model, t, y)
             drift = np.einsum("ij,kij->k", data.g_inv, data.christoffel)
             assert drift == pytest.approx(np.zeros(model.dim), abs=1e-12)
-            scale = geometry.inv_metric_scale(model, t, y[None, :])[0]
+            scale = 1.0 / float(model.conformal(t))
             assert data.g_inv == pytest.approx(scale * np.eye(model.dim), rel=1e-12)
 
 
