@@ -324,11 +324,12 @@ def rigidity_check(sol, kernel, t_grid, y_grid, level=2) -> RigidityReport:
     _same_model(sol, kernel)
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(model, y_grid)
-    margin = min(
-        geometry.strict_positivity_margin(model, t, pts[j])
-        for t in t_grid
-        for j in range(pts.shape[0])
-    )
+    if not len(pts):
+        raise ValueError("the rigidity check needs at least one point")
+    for y in pts:
+        model.check_point(y)
+    # (2K - rate) / c(t): one margin per time, the same at every point
+    margin = min(geometry.strict_positivity_margin(model, t, pts[0]) for t in t_grid)
     antecedent = margin >= _MARGIN_EPS
     rows = quadrature.curve_expectations(
         (ulogu_integrand(sol),), kernel, t_grid, level, shared_growth(sol)
@@ -387,8 +388,8 @@ def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
     fs = JetIntegrands((ulogu_integrand(sol), first_variation_integrand(sol)))
 
     def tables(mesh_scale):
-        # E and E' of one level share its grid and one jet, dropped before
-        # the next
+        # E and E' of one level share its grid and one jet per block of
+        # nodes, dropped before the next
         rows = [
             quadrature.curve_expectations(
                 fs, kernel, (t,), lv, mesh_scale=mesh_scale

@@ -54,8 +54,8 @@ def shared_growth(sol: SolutionField) -> float:
 # integrands (all vectorized over points, broadcastable in t)
 #
 # Each formula reads the solution's log jet at the points; the integrands of
-# one node set share a single jet (`JetIntegrands`), and a lone integrand is
-# the one-integrand case of the same evaluation.
+# one block of nodes share a single jet (`JetIntegrands`), and a lone
+# integrand is the one-integrand case of the same evaluation.
 
 
 def _ulogu(sol, t, pts, jet):
@@ -143,14 +143,18 @@ def _column(col):
 
 
 class JetIntegrands(quadrature.Integrands):
-    """`JetIntegrand`s of one solution, evaluated on one log jet per node set.
+    """`JetIntegrand`s of one solution, evaluated on one log jet per block.
 
-    The jet holds only what the integrands read: u alone is the solution's
-    `value` (which `log_jet` equals bit for bit), and the Hessian is taken
-    only when one of them reads it.  Its columns are read-only, so no
-    formula can change what the next one sees, and it is dropped when the
-    evaluation returns.  Each column is the one its integrand gives alone,
-    bit for bit.
+    `quadrature.curve_expectations` hands them one block of 16,384 nodes at
+    a time (`quadrature._NODE_BLOCK`, sized so a block's jet and columns fit
+    a 2 MiB L2 cache), with that block's slice of the `node_terms`, and
+    reduces each column into the integrand's full-length product; a time's
+    jets cover each node once.  The jet holds only what the integrands
+    read: u alone is the solution's `value` (which `log_jet` equals bit for
+    bit), and the Hessian is taken only when one of them reads it.  Its
+    columns are read-only, so no formula can change what the next one sees,
+    and it is dropped when the block's evaluation returns.  Each column is
+    the one its integrand gives alone, bit for bit.
     """
 
     def __new__(cls, fs=()):
@@ -440,7 +444,8 @@ def entropy_curve(
     The quadrature entries use a fixed refinement ``level`` so the curve is
     a smooth deterministic function of t; ``level`` applies to a kernel
     only, and a Monte Carlo curve ignores it.  E, E' and E'' of one time
-    share its grid (quadrature) or its snapshot (Monte Carlo) and one solution jet;
+    share its grid (quadrature, one solution jet per block of nodes) or its
+    snapshot (Monte Carlo, one solution jet);
     each equals its own `entropy_q`/`entropy_prime`/`entropy_second` (or
     `entropy_mc`) value bit for bit.  Where the nodes do not move with t
     (circle, sphere), the quadrature curve builds them, and the jet's terms
@@ -568,7 +573,7 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
     for j in range(m - 1):
         tau_small = ensemble.exit_records(domains[j]).tau
         tau_big = ensemble.exit_records(domains[j + 1]).tau
-        if np.any(tau_small > tau_big + 1e-12):
+        if np.any(tau_small > tau_big + geometry.TIME_TOL):
             raise ValueError("domains are not nested: exit times decreased")
     e_m = means[-1].copy()
     if m >= 2:
@@ -610,7 +615,7 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     """
     _same_model(sol, ensemble)
     rec = ensemble.exit_records(domain)
-    times = [s for s in ensemble.times if s <= t + 1e-12]
+    times = [s for s in ensemble.times if s <= t + geometry.TIME_TOL]
     n = ensemble.n_paths
     integral = np.zeros(n)
     g_prev = np.asarray(sol.grad_term(times[0], ensemble.state_at(times[0])))

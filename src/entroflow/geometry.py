@@ -49,6 +49,10 @@ PUNCTURE_RADIUS = 1e-8
 # a super-Ricci gap within this of zero is the equality case dg/dt = 2 Ric
 _GAP_TOL = 1e-12
 
+# a time this close past the window counts as inside it, and two times this
+# close as one (a snapshot, a cut-off, nested exit times)
+TIME_TOL = 1e-12
+
 
 def finite_params(what, values):
     """The values as a tuple of floats; ValueError unless each is finite."""
@@ -113,7 +117,7 @@ class MetricModel:
         tarr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(tarr)):
             raise OutOfWindow(f"t={t} is not a finite time")
-        if np.any(tarr < t0 - 1e-12) or np.any(tarr > t1 + 1e-12):
+        if np.any(tarr < t0 - TIME_TOL) or np.any(tarr > t1 + TIME_TOL):
             raise OutOfWindow(f"t={t} outside window [{t0}, {t1}] of {self.kind}")
 
     def check_point(self, y):

@@ -282,7 +282,7 @@ class Scenario:
         if self.mc is not None:
             horizon = self._mc_horizon()
             # the tolerance of geometry's check_time, which simulate applies
-            if horizon > t1 + 1e-12:
+            if horizon > t1 + geometry.TIME_TOL:
                 raise ConfigError(
                     f"scenario {self.id!r}: mc.dt = {self.mc.dt} steps to "
                     f"t = {horizon:.12g}, past the window end {t1}"

@@ -42,14 +42,35 @@ return: building the grid, and above all summing the sphere's zonal
 kernel series, is most of the cost of a quadrature.  The integrands of one
 call come as an `Integrands` tuple, whose `reduce_columns` hands each
 integrand's column to the reduction as soon as it is formed;
-`entropy.JetIntegrands` evaluates the solution's jet once for the whole
-node set that way.  Where the nodes do not move with t (circle, sphere:
-only their weights scale with ``c(t)``) a curve builds them once, with the
+`entropy.JetIntegrands` evaluates the solution's jet once per block that
+way.  Where the nodes do not move with t (circle, sphere: only their
+weights scale with ``c(t)``) a curve builds them once, with the
 integrands' `node_terms` on them (the sphere solution's ``mu`` and frame
 components), and forms only the weights, the density and the columns per
-time.  A curve holds one node set until it returns; nothing caches a grid,
-a density or a jet beyond the call that made it, so memory holds one of
-each at a time whatever the length of the time grid.  In
+time.
+
+A node set is evaluated in blocks of `_NODE_BLOCK` (16,384) nodes: the
+kernel density, the slices of the node terms, the jet and each column of
+a block are formed together, and each integrand's ``column * density``
+goes into that block's slice of one full-length product per integrand.
+After the last block each value is one dot of its product with the
+weights, as over the whole set at once: the products are elementwise and
+the dot sees the same vector, so every value keeps its bits.  No
+decision depends on which nodes share a block: the sphere series' term
+count and the wrapped kernel's wrap count read t alone, and
+`solutions.require_positive` raises LogOfZero in whichever block holds a
+zero, as it did over the whole set.  A block's (n,) columns are 128 KiB,
+so its density, jet and columns fit a 2 MiB L2 cache where a whole set's
+(98,304 sphere nodes at level 2, up to 190,464 punctured ones at level 3
+with the doubled mesh) did not.  Peak RSS of one quad-catalog run
+(`perfbench/worker.py`, 2 cores, 2 MiB L2 per core, three runs each) read
+74.8-75.0 MB with no blocks and no product buffers, 67.6-67.8 at 2^12
+nodes a block, 67.6-67.7 at 2^13, 67.8-67.9 at 2^14, 68.1-68.7 at 2^15,
+71.6-71.7 at 2^16 and 77.7-77.8 with the whole set as one block; wall
+time was lowest at 2^13 and 2^14 (0.28-0.36 s against 0.38-0.42 s with
+no blocks).  A curve holds one node set, its products and one block's
+temporaries until it returns; nothing caches a grid, a density or a jet
+beyond the call that made it, whatever the length of the time grid.  In
 `refine_expectations` each integrand keeps its own stopping level and
 divergence flag, so its values are those it gets refined alone.
 
@@ -91,21 +112,28 @@ _GROWTH_STREAK = 3
 # _STABLE_ATOL + _STABLE_RTOL * |value|
 _STABLE_RTOL = 1e-10
 _STABLE_ATOL = 1e-12
+# nodes evaluated together: each (n,) column of a block is 128 KiB, so a
+# block's density, jet and columns stay in a 2 MiB L2 cache
+_NODE_BLOCK = 1 << 14
 
 
 class Integrands(tuple):
-    """Integrands ``f(t, pts)`` evaluated together on one node set.
+    """Integrands ``f(t, pts)`` evaluated together on one block of nodes.
 
-    `reduce_columns` hands each integrand's column to ``reduce`` as soon as
-    it is formed, so one column is alive at a time.  Here each integrand is
-    evaluated alone; a subclass may share work between them, and keeps the
-    tuple constructor, which `refine_expectations` uses to keep the
-    integrands still refining.
+    `curve_expectations` calls `reduce_columns` once per block of
+    `_NODE_BLOCK` (16,384) nodes; it hands each integrand's column to
+    ``reduce``, in the integrands' order, as soon as it is formed, so one
+    column is alive at a time, and ``reduce`` writes ``column * density``
+    into that block's slice of the integrand's full-length product.  Here
+    each integrand is evaluated alone; a subclass may share work between
+    them, and keeps the tuple constructor, which `refine_expectations` uses
+    to keep the integrands still refining.
     """
 
     def node_terms(self, pts):
-        """What the integrands share on ``pts`` at every time, taken once
-        for a curve whose nodes do not move with t; None here."""
+        """What the integrands share on ``pts`` at every time, as a tuple of
+        per-node arrays, taken once for a curve whose nodes do not move with
+        t and sliced per block; None here."""
         return None
 
     def reduce_columns(self, t, pts, reduce, terms=None):
@@ -295,8 +323,11 @@ def curve_expectations(fs, kernel, ts, level=0, growth=0.0, **grid_opts):
     curve builds them once, with what the integrands share on them
     (`Integrands.node_terms`), and each later time forms only its weights,
     the kernel density and the integrands' columns; elsewhere each time
-    builds its own grid.  Nothing outlives the call.  Every value equals
-    the one its integrand gets alone, at its time alone, bit for bit.
+    builds its own grid.  Each time's nodes are evaluated in blocks of
+    `_NODE_BLOCK` into one product per integrand, reduced by one dot after
+    the last block.  Nothing outlives the call.  Every value equals the one
+    its integrand gets alone, at its time alone, over the whole node set at
+    once, bit for bit.
     """
     fs = fs if isinstance(fs, Integrands) else Integrands(fs)
     model, x = kernel.model, kernel.base_point
@@ -312,15 +343,24 @@ def curve_expectations(fs, kernel, ts, level=0, growth=0.0, **grid_opts):
             pts.flags.writeable = False
             nodes = pts, fs.node_terms(pts)
         pts, terms = nodes
-        dens = np.asarray(kernel.density(t, pts), dtype=float)
         w.flags.writeable = False
-        dens.flags.writeable = False
-        rows.append(fs.reduce_columns(t, pts, functools.partial(_reduce, dens, w), terms))
+        prods = [np.empty(len(w)) for _ in fs]
+        for start in range(0, len(w), _NODE_BLOCK):
+            block = slice(start, start + _NODE_BLOCK)
+            dens = np.asarray(kernel.density(t, pts[block]), dtype=float)
+            dens.flags.writeable = False
+            outs = iter([p[block] for p in prods])
+            fs.reduce_columns(
+                t, pts[block], functools.partial(_product, dens, outs),
+                None if terms is None else tuple(a[block] for a in terms),
+            )
+        rows.append(tuple(float(np.dot(p, w)) for p in prods))
     return rows
 
 
-def _reduce(dens, w, col):
-    return float(np.dot(np.asarray(col, dtype=float) * dens, w))
+def _product(dens, outs, col):
+    """Write ``col * dens`` into the next integrand's slice of the block."""
+    np.multiply(np.asarray(col, dtype=float), dens, out=next(outs))
 
 
 def refine_expectations(fs, kernel, t, growth=0.0, levels=None) -> tuple:

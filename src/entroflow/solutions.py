@@ -14,14 +14,15 @@ column, from one evaluation of the shared parts (the sphere's zonal
 profile, ``mu`` and tangent frames; the radius of the radial harmonic).
 Its ``u`` is `value` bit for bit, so an integrand may read either.  The
 parts that depend on the points alone (the sphere's ``mu`` and frame
-components) come from `SolutionField.node_terms`; a quadrature curve whose
-nodes do not move with t takes them once and hands them to each time's
-`log_jet`.
+components) come from `SolutionField.node_terms`, a tuple of per-node
+arrays; a quadrature curve whose nodes do not move with t takes them once
+and hands each block's slices to that block's `log_jet`.
 `grad`, `hess_log`, `grad_norm_sq` and `grad_term` stack or sum those
-columns.  The entropy integrands of one node set read one jet between
-them (`entropy.JetIntegrands`), taken with the Hessian only when one of
-them needs it; nothing keeps a jet once the call that asked for it
-returns, here or there, so a solution object holds no per-point state.
+columns.  The entropy integrands of one block of quadrature nodes read
+one jet between them (`entropy.JetIntegrands`), taken with the Hessian
+only when one of them needs it; nothing keeps a jet once the call that
+asked for it returns, here or there, so a solution object holds no
+per-point state.
 Working on whole columns also avoids numpy's slow path for arithmetic on
 ``(n, 2, 2)`` arrays and for sums over an axis of length 2 or 3.  The bits
 are those of the stacked forms: every entry is the same sequence of

@@ -256,7 +256,7 @@ class PathEnsemble:
         return float(np.mean(self.blowup))
 
     def snapshot_index(self, t):
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-12))[0]
+        hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=geometry.TIME_TOL))[0]
         if hits.size == 0:
             raise ValueError(
                 f"t={t} is not a recorded snapshot; available: {self.times.tolist()}"

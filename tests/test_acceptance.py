@@ -57,6 +57,8 @@ def test_every_criterion_is_represented(all_rows):
 
 
 def test_suite_selection(monkeypatch):
+    # which groups and horizons run does not depend on the path counts
+    _small_plan(monkeypatch)
     horizons = _count_calls(monkeypatch, "simulate", lambda args: args[2])
     rows, _ = acceptance.verify("paper-examples")
     groups = {row.ident.split("-")[0] for row in rows}
@@ -80,13 +82,18 @@ def _count_calls(monkeypatch, name, record):
     return seen
 
 
-def test_every_plan_entry_builds(monkeypatch):
-    # the ensembles at 200 paths: the same horizons, snapshots and exits
+def _small_plan(monkeypatch):
+    """The ensembles at 200 paths: the same horizons, snapshots and exits."""
     small = {
         name: (bundle, horizon, 200, record, widths)
         for name, (bundle, horizon, _, record, widths) in acceptance.ENSEMBLES.items()
     }
     monkeypatch.setattr(acceptance, "ENSEMBLES", small)
+    return small
+
+
+def test_every_plan_entry_builds(monkeypatch):
+    small = _small_plan(monkeypatch)
     replays = _count_calls(monkeypatch, "replay_exits", lambda args: list(args[1]))
     ctx = acceptance._Context()
     for name, (_, _, _, x) in acceptance.BUNDLES.items():

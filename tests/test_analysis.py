@@ -21,7 +21,7 @@ from entroflow.entropy import (
     first_variation_integrand,
     ulogu_integrand,
 )
-from entroflow.errors import InsufficientCurve
+from entroflow.errors import ChartViolation, InsufficientCurve
 from entroflow.solutions import Constant, ExponentialLine, SumOfExponentialsLine
 
 
@@ -256,6 +256,38 @@ def test_rigidity_entropy_is_entropy_q_bit_for_bit(which, request, monkeypatch):
     )
 
 
+def test_rigidity_takes_one_margin_per_time(circle_model, circle_kernel, monkeypatch):
+    # the margin (2K - rate) / c(t) is the same at every point: one value
+    # per time, the minimum over the (t, y) grid; every point is still
+    # checked against the chart
+    sol = Constant(3.0, circle_model)
+    ts = np.geomspace(0.2, 1.2, 6)
+    y_grid = np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None]
+    want = min(
+        geometry.strict_positivity_margin(circle_model, t, y) for t in ts for y in y_grid
+    )
+    seen = []
+    margin = geometry.strict_positivity_margin
+
+    def counted(model, t, y):
+        seen.append(t)
+        return margin(model, t, y)
+
+    monkeypatch.setattr(geometry, "strict_positivity_margin", counted)
+    rep = rigidity_check(sol, circle_kernel, ts, y_grid)
+    assert seen == list(ts)
+    assert np.float64(rep.min_margin).view(np.uint64) == np.float64(want).view(np.uint64)
+    sphere = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
+    with pytest.raises(ChartViolation):
+        rigidity_check(
+            Constant(1.0, sphere),
+            kernels.SphereHeatKernel(np.array([0.0, 0.0, 1.0]), sphere),
+            ts[:2], [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
+        )
+    with pytest.raises(ValueError, match="at least one point"):
+        rigidity_check(sol, circle_kernel, ts, np.empty((0, 1)))
+
+
 def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle_kernel):
     # the spectral mode has nonzero gradient; with a strictly positive
     # margin the implication would only fire if the entropy were linear,
@@ -308,24 +340,38 @@ def test_divergence_demo_equals_separate_integrals_bit_for_bit():
 
 
 def test_divergence_demo_takes_one_jet_per_grid(monkeypatch):
-    # E and E' of a level read one jet without the Hessian; the tail's
-    # lone entropy reads the value
-    calls = []
+    # E and E' of a level read one jet per block of its grid, without the
+    # Hessian; the tail's lone entropy reads the value; each grid is built
+    # once and its blocks cover every node once
+    monkeypatch.setattr(quadrature, "_NODE_BLOCK", 1000)
+    grids, calls = [], []
     cls = solutions.RadialHarmonic3
-    log_jet, value = cls.log_jet, cls.value
+    build_grid, log_jet, value = quadrature.build_grid, cls.log_jet, cls.value
+
+    def recorded_build(*args, **kwargs):
+        pts, w = build_grid(*args, **kwargs)
+        grids.append(pts)
+        return pts, w
 
     def counted_jet(self, t, pts, hess=True):
-        calls.append(("jet", hess))
+        calls.append(("jet", hess, np.array(pts)))
         return log_jet(self, t, pts, hess=hess)
 
     def counted_value(self, t, pts):
-        calls.append(("value", None))
+        calls.append(("value", None, np.array(pts)))
         return value(self, t, pts)
 
+    monkeypatch.setattr(quadrature, "build_grid", recorded_build)
     monkeypatch.setattr(cls, "log_jet", counted_jet)
     monkeypatch.setattr(cls, "value", counted_value)
     divergence_demo(1.0, levels=range(3))
-    assert calls == [("jet", False)] * 6 + [("value", None)]
+    assert len(grids) == 7
+    for grid, kind in zip(grids, [("jet", False)] * 6 + [("value", None)]):
+        n = -(-len(grid) // 1000)
+        blocks, calls = calls[:n], calls[n:]
+        assert [call[:2] for call in blocks] == [kind] * n
+        assert np.array_equal(np.concatenate([call[2] for call in blocks]), grid)
+    assert calls == []
 
 
 def test_divergence_demo_refuses_bad_input():

@@ -416,15 +416,66 @@ def test_shared_jet_gives_each_single_integral_bit_for_bit(which, level):
         assert _bits(shared).tolist() == _bits([alone[i] for i in pick]).tolist(), pick
 
 
-def _count_jets(monkeypatch, sol):
+def _unblocked(f, kern, t, level, growth):
+    """The integral as one product over the whole node set and one dot."""
+    pts, w = quadrature.build_grid(kern.model, kern.base_point, t, level, growth)
+    return float(np.dot(np.asarray(f(t, pts), dtype=float) * kern.density(t, pts), w))
+
+
+def _refinement_bits(refs):
+    return [(_bits(r.values).tolist(), r.converged, r.divergent) for r in refs]
+
+
+# one node a block costs about a millisecond a node on the sphere and the
+# punctured space (over a minute for the sphere at level 2), so only the
+# line and the circle take it here
+_BLOCK_CASES = [
+    (which, level, block)
+    for which in ("line", "circle", "sphere", "punctured")
+    for level in (0, 2)
+    for block in (1, 1000, 1 << 30)
+    if block > 1 or which in ("line", "circle")
+]
+
+
+@pytest.mark.parametrize("which, level, block", _BLOCK_CASES)
+def test_node_blocks_keep_every_bit(which, level, block, monkeypatch):
+    # one node, 1,000 nodes or the whole set a block: the same products in
+    # the same full-length vector, so the same dot, through all three entry
+    # points, for the six integrands and the kernel mass
+    sol, kern, t = _condition_cases()[which]
+    growth = entropy.shared_growth(sol)
+    fs = entropy.JetIntegrands(make(sol) for make in _ALL_INTEGRANDS)
+    times = (t, 0.8 * t)
+    levels = range(level + 1)
+    refined = quadrature.refine_expectations(fs, kern, t, growth, levels)
+    mass = kernels.kernel_mass(kern, t)
+    monkeypatch.setattr(quadrature, "_NODE_BLOCK", block)
+    got = quadrature.curve_expectations(fs, kern, times, level, growth)
+    want = [[_unblocked(f, kern, s, level, growth) for f in fs] for s in times]
+    assert _bits(got).tolist() == _bits(want).tolist()
+    assert _refinement_bits(
+        quadrature.refine_expectations(fs, kern, t, growth, levels)
+    ) == _refinement_bits(refined)
+    ones = lambda tt, p: np.ones(len(p))  # noqa: E731
+    assert _bits(kernels.kernel_mass(kern, t, level=level)) == _bits(
+        _unblocked(ones, kern, t, level, 0.0)
+    )
+    assert _bits(kernels.kernel_mass(kern, t)) == _bits(mass)
+
+
+def _count_jets(monkeypatch, sol, nodes=None):
     """Record the jets and values asked of ``sol`` from outside its own
-    methods (some families' jets call `value`)."""
+    methods (some families' jets call `value`); each jet's time and points
+    go to ``nodes`` too when it is a list."""
     calls = []
     inside = []
     log_jet, value = sol.log_jet, sol.value
 
     def counted_jet(t, pts, hess=True, **shared):
         calls.append(("jet", len(pts), hess))
+        if nodes is not None:
+            nodes.append((t, np.array(pts)))
         inside.append(1)
         try:
             return log_jet(t, pts, hess=hess, **shared)
@@ -441,13 +492,32 @@ def _count_jets(monkeypatch, sol):
     return calls
 
 
+def _assert_jets_cover_each_grid(nodes, kern, times, level, growth):
+    """Each time's jets, in the order taken, are its grid's blocks of
+    `quadrature._NODE_BLOCK` nodes: every node once."""
+    block = quadrature._NODE_BLOCK
+    for t in times:
+        pts, _ = quadrature.build_grid(kern.model, kern.base_point, t, level, growth)
+        blocks = [p for s, p in nodes if s == t]
+        assert len(blocks) == -(-len(pts) // block) > 1
+        assert np.array_equal(np.concatenate(blocks), pts)
+    assert len(nodes) == sum(s in times for s, _ in nodes)
+
+
 @pytest.mark.parametrize("which", ["line", "circle", "sphere"])
 def test_curve_takes_one_jet_per_time(which, monkeypatch):
+    # at 1,000 nodes a block, each time's jets cover its nodes once, all
+    # with the Hessian
+    monkeypatch.setattr(quadrature, "_NODE_BLOCK", 1000)
     sol, kern, _ = _condition_cases()[which]
     grid = [0.25, 0.5, 0.75]
-    calls = _count_jets(monkeypatch, sol)
+    nodes = []
+    calls = _count_jets(monkeypatch, sol, nodes)
     entropy_curve(sol, kern, grid, with_conditions=False)
-    assert [(kind, hess) for kind, _, hess in calls] == [("jet", True)] * 3
+    assert {(kind, hess) for kind, _, hess in calls} == {("jet", True)}
+    _assert_jets_cover_each_grid(
+        nodes, kern, grid, entropy.DEFAULT_CURVE_LEVEL, entropy.shared_growth(sol)
+    )
 
 
 # --- one node set per curve --------------------------------------------------------
@@ -501,18 +571,22 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("which", ["line", "circle", "sphere"])
 def test_curve_builds_fixed_nodes_once(which, monkeypatch):
     # the sphere's nodes and tangent frames, and the circle's nodes, once
-    # per curve; the line's grid moves with t; one jet per time everywhere
+    # per curve, however many blocks; the line's grid moves with t; each
+    # time's jets cover its nodes once
+    monkeypatch.setattr(quadrature, "_NODE_BLOCK", 500)
     sol, kern, _ = _condition_cases()[which]
-    jets = _count_jets(monkeypatch, sol)
+    nodes = []
+    jets = _count_jets(monkeypatch, sol, nodes)
     builds = _count_builds(monkeypatch)
     entropy_curve(sol, kern, _CURVE_TIMES, level=1, with_conditions=False)
-    assert [(kind, hess) for kind, _, hess in jets] == [("jet", True)] * len(_CURVE_TIMES)
+    assert {(kind, hess) for kind, _, hess in jets} == {("jet", True)}
     if which == "line":
         assert builds == [("grid", 1)] * len(_CURVE_TIMES)
     elif which == "circle":
         assert builds == [("grid", 1)]
     else:
         assert builds == [("grid", 1), ("frames", 64 * 2 * 96 * 2)]
+    _assert_jets_cover_each_grid(nodes, kern, _CURVE_TIMES, 1, entropy.shared_growth(sol))
 
 
 def test_curve_keeps_no_nodes(monkeypatch):

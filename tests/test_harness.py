@@ -366,6 +366,28 @@ def test_invalid_integer_inputs_fail_at_once(build, error, message):
         build()
 
 
+def test_a_horizon_within_the_time_tolerance_runs(monkeypatch):
+    # 0.7 rounds up to 70 steps of 0.01 = 0.7000000000000001, one ulp past
+    # the window end: validate and simulate both accept it, and both refuse
+    # it without the shared tolerance
+    sc = Scenario(
+        id="edge", model="euclidean-line", solution="expline:1,1", x=(0.0,),
+        t_min=0.1, t_max=0.7, window=(0.0, 0.7),
+        mc=stochastic.SdeConfig(dt=0.01, n_paths=100),
+    )
+    horizon = sc._mc_horizon()
+    assert 0.7 < horizon <= 0.7 + geometry.TIME_TOL
+    sc.validate()
+    model, _, _, x, _ = sc.build()
+    ens = stochastic.simulate(model, x, horizon, sc.mc)
+    assert ens.times[-1] == horizon
+    monkeypatch.setattr(geometry, "TIME_TOL", 0.0)
+    with pytest.raises(ConfigError, match="past the window end 0.7"):
+        sc.validate()
+    with pytest.raises(OutOfWindow):
+        stochastic.simulate(model, x, horizon, sc.mc)
+
+
 def test_integral_float_counts_are_accepted():
     sc = parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 2.5e4"))
     assert sc.mc.n_paths == 25_000 and type(sc.mc.n_paths) is int
