@@ -9,7 +9,7 @@ condition under which the entropy functional is convex.
 import numpy as np
 
 from entroflow import geometry
-from entroflow.geometry import flow_condition_verdict, metric_at, super_ricci_gap
+from entroflow.geometry import metric_at, super_ricci_gap
 
 cases = [
     (geometry.line(), np.array([0.3]), "static line"),
@@ -27,7 +27,7 @@ for model, y, label in cases:
     t = 0.5
     data = metric_at(model, t, y)
     gap = super_ricci_gap(model, t, y)
-    verdict = flow_condition_verdict(model, t, y)
+    verdict = model.flow_condition
     print(f"{label:<32} dim {model.dim}")
     print(f"  sqrt(det g) = {data.sqrt_det_g:.6f}   tr dg/dt = {data.tr_dg_dt:+.6f}")
     print(f"  flow condition dg/dt <= 2 Ric: gap = {gap:+.4f}  ({verdict})")

@@ -46,7 +46,7 @@ _FIXED_DIMS = {EUCLIDEAN_LINE: 1, PUNCTURED_3: 3, CIRCLE: 1, SPHERE_2: 2}
 # paths closer to the puncture than this are treated as having left the chart
 PUNCTURE_RADIUS = 1e-8
 
-# a super-Ricci gap within this of zero is the equality case dg/dt = 2 Ric
+# rate - 2K within this of zero is the equality case dg/dt = 2 Ric
 _GAP_TOL = 1e-12
 
 # a time this close past the window counts as inside it, and two times this
@@ -104,6 +104,19 @@ class MetricModel:
     def ricci_constant(self):
         """K with Ric(g0) = K g0: 1 on the sphere, 0 on the other kinds."""
         return 1.0 if self.kind == SPHERE_2 else 0.0
+
+    @property
+    def flow_condition(self):
+        """Classify dg/dt <= 2 Ric: 'satisfied', 'equality' or 'violated'.
+
+        The gap (rate - 2K) / c(t) has the sign of rate - 2K at every (t, y),
+        as c > 0 on the window; rate - 2K within +-_GAP_TOL (1e-12) of zero
+        counts as the equality case.
+        """
+        gap = self.rate - 2.0 * self.ricci_constant
+        if abs(gap) <= _GAP_TOL:
+            return "equality"
+        return "satisfied" if gap < 0 else "violated"
 
     def time_change(self, t):
         """Clock s(t) = integral of 1/c over [0, t], in closed form."""
@@ -308,17 +321,6 @@ def strict_positivity_margin(model: MetricModel, t, y) -> float:
     statement holds at (t, y); it is exactly the negated super-Ricci gap.
     """
     return -super_ricci_gap(model, t, y)
-
-
-def flow_condition_verdict(model: MetricModel, t, y) -> str:
-    """Classify dg/dt <= 2 Ric at (t, y): 'satisfied', 'equality', 'violated'.
-
-    A gap within +-_GAP_TOL (1e-12) of zero counts as the equality case.
-    """
-    gap = super_ricci_gap(model, t, y)
-    if abs(gap) <= _GAP_TOL:
-        return "equality"
-    return "satisfied" if gap < 0 else "violated"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Scenario engine: configs and the run pipeline.
 
-Scenario files use a flat key-path grammar, one assignment per line::
+A scenario file is TOML, read by the standard library's ``tomllib``::
 
     # line scenario
     id = "line-eternal"
@@ -18,9 +18,8 @@ Scenario files use a flat key-path grammar, one assignment per line::
     domains = ["interval:-1,1", "interval:-2,2"]
     analyses = ["entropy-curve", "classify"]
 
-Values are quoted strings, numbers, ``true``/``false``, or flat lists of
-numbers/strings, each list on one line; ``#`` starts a comment.  Parsing
-then serializing then parsing is the identity on scenarios.
+Tables read as dotted keys: an ``[mc]`` table holding ``paths = 100000``
+is the key ``mc.paths``.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import json
 import math
 import numbers
 import time
+import tomllib
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -56,108 +56,32 @@ ANALYSES = (
 # and --refine)
 OVERRIDE_KEYS = ("paths", "dt", "seed", "refine")
 
-_KEY_ORDER = (
-    "id", "model", "window.min", "window.max", "solution", "kernel", "x",
-    "t.min", "t.max", "t.count", "t.spacing",
-    "mc.paths", "mc.dt", "mc.seed",
-    "domains", "analyses", "bounds.delta",
-)
-
 
 # ---------------------------------------------------------------------------
-# flat key-path grammar
+# config text
 
 
 def parse_config_text(text: str) -> dict:
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if not key or any(not p.strip() for p in key.split(".")):
-            raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(val.strip(), lineno)
-    return out
-
-
-def _strip_comment(line: str) -> str:
-    in_str = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_str = not in_str
-        elif ch == "#" and not in_str:
-            return line[:i]
-    return line
-
-
-def _parse_value(val: str, lineno: int):
-    if not val:
-        raise ConfigError(f"line {lineno}: empty value")
-    if val.startswith("["):
-        if not val.endswith("]"):
-            raise ConfigError(f"line {lineno}: unterminated list")
-        inner = val[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part.strip(), lineno) for part in _split_list(inner)]
-    return _parse_scalar(val, lineno)
-
-
-def _split_list(inner: str):
-    parts, buf, in_str = [], [], False
-    for ch in inner:
-        if ch == '"':
-            in_str = not in_str
-            buf.append(ch)
-        elif ch == "," and not in_str:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts
-
-
-def _parse_scalar(val: str, lineno: int):
-    if val.startswith('"') and val.endswith('"') and len(val) >= 2:
-        return val[1:-1]
-    if val == "true":
-        return True
-    if val == "false":
-        return False
+    """The config's values under flat dotted keys: a table's ``paths`` in
+    ``[mc]`` and a dotted ``mc.paths`` both read as ``mc.paths``."""
     try:
-        if any(c in val for c in ".eE") and not val.lstrip("+-").isdigit():
-            return float(val)
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {val!r}") from None
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"invalid config: {exc}") from None
+    return _flatten(doc)
 
 
-def serialize_config(mapping: dict) -> str:
-    keys = [k for k in _KEY_ORDER if k in mapping]
-    keys += [k for k in mapping if k not in _KEY_ORDER]
-    lines = [f"{k} = {_format_value(mapping[k])}" for k in keys]
-    return "\n".join(lines) + "\n"
-
-
-def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return f'"{v}"'
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_format_value(x) for x in v) + "]"
-    raise ConfigError(f"cannot serialize value {v!r}")
+def _flatten(table, prefix=""):
+    out = {}
+    for key, value in table.items():
+        key = prefix + key
+        items = _flatten(value, key + ".") if isinstance(value, dict) else {key: value}
+        for k, v in items.items():
+            # a quoted "t.min" and a dotted t.min are two TOML keys but one here
+            if k in out:
+                raise ConfigError(f"duplicate key {k!r}")
+            out[k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +124,17 @@ class Scenario:
                 model=str(m.pop("model")),
                 solution=str(m.pop("solution")),
                 kernel=str(m.pop("kernel", "auto")),
-                x=tuple(float(v) for v in m.pop("x")),
+                x=tuple(float(v) for v in _list("x", m.pop("x"))),
                 t_min=float(m.pop("t.min")),
                 t_max=float(m.pop("t.max")),
                 t_count=_whole("t.count", m.pop("t.count", 16)),
                 t_spacing=str(m.pop("t.spacing", "log")),
                 window=window,
                 mc=mc,
-                domains=tuple(str(d) for d in m.pop("domains", [])),
-                analyses=tuple(str(a) for a in m.pop("analyses", ["entropy-curve"])),
+                domains=tuple(str(d) for d in _list("domains", m.pop("domains", []))),
+                analyses=tuple(
+                    str(a) for a in _list("analyses", m.pop("analyses", ["entropy-curve"]))
+                ),
                 bounds_delta=float(m.pop("bounds.delta", 1.0)),
             )
         except KeyError as exc:
@@ -219,30 +145,6 @@ class Scenario:
             raise ConfigError(f"unknown config keys: {sorted(m)}")
         sc.validate()
         return sc
-
-    def to_mapping(self) -> dict:
-        m = {"id": self.id, "model": self.model}
-        if self.window is not None:
-            m["window.min"], m["window.max"] = self.window
-        m.update(
-            {
-                "solution": self.solution,
-                "kernel": self.kernel,
-                "x": list(self.x),
-                "t.min": self.t_min,
-                "t.max": self.t_max,
-                "t.count": self.t_count,
-                "t.spacing": self.t_spacing,
-            }
-        )
-        if self.mc is not None:
-            m["mc.paths"] = self.mc.n_paths
-            m["mc.dt"] = self.mc.dt
-            m["mc.seed"] = self.mc.seed
-        m["domains"] = list(self.domains)
-        m["analyses"] = list(self.analyses)
-        m["bounds.delta"] = self.bounds_delta
-        return m
 
     def validate(self):
         try:
@@ -316,6 +218,13 @@ def _whole(key, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _list(key, value):
+    """A list config value; a string would otherwise iterate as characters."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _path_count(key, value):
@@ -478,10 +387,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
                     sol, kern, t_grid, level=level, with_conditions=False
                 )
             sup_grad = _sup_grad_sample(sol, kern, t_grid, level)
-            ok = not any(
-                geometry.flow_condition_verdict(model, t, x) == "violated"
-                for t in (t_grid[0], t_grid[-1])
-            )
+            ok = model.flow_condition != "violated"
             rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
             d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
             report["classify"] = _jsonable(d)

@@ -10,7 +10,6 @@ from scipy.linalg import eigh
 from entroflow import geometry
 from entroflow.errors import ChartViolation, OutOfWindow
 from entroflow.geometry import (
-    flow_condition_verdict,
     metric_at,
     parse_model,
     strict_positivity_margin,
@@ -77,12 +76,12 @@ def test_super_ricci_gap_examples():
     assert gap == pytest.approx(-0.1 / 0.9)
     assert gap < 0
     assert strict_positivity_margin(model, 1.0, [0.0]) == pytest.approx(-gap)
-    assert flow_condition_verdict(model, 1.0, [0.0]) == "satisfied"
-    assert flow_condition_verdict(geometry.line(), 0.7, [0.1]) == "equality"
+    assert model.flow_condition == "satisfied"
+    assert geometry.line().flow_condition == "equality"
     # an expanding flat circle: dg/dt = 0.5 > 0 = 2 Ric, so the condition fails
     model = geometry.circle(1.0, 0.5)
     assert super_ricci_gap(model, 1.0, [0.0]) == pytest.approx(0.5 / 1.5)
-    assert flow_condition_verdict(model, 1.0, [0.0]) == "violated"
+    assert model.flow_condition == "violated"
 
 
 # --- invariants ------------------------------------------------------------
@@ -213,6 +212,11 @@ def test_super_ricci_gap_matches_the_eigen_solve(model):
         y = _sample_point(model, gen)
         oracle = _eigen_gap(model, t, y)
         assert super_ricci_gap(model, t, y) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        # the verdict, read once from the model, holds at every time
+        if abs(oracle) <= 1e-12:
+            assert model.flow_condition == "equality"
+        else:
+            assert model.flow_condition == ("satisfied" if oracle < 0 else "violated")
 
 
 @pytest.mark.parametrize(

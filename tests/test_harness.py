@@ -22,12 +22,31 @@ from entroflow.harness import (
     parse_config_text,
     parse_scenario,
     run,
-    serialize_config,
 )
 
 
 def scenario_text(sc):
-    return serialize_config(sc.to_mapping())
+    """The round-trip oracle: a Scenario written back as flat config text."""
+    m = {"id": sc.id, "model": sc.model}
+    if sc.window is not None:
+        m["window.min"], m["window.max"] = sc.window
+    m.update({
+        "solution": sc.solution, "kernel": sc.kernel, "x": sc.x,
+        "t.min": sc.t_min, "t.max": sc.t_max, "t.count": sc.t_count,
+        "t.spacing": sc.t_spacing,
+    })
+    if sc.mc is not None:
+        m.update({"mc.paths": sc.mc.n_paths, "mc.dt": sc.mc.dt, "mc.seed": sc.mc.seed})
+    m.update({"domains": sc.domains, "analyses": sc.analyses, "bounds.delta": sc.bounds_delta})
+    return "".join(f"{k} = {_format_value(v)}\n" for k, v in m.items())
+
+
+def _format_value(v):
+    if isinstance(v, str):
+        return f'"{v}"'
+    if isinstance(v, tuple):
+        return "[" + ", ".join(_format_value(x) for x in v) + "]"
+    return repr(v)
 
 
 MINIMAL = """
@@ -193,6 +212,7 @@ t.max = 3.0
 
 MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
 CIRCLE = bundled_scenarios()["circle_shrinking"].read_text()
+SPHERE = bundled_scenarios()["sphere_ricci_flow"].read_text()
 _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
 
 
@@ -399,6 +419,48 @@ def test_scheme_key_is_rejected():
         parse_scenario(MC_BLOCK + 'mc.scheme = "euler"\n')
 
 
+def test_tables_read_as_dotted_keys():
+    tabled = MINIMAL + "[mc]\npaths = 2000\ndt = 0.001\nseed = 12648430\n"
+    assert parse_scenario(tabled) == parse_scenario(MC_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SPHERE.replace("x = [1.0, 0.0, 0.0]", 'x = "100"'), "x must be a list, got '100'"),
+        (MINIMAL + 'domains = ""\n', "domains must be a list, got ''"),
+        (MINIMAL + 'analyses = "local"\n', "analyses must be a list, got 'local'"),
+        (MINIMAL.replace("x = [0.0]", "x = 0.0"), "x must be a list, got 0.0"),
+    ],
+    ids=["x-string", "domains-string", "analyses-string", "x-number"],
+)
+def test_list_keys_refuse_strings_and_scalars(text, message):
+    # a string used to iterate as its characters: x = "100" was the point (1, 0, 0)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_scenario(text)
+
+
+_NUMERIC = MC_BLOCK + "window.min = 0.0\nwindow.max = 8.0\nt.count = 16\nbounds.delta = 1.0\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", ".5", "1."])
+@pytest.mark.parametrize(
+    "key",
+    ["t.min", "t.max", "t.count", "window.min", "window.max", "mc.paths", "mc.dt",
+     "mc.seed", "bounds.delta", "x"],
+)
+def test_inf_nan_and_bare_decimal_points_are_refused(key, value):
+    # TOML reads bare inf and nan as floats, which validation refuses; it
+    # refuses .5 and 1. at the line they are on
+    parse_scenario(_NUMERIC)  # valid as it stands
+    lines = _NUMERIC.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+    lines[lineno - 1] = f"{key} = [{value}]" if key == "x" else f"{key} = {value}"
+    match = rf"at line {lineno}, column" if value in (".5", "1.") else None
+    with pytest.raises(ConfigError, match=match):
+        parse_scenario("\n".join(lines) + "\n")
+
+
 def test_duplicate_and_malformed_lines():
     with pytest.raises(ConfigError):
         parse_config_text("a = 1\na = 2\n")
@@ -406,6 +468,9 @@ def test_duplicate_and_malformed_lines():
         parse_config_text("just words\n")
     with pytest.raises(ConfigError):
         parse_config_text("a = [1, 2\n")
+    # a quoted key and a dotted key are two TOML keys that flatten to one
+    with pytest.raises(ConfigError, match=re.escape("duplicate key 't.min'")):
+        parse_config_text('"t.min" = 1\nt.min = 2\n')
 
 
 def test_run_pipeline_and_reproducibility(tmp_path):
