@@ -11,8 +11,9 @@ Suites: ``paper-examples`` (exact worked-example values), ``properties``
 Two tables of plain data name everything the rows read: `BUNDLES` gives
 each (model, solution, kernel) triple as catalog ids, and `ENSEMBLES` gives
 each path ensemble as a bundle, horizon, path count, snapshot times and exit
-intervals.  A suite builds an entry on first use and keeps it, so
-``paper-examples`` simulates only ``ens-line-t4``.  The benchmark's
+intervals.  Each entry records exactly the snapshot times its rows read, no
+more, and a test enforces it.  A suite builds an entry on first use and
+keeps it, so ``paper-examples`` simulates only ``ens-line-t4``.  The benchmark's
 ``perfbench/worker.VERIFY_ENSEMBLES`` restates the ensemble plan as (paths,
 steps, chart dimension, replayed); it must match `ENSEMBLES` until the
 benchmark reads the table, and a test checks that it does.
@@ -110,15 +111,14 @@ BUNDLES = {
 
 # name -> (bundle, horizon, paths, snapshot times, exit half-widths); each
 # ensemble starts at its bundle's kernel base point and finds its exits from
-# the intervals (-n, n) of the half-widths n by replay
+# the intervals (-n, n) of the half-widths n by replay.  The snapshot times
+# are exactly those the rows read, as a test checks; simulate also keeps
+# t = 0, which no row reads
 ENSEMBLES = {
-    "ens-line-t4": ("line-eternal", 4.0, 100_000, (0.25, 0.5, 1.0, 2.0, 4.0), ()),
-    "ens-line-t1": (
-        "line-eternal", 1.0, 100_000, tuple(np.round(np.linspace(0.0, 1.0, 21), 3)),
-        (1, 2, 3, 4),
-    ),
-    "ens-circle": ("circle-shrink", 1.0, 100_000, (0.25, 0.5, 1.0), ()),
-    "ens-sphere": ("sphere-ricci", 1.0, 20_000, (0.25, 0.5, 1.0), ()),
+    "ens-line-t4": ("line-eternal", 4.0, 100_000, (0.25, 0.5, 1.0, 4.0), ()),
+    "ens-line-t1": ("line-eternal", 1.0, 100_000, (0.25, 0.5, 1.0), (1, 2, 3, 4)),
+    "ens-circle": ("circle-shrink", 1.0, 100_000, (0.5, 1.0), ()),
+    "ens-sphere": ("sphere-ricci", 1.0, 20_000, (0.5, 1.0), ()),
 }
 DT = 1e-3  # the step of every ensemble; each runs at DEFAULT_SEED
 

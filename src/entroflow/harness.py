@@ -111,7 +111,10 @@ class Scenario:
         try:
             window = None
             if "window.min" in m or "window.max" in m:
-                window = (float(m.pop("window.min")), float(m.pop("window.max")))
+                window = (
+                    _real("window.min", m.pop("window.min")),
+                    _real("window.max", m.pop("window.max")),
+                )
             mc = None
             if "mc.paths" in m:
                 mc = SdeConfig(
@@ -120,22 +123,20 @@ class Scenario:
                     seed=_whole("mc.seed", m.pop("mc.seed", DEFAULT_SEED)),
                 )
             sc = cls(
-                id=str(m.pop("id")),
-                model=str(m.pop("model")),
-                solution=str(m.pop("solution")),
-                kernel=str(m.pop("kernel", "auto")),
-                x=tuple(float(v) for v in _list("x", m.pop("x"))),
-                t_min=float(m.pop("t.min")),
-                t_max=float(m.pop("t.max")),
+                id=_text("id", m.pop("id")),
+                model=_text("model", m.pop("model")),
+                solution=_text("solution", m.pop("solution")),
+                kernel=_text("kernel", m.pop("kernel", "auto")),
+                x=_items(_real, "x", m.pop("x")),
+                t_min=_real("t.min", m.pop("t.min")),
+                t_max=_real("t.max", m.pop("t.max")),
                 t_count=_whole("t.count", m.pop("t.count", 16)),
-                t_spacing=str(m.pop("t.spacing", "log")),
+                t_spacing=_text("t.spacing", m.pop("t.spacing", "log")),
                 window=window,
                 mc=mc,
-                domains=tuple(str(d) for d in _list("domains", m.pop("domains", []))),
-                analyses=tuple(
-                    str(a) for a in _list("analyses", m.pop("analyses", ["entropy-curve"]))
-                ),
-                bounds_delta=float(m.pop("bounds.delta", 1.0)),
+                domains=_items(_text, "domains", m.pop("domains", [])),
+                analyses=_items(_text, "analyses", m.pop("analyses", ["entropy-curve"])),
+                bounds_delta=_real("bounds.delta", m.pop("bounds.delta", 1.0)),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc.args[0]!r}") from None
@@ -220,11 +221,30 @@ def _whole(key, value):
     return int(value)
 
 
-def _list(key, value):
-    """A list config value; a string would otherwise iterate as characters."""
+def _real(key, value):
+    """A number config value as a float; true and "0.5" are refused, not
+    read as 1.0 and 0.5."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is too large for a float, got {value!r}") from None
+
+
+def _text(key, value):
+    """A string config value; 5 is refused, not read as "5"."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _items(read, key, value):
+    """A list config value read entry by entry as ``read(f"{key}[i]", v)``;
+    a string would otherwise iterate as characters."""
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+    return tuple(read(f"{key}[{i}]", v) for i, v in enumerate(value))
 
 
 def _path_count(key, value):
@@ -236,11 +256,8 @@ def _path_count(key, value):
 
 
 def _step(key, value):
-    """A positive, finite step size; "nan" and "inf" parse as floats."""
-    try:
-        dt = float(value)
-    except (TypeError, ValueError):
-        dt = math.nan
+    """A positive, finite step size."""
+    dt = _real(key, value)
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"{key} must be positive and finite, got {value!r}")
     return dt

@@ -203,7 +203,11 @@ class ExitRecord:
     domain: DomainSpec
     tau: np.ndarray        # exit time; +inf while censored
     state: np.ndarray      # state at exit (or start point when tau = 0)
-    censored: np.ndarray   # never exited within the horizon
+
+    @property
+    def censored(self):
+        """Paths that never exited within the horizon."""
+        return ~np.isfinite(self.tau)
 
     @property
     def censored_fraction(self):
@@ -381,10 +385,7 @@ def _march(model, x, cfg, n_steps, record, domains):
                 break
     if blown is None:
         blown = np.zeros(n, dtype=bool)
-    exits = [
-        ExitRecord(domain=d, tau=tau, state=st, censored=~np.isfinite(tau))
-        for d, tau, st in zip(domains, taus, exit_states)
-    ]
+    exits = [ExitRecord(d, tau, st) for d, tau, st in zip(domains, taus, exit_states)]
     return snaps, blown, exits
 
 

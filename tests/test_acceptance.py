@@ -112,6 +112,35 @@ def test_every_plan_entry_builds(monkeypatch):
     assert replays == [[DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]]
 
 
+def test_plan_records_only_what_verify_reads(monkeypatch):
+    # every snapshot time of a plan entry is a (paths, dim) array held to the
+    # end of verify; t = 0 is exempt: simulate always keeps it, and
+    # stopped_increment_residual reads it
+    small = _small_plan(monkeypatch)
+    built = {}
+    build = acceptance._Context.ensemble
+
+    def named(ctx, name):
+        built[name] = build(ctx, name)
+        return built[name]
+
+    read = {name: set() for name in small}
+    index = stochastic.PathEnsemble.snapshot_index
+
+    def spied(ens, t):
+        name = next(n for n, e in built.items() if e is ens)
+        read[name].add(round(float(t), 9))
+        return index(ens, t)
+
+    monkeypatch.setattr(acceptance._Context, "ensemble", named)
+    monkeypatch.setattr(stochastic.PathEnsemble, "snapshot_index", spied)
+    acceptance.verify("all")
+    recorded = {
+        name: {round(float(t), 9) for t in ens.times} - {0.0} for name, ens in built.items()
+    }
+    assert recorded == read
+
+
 def test_benchmark_restates_the_ensemble_plan(monkeypatch):
     # perfbench derives its expected traced counts from VERIFY_ENSEMBLES; a
     # plan change that leaves it behind fails here before the benchmark

@@ -441,6 +441,40 @@ def test_list_keys_refuse_strings_and_scalars(text, message):
 
 
 _NUMERIC = MC_BLOCK + "window.min = 0.0\nwindow.max = 8.0\nt.count = 16\nbounds.delta = 1.0\n"
+_TYPED = _NUMERIC + (
+    'kernel = "auto"\nt.spacing = "log"\ndomains = ["interval:-1,1"]\n'
+    'analyses = ["entropy-curve", "local"]\n'
+)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("t.max", "true", "t.max must be a number, got True"),
+        ("t.min", '"0.5"', "t.min must be a number, got '0.5'"),
+        ("window.min", "false", "window.min must be a number, got False"),
+        ("bounds.delta", "true", "bounds.delta must be a number, got True"),
+        ("x", "[true]", "x[0] must be a number, got True"),
+        ("mc.dt", '"0.001"', "mc.dt must be a number, got '0.001'"),
+        ("t.max", "1" + "0" * 400, "t.max is too large for a float"),
+        ("id", "5", "id must be a string, got 5"),
+        ("model", "1", "model must be a string, got 1"),
+        ("kernel", "0", "kernel must be a string, got 0"),
+        ("t.spacing", "1", "t.spacing must be a string, got 1"),
+        ("domains", "[5]", "domains[0] must be a string, got 5"),
+        ("analyses", '["entropy-curve", 2]', "analyses[1] must be a string, got 2"),
+    ],
+    ids=["t.max-bool", "t.min-string", "window.min-bool", "bounds.delta-bool", "x-bool",
+         "mc.dt-string", "t.max-overflow", "id-int", "model-int", "kernel-int",
+         "t.spacing-int", "domains-int", "analyses-int"],
+)
+def test_config_values_of_the_wrong_type_are_refused(key, value, message):
+    # float() and str() used to coerce: t.max = true read as 1.0, id = 5 as "5"
+    parse_scenario(_TYPED)  # valid as it stands
+    text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", _TYPED)
+    assert text != _TYPED
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_scenario(text)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", ".5", "1."])
