@@ -37,13 +37,7 @@ from .errors import (
     OutOfWindow,
     QuadratureDivergence,
 )
-from .geometry import (
-    MetricModel,
-    metric_at,
-    parse_model,
-    strict_positivity_margin,
-    super_ricci_gap,
-)
+from .geometry import MetricModel, parse_model
 from .harness import Scenario, load_scenario, run
 from .kernels import adjoint_residual, canonical_kernel, kernel_mass, parse_kernel
 from .solutions import (

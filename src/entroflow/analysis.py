@@ -263,6 +263,10 @@ def separation_test(sol, t_grid, y_grid) -> SeparationReport:
     """
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(sol.model, y_grid)
+    if not t_grid.size:
+        raise ValueError("the separation test needs at least one time in t_grid")
+    if not len(pts):
+        raise ValueError("the separation test needs at least one point in y_grid")
     vals = np.stack([np.asarray(sol.value(t, pts)) for t in t_grid])
     if np.any(vals <= 0.0):
         raise LogOfZero("separation test needs u > 0 on the grid")
@@ -318,7 +322,8 @@ def rigidity_check(sol, kernel, t_grid, y_grid, level=2) -> RigidityReport:
     The entropy is the quadrature against ``kernel`` at the fixed
     refinement ``level``.  Strict means a margin of at least `_MARGIN_EPS`
     (1e-9), linear a fit residual of at most `_LINEAR_RTOL` (1e-3), and
-    constant a max |grad log u| of at most `_GRAD_TOL` (1e-6).
+    constant a max |grad log u| of at most `_GRAD_TOL` (1e-6).  The fit
+    needs at least three distinct times (InsufficientCurve otherwise).
     """
     model = sol.model
     _same_model(sol, kernel)
@@ -328,8 +333,11 @@ def rigidity_check(sol, kernel, t_grid, y_grid, level=2) -> RigidityReport:
         raise ValueError("the rigidity check needs at least one point")
     for y in pts:
         model.check_point(y)
+    # two times always fit a line, which would read as linear entropy
+    if np.unique(t_grid).size < 3:
+        raise InsufficientCurve("the rigidity check needs at least three distinct times")
     # (2K - rate) / c(t): one margin per time, the same at every point
-    margin = min(geometry.strict_positivity_margin(model, t, pts[0]) for t in t_grid)
+    margin = min(-model.super_ricci_gap(t) for t in t_grid)
     antecedent = margin >= _MARGIN_EPS
     rows = quadrature.curve_expectations(
         (ulogu_integrand(sol),), kernel, t_grid, level, shared_growth(sol)

@@ -336,7 +336,7 @@ def submartingale_gap(sol, ensemble: PathEnsemble, t) -> GapResult:
     dg/dt <= 2 Ric and the condition integrals are finite.
     """
     _same_model(sol, ensemble)
-    _warn_if_super_ricci_fails(sol.model, ensemble.x, 0.0)
+    _warn_if_super_ricci_fails(sol.model, 0.0)
     x = ensemble.x[None, :]
     n0 = t * float(sol.grad_term(0.0, x)[0]) + float(sol.ulogu(0.0, x)[0])
     end = expect(ensemble, sol.ulogu, AtTime(t))
@@ -353,11 +353,11 @@ def submartingale_gap(sol, ensemble: PathEnsemble, t) -> GapResult:
     return GapResult(gap=gap, stderr=end.stderr, midpoint_gap=mid, midpoint_stderr=mid_se)
 
 
-def _warn_if_super_ricci_fails(model, x, t):
+def _warn_if_super_ricci_fails(model, t):
     """Warn when `MetricModel.flow_condition` reads 'violated', naming the
-    gap at (t, x)."""
+    gap at t."""
     if model.flow_condition == "violated":
-        gap = geometry.super_ricci_gap(model, t, x)
+        gap = model.super_ricci_gap(t)
         warnings.warn(
             f"dg/dt <= 2 Ric fails at t={t} (gap {gap:.3g}); "
             "monotonicity guarantees do not apply",

@@ -3,23 +3,23 @@
 Every model is a conformal evolution ``g(t) = c(t) g0`` with
 ``c(t) = c0 + rate*t`` affine (``c0 = 1``, ``rate = 0`` on the static flat
 kinds) and ``g0`` flat or round, so ``Ric(g0) = K g0`` for one constant
-``K``: 1 on the unit sphere, 0 elsewhere.  Each model fixes a chart (and,
-for the sphere, a point-dependent orthonormal frame) in which all tensor
-components are reported:
+``K``: 1 on the unit sphere, 0 elsewhere.  Each model fixes a chart:
 
 * ``euclidean-line`` / ``euclidean-space:n`` / ``punctured-3`` --
   Cartesian coordinates, static flat metric.
 * ``circle:c0,rate`` -- angle chart ``theta`` with metric ``c(t) dtheta^2``.
-* ``sphere2:c0,rate`` -- points are unit vectors in 3-space; tensors are
-  reported in the orthonormal tangent frame at the query point, i.e. in
-  normal coordinates centered there, where the round metric is the
-  identity.
+* ``sphere2:c0,rate`` -- points are unit vectors in 3-space; a tangent
+  vector is read in the orthonormal frame of `tangent_frame` at its point,
+  where the round metric is the identity.
 
 In every gauge ``g``, ``g^-1``, ``dg/dt`` and ``Ric`` are ``c(t)``,
 ``1/c(t)``, ``rate`` and ``K`` times the identity, and the Christoffel
-symbols vanish; every quantity below is derived from ``c(t)`` and ``K``.
-The affine ``c`` keeps the time change
-``s(t) = integral_0^t c(sigma)^-1 dsigma`` in closed form.
+symbols vanish.  So `MetricModel`'s scalars (``c0``, ``rate``,
+``ricci_constant``) and its methods (``conformal``, ``time_change``,
+``super_ricci_gap``, ``flow_condition``, the window and chart checks) are
+the whole geometry API: no tensor is built per point.  The affine ``c``
+keeps the time change ``s(t) = integral_0^t c(sigma)^-1 dsigma`` in
+closed form.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class MetricModel:
         if not (0.0 <= t0 < t1):
             raise ValueError(f"invalid time window {self.time_window}")
         if self.kind in _CONFORMAL_KINDS:
-            if self.conformal(t0) <= 0 or self.conformal(t1) <= 0:
+            if self.min_conformal <= 0:
                 raise ValueError(
                     f"conformal factor must stay positive on {self.time_window}"
                 )
@@ -99,6 +99,17 @@ class MetricModel:
     def conformal(self, t):
         """Conformal factor c(t) = c0 + rate*t; identically 1 on the flat kinds."""
         return self.c0 + self.rate * np.asarray(t, dtype=float)
+
+    @property
+    def min_conformal(self):
+        """The least c(t) on the window; c is affine, so it is taken at an end."""
+        return min(float(self.conformal(t)) for t in self.time_window)
+
+    @property
+    def dim_chart(self):
+        """Length of a chart point: the manifold dimension, but 3 for the
+        sphere, whose points live in the 3-space embedding."""
+        return 3 if self.kind == SPHERE_2 else self.dim
 
     @property
     def ricci_constant(self):
@@ -118,6 +129,16 @@ class MetricModel:
             return "equality"
         return "satisfied" if gap < 0 else "violated"
 
+    def super_ricci_gap(self, t):
+        """Largest eigenvalue of (dg/dt - 2 Ric) in the g-orthonormal frame.
+
+        Both tensors are multiples of g, so this is (rate - 2K) / c(t) at
+        every point.  A value <= 0 means the evolution satisfies
+        dg/dt <= 2 Ric at t; exactly 0 is the equality case.
+        """
+        self.check_time(t)
+        return float((self.rate - 2.0 * self.ricci_constant) / self.conformal(t))
+
     def time_change(self, t):
         """Clock s(t) = integral of 1/c over [0, t], in closed form."""
         t = np.asarray(t, dtype=float)
@@ -134,7 +155,11 @@ class MetricModel:
             raise OutOfWindow(f"t={t} outside window [{t0}, {t1}] of {self.kind}")
 
     def check_point(self, y):
-        y = as_point(self, y)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.shape != (self.dim_chart,):
+            raise ChartViolation(
+                f"expected chart point of shape ({self.dim_chart},), got {y.shape}"
+            )
         if not np.all(np.isfinite(y)):
             raise ChartViolation(f"chart points must be finite, got {y.tolist()}")
         if self.kind == PUNCTURED_3:
@@ -214,24 +239,6 @@ def parse_model(spec: str, time_window=None) -> MetricModel:
     return model
 
 
-def as_point(model: MetricModel, y) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (model.dim_chart,):
-        raise ChartViolation(
-            f"expected chart point of shape ({model.dim_chart},), got {y.shape}"
-        )
-    return y
-
-
-# chart dimension differs from the manifold dimension only for the sphere,
-# whose points live in the 3-space embedding
-def _dim_chart(model):
-    return 3 if model.kind == SPHERE_2 else model.dim
-
-
-MetricModel.dim_chart = property(_dim_chart)
-
-
 def tangent_frame(y):
     """Deterministic orthonormal basis of the tangent plane at unit y."""
     y = np.asarray(y, dtype=float)
@@ -271,56 +278,6 @@ def _cross_columns(a, b):
     out[:, 1] = a[2] * b[0] - a[0] * b[2]
     out[:, 2] = a[0] * b[1] - a[1] * b[0]
     return out
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """Pointwise metric, curvature and volume data in the model's gauge."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg_dt: np.ndarray
-    christoffel: np.ndarray
-    ricci: np.ndarray
-    sqrt_det_g: float
-    tr_dg_dt: float
-
-
-def metric_at(model: MetricModel, t, y) -> MetricData:
-    """Exact metric data at (t, y); raises OutOfWindow / ChartViolation."""
-    model.check_time(t)
-    model.check_point(y)
-    d = model.dim
-    c = float(model.conformal(t))
-    eye = np.eye(d)
-    # sqrt(c**d) as sqrt(c) on odd and a power of c on even dimensions, so
-    # the circle's value is math.sqrt(c) and the sphere's is c itself
-    sqrt_det_g = c ** (d // 2) * math.sqrt(c) ** (d % 2)
-    return MetricData(
-        c * eye, eye / c, model.rate * eye, np.zeros((d, d, d)),
-        model.ricci_constant * eye, sqrt_det_g, d * model.rate / c,
-    )
-
-
-def super_ricci_gap(model: MetricModel, t, y) -> float:
-    """Largest eigenvalue of (dg/dt - 2 Ric) in the g-orthonormal frame.
-
-    Both tensors are multiples of g, so this is (rate - 2K) / c(t).  A value
-    <= 0 means the evolution satisfies dg/dt <= 2 Ric at (t, y); exactly 0
-    is the equality case.
-    """
-    model.check_time(t)
-    model.check_point(y)
-    return float((model.rate - 2.0 * model.ricci_constant) / model.conformal(t))
-
-
-def strict_positivity_margin(model: MetricModel, t, y) -> float:
-    """Smallest eigenvalue of (2 Ric - dg/dt) in the g-frame.
-
-    Positive means the strict-positivity hypothesis of the rigidity
-    statement holds at (t, y); it is exactly the negated super-Ricci gap.
-    """
-    return -super_ricci_gap(model, t, y)
 
 
 # ---------------------------------------------------------------------------

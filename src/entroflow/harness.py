@@ -177,6 +177,13 @@ class Scenario:
         unknown = set(self.analyses) - set(ANALYSES)
         if unknown:
             raise ConfigError(f"scenario {self.id!r}: unknown analyses {sorted(unknown)}")
+        if "rigidity" in self.analyses and self.t_count < 3:
+            # two times always fit a line; run's subsample of t_grid keeps
+            # at least three of any three or more
+            raise ConfigError(
+                f"scenario {self.id!r}: the rigidity analysis needs t.count >= 3, "
+                f"got {self.t_count}"
+            )
         if not (math.isfinite(self.bounds_delta) and self.bounds_delta > 0):
             raise ConfigError(
                 f"scenario {self.id!r}: bounds.delta must be positive and finite, "

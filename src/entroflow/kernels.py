@@ -227,8 +227,8 @@ def adjoint_residual(kernel: HeatKernelField, t, y) -> float:
     ht = time_step(t)
     dpdt = _fd_time(p_at, t, (max(1e-9, t - 2 * ht), model.time_window[1]), ht)
     lap = float(kernel.laplacian(t, pts)[0])
-    # tr(dg/dt) is spatially constant for the catalog; any chart point works
-    tr = geometry.metric_at(model, t, y).tr_dg_dt
+    # tr(g^-1 dg/dt) = dim * rate / c(t), the same at every point
+    tr = model.dim * model.rate / float(model.conformal(t))
     return abs(dpdt - lap + 0.5 * tr * p_at(t))
 
 

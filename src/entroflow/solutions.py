@@ -359,8 +359,7 @@ class CircleSpectral(SolutionField):
 
     @property
     def time_rate_scale(self):
-        c_min = min(float(self.model.conformal(t)) for t in self.model.time_window)
-        return max(k * k for k, _, _ in self.modes) / c_min
+        return max(k * k for k, _, _ in self.modes) / self.model.min_conformal
 
     def space_scale(self, t, y):
         return max(1.0, 2.0 * max(k for k, _, _ in self.modes))
@@ -440,8 +439,7 @@ class SphereSpectral(SolutionField):
 
     @property
     def time_rate_scale(self):
-        c_min = min(float(self.model.conformal(t)) for t in self.model.time_window)
-        return max(l * (l + 1) for l, _ in self.modes) / c_min
+        return max(l * (l + 1) for l, _ in self.modes) / self.model.min_conformal
 
     def space_scale(self, t, y):
         return max(1.0, 2.0 * max(l for l, _ in self.modes))

@@ -65,11 +65,10 @@ class SdeConfig:
         if self.dt > (t1 - t0) / 10.0:
             raise ValueError("dt must not exceed a tenth of the time window")
         if model.kind in (geometry.CIRCLE, geometry.SPHERE_2):
-            c_min = min(float(model.conformal(t0)), float(model.conformal(t1)))
-            if self.dt > 0.1 * c_min:
+            if self.dt > 0.1 * model.min_conformal:
                 raise ValueError(
                     "dt is too coarse for the conformal scale "
-                    f"(dt={self.dt} vs min c = {c_min})"
+                    f"(dt={self.dt} vs min c = {model.min_conformal})"
                 )
 
 

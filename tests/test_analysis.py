@@ -114,6 +114,18 @@ def test_constant_separates(line_model):
     assert np.allclose(rep.psi * rep.phi[0], 3.0)
 
 
+@pytest.mark.parametrize(
+    "ts, ys, grid",
+    [([], np.linspace(-1, 1, 9), "t_grid"), (np.linspace(0.0, 1.0, 6), [], "y_grid"),
+     (np.linspace(0.0, 1.0, 6), np.empty((0, 1)), "y_grid")],
+    ids=["empty-t", "empty-y", "empty-y-2d"],
+)
+def test_separation_refuses_an_empty_grid(ts, ys, grid, line_model):
+    # these raised numpy's bare stacking ValueError and an IndexError
+    with pytest.raises(ValueError, match=rf"at least one .* in {grid}"):
+        separation_test(ExponentialLine(2.0, 3.0, line_model), ts, ys)
+
+
 def test_static_solution_separates_on_punctured_space():
     model = geometry.punctured3()
     sol = solutions.RadialHarmonic3(model)
@@ -263,17 +275,15 @@ def test_rigidity_takes_one_margin_per_time(circle_model, circle_kernel, monkeyp
     sol = Constant(3.0, circle_model)
     ts = np.geomspace(0.2, 1.2, 6)
     y_grid = np.linspace(0, 2 * np.pi, 9, endpoint=False)[:, None]
-    want = min(
-        geometry.strict_positivity_margin(circle_model, t, y) for t in ts for y in y_grid
-    )
+    want = min(-circle_model.super_ricci_gap(t) for t in ts)
     seen = []
-    margin = geometry.strict_positivity_margin
+    gap = geometry.MetricModel.super_ricci_gap
 
-    def counted(model, t, y):
+    def counted(model, t):
         seen.append(t)
-        return margin(model, t, y)
+        return gap(model, t)
 
-    monkeypatch.setattr(geometry, "strict_positivity_margin", counted)
+    monkeypatch.setattr(geometry.MetricModel, "super_ricci_gap", counted)
     rep = rigidity_check(sol, circle_kernel, ts, y_grid)
     assert seen == list(ts)
     assert np.float64(rep.min_margin).view(np.uint64) == np.float64(want).view(np.uint64)
@@ -286,6 +296,17 @@ def test_rigidity_takes_one_margin_per_time(circle_model, circle_kernel, monkeyp
         )
     with pytest.raises(ValueError, match="at least one point"):
         rigidity_check(sol, circle_kernel, ts, np.empty((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "ts", [[], [0.5], [0.5, 1.0], [0.5, 0.5, 1.0]], ids=["none", "one", "two", "two-distinct"]
+)
+def test_rigidity_refuses_fewer_than_three_times(ts, circle_model, circle_kernel):
+    # two points always fit a line, so a nonconstant solution under strict
+    # positivity would read as a counterexample to the rigidity statement
+    sol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle_model)
+    with pytest.raises(InsufficientCurve, match="at least three distinct times"):
+        rigidity_check(sol, circle_kernel, ts, [[0.0], [1.0]])
 
 
 def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle_kernel):

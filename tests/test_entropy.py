@@ -228,7 +228,7 @@ def test_gap_warns_when_the_flow_condition_fails(line_ensemble):
     model = geometry.circle(1.0, 0.5)
     sol = solutions.CircleSpectral(2.0, [(1, 0.1, 0.0)], geometry.circle(1.0, 0.5, (0.0, 1.0)))
     with pytest.warns(UserWarning):
-        entropy._warn_if_super_ricci_fails(model, np.array([0.0]), 0.5)
+        entropy._warn_if_super_ricci_fails(model, 0.5)
 
 
 # --- curves and CSV -------------------------------------------------------------

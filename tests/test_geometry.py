@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,12 +10,7 @@ from scipy.linalg import eigh
 
 from entroflow import geometry
 from entroflow.errors import ChartViolation, OutOfWindow
-from entroflow.geometry import (
-    metric_at,
-    parse_model,
-    strict_positivity_margin,
-    super_ricci_gap,
-)
+from entroflow.geometry import parse_model
 
 
 def _all_models():
@@ -44,11 +40,41 @@ def _sample_point(model, gen):
     raise AssertionError(model.kind)
 
 
+@dataclass(frozen=True)
+class _MetricData:
+    """Pointwise metric, curvature and volume data in the model's gauge."""
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    dg_dt: np.ndarray
+    christoffel: np.ndarray
+    ricci: np.ndarray
+    sqrt_det_g: float
+    tr_dg_dt: float
+
+
+def _metric_at(model, t, y):
+    """The metric tensors at (t, y) built from c(t), rate and K: the oracle
+    the closed forms of `MetricModel` are checked against."""
+    model.check_time(t)
+    model.check_point(y)
+    d = model.dim
+    c = float(model.conformal(t))
+    eye = np.eye(d)
+    # sqrt(c**d) as sqrt(c) on odd and a power of c on even dimensions, so
+    # the circle's value is math.sqrt(c) and the sphere's is c itself
+    sqrt_det_g = c ** (d // 2) * math.sqrt(c) ** (d % 2)
+    return _MetricData(
+        c * eye, eye / c, model.rate * eye, np.zeros((d, d, d)),
+        model.ricci_constant * eye, sqrt_det_g, d * model.rate / c,
+    )
+
+
 # --- worked examples -------------------------------------------------------
 
 
 def test_flat_line_is_trivial():
-    data = metric_at(geometry.line(), 1.0, [0.3])
+    data = _metric_at(geometry.line(), 1.0, [0.3])
     assert data.g == pytest.approx(np.eye(1))
     assert np.all(data.christoffel == 0)
     assert data.ricci == pytest.approx(np.zeros((1, 1)))
@@ -60,27 +86,26 @@ def test_sphere_under_the_flow_rate_has_zero_gap():
     # c(t) = 1 + 2t scales the round metric so dg/dt = 2 Ric identically
     model = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
     y = np.array([0.0, 0.6, 0.8])
-    data = metric_at(model, 0.5, y)
+    data = _metric_at(model, 0.5, y)
     assert data.dg_dt == pytest.approx(2.0 * data.ricci, abs=1e-14)
-    assert super_ricci_gap(model, 0.5, y) == pytest.approx(0.0, abs=1e-14)
+    assert model.super_ricci_gap(0.5) == pytest.approx(0.0, abs=1e-14)
     # oracle: differentiate the conformal factor numerically
     h = 1e-6
-    fd = (metric_at(model, 0.5 + h, y).g - metric_at(model, 0.5 - h, y).g) / (2 * h)
+    fd = (_metric_at(model, 0.5 + h, y).g - _metric_at(model, 0.5 - h, y).g) / (2 * h)
     assert fd == pytest.approx(data.dg_dt, abs=1e-8)
 
 
 def test_super_ricci_gap_examples():
-    assert super_ricci_gap(geometry.line(), 0.7, [0.1]) == 0.0
+    assert geometry.line().super_ricci_gap(0.7) == 0.0
     model = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
-    gap = super_ricci_gap(model, 1.0, [0.0])
+    gap = model.super_ricci_gap(1.0)
     assert gap == pytest.approx(-0.1 / 0.9)
     assert gap < 0
-    assert strict_positivity_margin(model, 1.0, [0.0]) == pytest.approx(-gap)
     assert model.flow_condition == "satisfied"
     assert geometry.line().flow_condition == "equality"
     # an expanding flat circle: dg/dt = 0.5 > 0 = 2 Ric, so the condition fails
     model = geometry.circle(1.0, 0.5)
-    assert super_ricci_gap(model, 1.0, [0.0]) == pytest.approx(0.5 / 1.5)
+    assert model.super_ricci_gap(1.0) == pytest.approx(0.5 / 1.5)
     assert model.flow_condition == "violated"
 
 
@@ -94,7 +119,7 @@ def test_metric_data_invariants(model):
     for _ in range(25):
         t = gen.uniform(t0, t1)
         y = _sample_point(model, gen)
-        data = metric_at(model, t, y)
+        data = _metric_at(model, t, y)
         d = model.dim
         assert data.g @ data.g_inv == pytest.approx(np.eye(d), abs=1e-12)
         assert data.g == pytest.approx(data.g.T)
@@ -120,7 +145,7 @@ def test_conformal_trace_identity(model):
     n = model.dim
     for t in (0.1, 0.7):
         y = _sample_point(model, np.random.default_rng(3))
-        data = metric_at(model, t, y)
+        data = _metric_at(model, t, y)
         c = float(model.conformal(t))
         assert data.tr_dg_dt == pytest.approx(n * model.rate / c, rel=1e-12)
 
@@ -135,7 +160,7 @@ def test_christoffel_against_finite_difference_oracle(model):
     d = model.dim
     for _ in range(5):
         y = _sample_point(model, gen)
-        data = metric_at(model, t, y)
+        data = _metric_at(model, t, y)
         dg = np.zeros((d, d, d))  # dg[l, i, j] = d_l g_ij
         for l in range(d):
             e = np.zeros(d)
@@ -144,7 +169,7 @@ def test_christoffel_against_finite_difference_oracle(model):
             gm = _metric_in_local_chart(model, t, -e)
             dg[l] = (gp - gm) / (2 * h)
         gamma = _christoffel_fd(data.g_inv, dg)
-        assert gamma == pytest.approx(data.christoffel, abs=1e-6)
+        assert gamma == pytest.approx(np.zeros((d, d, d)), abs=1e-6)
 
 
 def _metric_in_local_chart(model, t, dy):
@@ -188,16 +213,16 @@ def _christoffel_fd(g_inv, dg):
 @settings(max_examples=40, deadline=None)
 def test_gap_is_a_pure_function_on_the_circle(t, theta):
     model = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
-    a = super_ricci_gap(model, t, [theta])
-    b = super_ricci_gap(model, t, [theta])
+    a = model.super_ricci_gap(t)
+    b = model.super_ricci_gap(t)
     assert a == b
     assert a == pytest.approx(-0.1 / float(model.conformal(t)))
 
 
 def _eigen_gap(model, t, y):
     # the largest lambda of (dg/dt - 2 Ric) v = lambda g v, solved from
-    # metric_at's tensors: the oracle for the closed form (rate - 2K) / c(t)
-    data = metric_at(model, t, y)
+    # _metric_at's tensors: the oracle for the closed form (rate - 2K) / c(t)
+    data = _metric_at(model, t, y)
     return float(eigh(data.dg_dt - 2.0 * data.ricci, data.g, eigvals_only=True)[-1])
 
 
@@ -211,7 +236,7 @@ def test_super_ricci_gap_matches_the_eigen_solve(model):
     for t in np.linspace(*model.time_window, 25):
         y = _sample_point(model, gen)
         oracle = _eigen_gap(model, t, y)
-        assert super_ricci_gap(model, t, y) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert model.super_ricci_gap(t) == pytest.approx(oracle, rel=1e-14, abs=0.0)
         # the verdict, read once from the model, holds at every time
         if abs(oracle) <= 1e-12:
             assert model.flow_condition == "equality"
@@ -233,16 +258,25 @@ def test_gradient_norm_time_derivative_sign(model):
     df = gen.normal(size=model.dim)  # components of df in the gauge
 
     def grad_sq(t):
-        data = metric_at(model, t, y)
+        data = _metric_at(model, t, y)
         return float(df @ data.g_inv @ df)
 
     t = 0.6
     h = 1e-6
     lhs = (grad_sq(t + h) - grad_sq(t - h)) / (2 * h)
-    data = metric_at(model, t, y)
+    data = _metric_at(model, t, y)
     grad_vec = data.g_inv @ df
     rhs = -float(grad_vec @ data.dg_dt @ grad_vec)
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+@pytest.mark.parametrize("model", _all_models(), ids=lambda m: f"{m.kind}:{m.c0:g},{m.rate:g}")
+def test_min_conformal_is_the_least_c_on_the_window(model):
+    # c is affine, so a fine grid finds no value below the ends' minimum
+    grid = model.conformal(np.linspace(*model.time_window, 1001))
+    assert model.min_conformal == float(np.min(grid))
+    assert model.min_conformal > 0
+    assert model.dim_chart == (3 if model.kind == geometry.SPHERE_2 else model.dim)
 
 
 def test_time_change_against_quadrature():
@@ -255,11 +289,15 @@ def test_time_change_against_quadrature():
 
 def test_chart_and_window_validation():
     with pytest.raises(ChartViolation):
-        metric_at(geometry.punctured3(), 1.0, [0.0, 0.0, 0.0])
+        geometry.punctured3().check_point([0.0, 0.0, 0.0])
     with pytest.raises(ChartViolation):
-        metric_at(geometry.sphere2(), 0.0, [0.0, 0.0, 2.0])
+        geometry.sphere2().check_point([0.0, 0.0, 2.0])
+    with pytest.raises(ChartViolation, match=r"shape \(3,\)"):
+        geometry.sphere2().check_point([0.0, 1.0])
     with pytest.raises(OutOfWindow):
-        metric_at(geometry.line(), 99.0, [0.0])
+        geometry.line().check_time(99.0)
+    with pytest.raises(OutOfWindow):
+        geometry.line().super_ricci_gap(99.0)
     # non-finite times and points are refused, not carried into a NaN result
     sphere = geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2))
     for model, t, y in (
@@ -273,7 +311,8 @@ def test_chart_and_window_validation():
         with pytest.raises(OutOfWindow, match="not a finite time"):
             model.check_time(np.array([0.5, t]))
         with pytest.raises(OutOfWindow, match="not a finite time"):
-            metric_at(model, t, y)
+            model.super_ricci_gap(t)
+        model.check_point(y)  # the point is valid: the time is what is refused
     for model, y in (
         (sphere, [math.nan, 0.0, 0.0]),
         (geometry.line(), [math.inf]),

@@ -213,6 +213,24 @@ t.max = 3.0
 MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
 CIRCLE = bundled_scenarios()["circle_shrinking"].read_text()
 SPHERE = bundled_scenarios()["sphere_ricci_flow"].read_text()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_rigidity_needs_three_grid_times(count, tmp_path):
+    # two times always fit a line: the shrinking circle's nonconstant
+    # solution read as linear entropy and a false counterexample
+    cfg = tmp_path / "c.cfg"
+    text = CIRCLE.replace("t.count = 12", f"t.count = {count}")
+    cfg.write_text(text.replace('"bounds", "rigidity"', '"rigidity"'))
+    out = tmp_path / "out"
+    if count < 3:
+        with pytest.raises(ConfigError, match=r"rigidity analysis needs t.count >= 3, got 2"):
+            run(cfg, out)
+        assert not out.exists()
+        return
+    run(cfg, out, {"paths": 1000})
+    rep = json.loads((out / "analysis.json").read_text())["rigidity"]
+    assert rep["antecedent"] and not rep["entropy_linear"] and rep["consistent"]
 _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
 
 

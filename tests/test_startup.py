@@ -11,8 +11,8 @@ PROBE = """
 import sys
 import entroflow, entroflow.cli
 from entroflow import geometry
-geometry.super_ricci_gap(geometry.line(), 1.0, [0.0])
-geometry.super_ricci_gap(geometry.sphere2(1.0, 2.0), 0.5, [1.0, 0.0, 0.0])
+geometry.line().super_ricci_gap(1.0)
+geometry.sphere2(1.0, 2.0).super_ricci_gap(0.5)
 print(" ".join(m for m in ("scipy.stats", "scipy.linalg") if m in sys.modules))
 """
 

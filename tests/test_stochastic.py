@@ -6,6 +6,7 @@ from scipy import stats
 
 from entroflow import geometry, harness, rng, stochastic
 from entroflow.errors import CensoredDominates, ConfigError
+from test_geometry import _metric_at
 from entroflow.stochastic import (
     AtExit,
     AtTime,
@@ -108,7 +109,7 @@ def test_em_drift_vanishes_on_catalog_charts():
             else:
                 y = gen.uniform(-1, 1, size=model.dim)
             t = gen.uniform(*model.time_window)
-            data = geometry.metric_at(model, t, y)
+            data = _metric_at(model, t, y)
             drift = np.einsum("ij,kij->k", data.g_inv, data.christoffel)
             assert drift == pytest.approx(np.zeros(model.dim), abs=1e-12)
             scale = 1.0 / float(model.conformal(t))
