@@ -10,7 +10,7 @@ import numpy as np
 
 from entroflow import geometry, kernels, solutions
 from entroflow.kernels import adjoint_residual, kernel_mass
-from entroflow.solutions import backward_residual, bochner_identities, eval_jet
+from entroflow.solutions import backward_residual, bochner_identities
 
 line = geometry.line()
 circle = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
@@ -32,10 +32,11 @@ catalog = [
 print("solution catalog at t = 0.5")
 print("-" * 72)
 for sol, y, label in catalog:
-    jet = eval_jet(sol, 0.5, y)
+    u = sol.value(0.5, y[None, :])[0]
+    gterm = sol.grad_term(0.5, y[None, :])[0]
     res = backward_residual(sol, 0.5, y)
     r1, r2 = bochner_identities(sol, 0.5, y)
-    print(f"{label:<28} u = {jet.u:9.5f}  |grad u|^2/u = {jet.grad_norm_sq/jet.u:9.5f}")
+    print(f"{label:<28} u = {u:9.5f}  |grad u|^2/u = {gterm:9.5f}")
     print(f"{'':<28} equation residual {res:.2e}   identities {r1:.2e}, {r2:.2e}")
 
 print()

@@ -39,14 +39,8 @@ from .errors import (
 )
 from .geometry import MetricModel, parse_model
 from .harness import Scenario, load_scenario, run
-from .kernels import adjoint_residual, canonical_kernel, kernel_mass, parse_kernel
-from .solutions import (
-    ValueJet,
-    backward_residual,
-    bochner_identities,
-    eval_jet,
-    parse_solution,
-)
+from .kernels import adjoint_residual, canonical_kernel, kernel_mass
+from .solutions import backward_residual, bochner_identities, parse_solution
 from .stochastic import (
     AtExit,
     AtTime,

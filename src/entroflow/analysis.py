@@ -180,6 +180,15 @@ class GrowthReport:
     evidence: object = field(repr=False, default=None)
 
 
+def require_classifiable(t_grid) -> np.ndarray:
+    """The times as floats; InsufficientCurve unless there are at least 8
+    spanning at least a decade, as `classify_growth` needs."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.size < 8 or t[-1] / max(t[0], 1e-300) < 10.0:
+        raise InsufficientCurve("need >= 8 points spanning at least a decade")
+    return t
+
+
 def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthReport:
     """Classify an entropy curve by its long-time first variation.
 
@@ -192,12 +201,10 @@ def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthR
     report's ``tol_theta``, the absolute tolerance on E', is
     ``1e-4 * (1 + |E(t_end)| / t_end)``.
     """
-    t = np.asarray(curve.t_grid, dtype=float)
+    t = require_classifiable(curve.t_grid)
     ep = np.asarray(curve.E_prime, dtype=float)
     es = np.asarray(curve.E_second, dtype=float)
     e = np.asarray(curve.E, dtype=float)
-    if t.size < 8 or t[-1] / max(t[0], 1e-300) < 10.0:
-        raise InsufficientCurve("need >= 8 points spanning at least a decade")
     tol_theta = 1e-4 * (1.0 + abs(e[-1]) / t[-1])
 
     i_third = (2 * t.size) // 3
@@ -263,16 +270,17 @@ def separation_test(sol, t_grid, y_grid) -> SeparationReport:
     """
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(sol.model, y_grid)
-    if not t_grid.size:
-        raise ValueError("the separation test needs at least one time in t_grid")
-    if not len(pts):
-        raise ValueError("the separation test needs at least one point in y_grid")
+    # with one time or one point there is no mixed difference to test
+    if t_grid.size < 2:
+        raise ValueError("the separation test needs at least two times in t_grid")
+    if len(pts) < 2:
+        raise ValueError("the separation test needs at least two points in y_grid")
     vals = np.stack([np.asarray(sol.value(t, pts)) for t in t_grid])
     if np.any(vals <= 0.0):
         raise LogOfZero("separation test needs u > 0 on the grid")
     logu = np.log(vals)
     mixed = logu[1:, 1:] - logu[1:, :-1] - logu[:-1, 1:] + logu[:-1, :-1]
-    mixed_residual = float(np.max(np.abs(mixed))) if mixed.size else 0.0
+    mixed_residual = float(np.max(np.abs(mixed)))
     separable = mixed_residual <= _SEPARATION_TOL
 
     j0 = pts.shape[0] // 2

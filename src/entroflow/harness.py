@@ -6,7 +6,6 @@ A scenario file is TOML, read by the standard library's ``tomllib``::
     id = "line-eternal"
     model = "euclidean-line"
     solution = "expline:1,1"
-    kernel = "auto"
     x = [0.0]
     t.min = 0.25
     t.max = 4.0
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import analysis, entropy, geometry, kernels, quadrature, rng, solutions, stochastic
 from .entropy import DEFAULT_CURVE_LEVEL
-from .errors import ConfigError, EntroflowError
+from .errors import ConfigError, EntroflowError, InsufficientCurve
 from .stochastic import DEFAULT_SEED, SdeConfig
 
 ANALYSES = (
@@ -98,7 +97,6 @@ class Scenario:
     t_max: float
     t_count: int = 16
     t_spacing: str = "log"
-    kernel: str = "auto"
     window: tuple | None = None
     mc: SdeConfig | None = None
     domains: tuple = ()
@@ -126,7 +124,6 @@ class Scenario:
                 id=_text("id", m.pop("id")),
                 model=_text("model", m.pop("model")),
                 solution=_text("solution", m.pop("solution")),
-                kernel=_text("kernel", m.pop("kernel", "auto")),
                 x=_items(_real, "x", m.pop("x")),
                 t_min=_real("t.min", m.pop("t.min")),
                 t_max=_real("t.max", m.pop("t.max")),
@@ -177,6 +174,15 @@ class Scenario:
         unknown = set(self.analyses) - set(ANALYSES)
         if unknown:
             raise ConfigError(f"scenario {self.id!r}: unknown analyses {sorted(unknown)}")
+        if "classify" in self.analyses:
+            try:
+                analysis.require_classifiable(self.t_grid())
+            except InsufficientCurve as exc:
+                raise ConfigError(f"scenario {self.id!r}: classify: {exc}") from None
+        if "local" in self.analyses and (self.mc is None or not self.domains):
+            raise ConfigError(
+                f"scenario {self.id!r}: the local analysis needs mc.* settings and domains"
+            )
         if "rigidity" in self.analyses and self.t_count < 3:
             # two times always fit a line; run's subsample of t_grid keeps
             # at least three of any three or more
@@ -214,7 +220,7 @@ class Scenario:
         x = model.check_point(np.asarray(self.x, dtype=float))
         kern = None
         if _needs_kernel(self.analyses):
-            kern = kernels.parse_kernel(self.kernel, model, x)
+            kern = kernels.canonical_kernel(model, x)
         doms = [stochastic.parse_domain(d) for d in self.domains]
         return model, sol, kern, x, doms
 
@@ -334,6 +340,7 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
         level = _whole("refine", overrides.get("refine", level))
         if level < 0:
             raise ConfigError(f"refine must not be negative, got {level}")
+    scenario.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -377,8 +384,6 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
                 outputs.append("entropy_mc.csv")
 
     if "local" in scenario.analyses:
-        if ensemble is None or not doms:
-            raise ConfigError("the local analysis needs mc.* settings and domains")
         with _timed(clocks, "local"):
             table = entropy.local_entropy(sol, ensemble, doms, mc_times)
             table.to_csv(outdir / "local.csv")
@@ -479,9 +484,7 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
         n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
         seed=_whole("seed", overrides.get("seed", mc.seed)),
     )
-    sc = replace(sc, mc=mc)
-    sc.validate()
-    return sc
+    return replace(sc, mc=mc)
 
 
 def _mc_times(t_grid, dt):

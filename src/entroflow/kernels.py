@@ -197,19 +197,6 @@ def canonical_kernel(model: MetricModel, x) -> HeatKernelField:
     raise ValueError(f"no catalog kernel for model kind {model.kind!r}")
 
 
-def parse_kernel(spec: str, model: MetricModel, x) -> HeatKernelField:
-    spec = spec.strip()
-    if spec == "auto":
-        return canonical_kernel(model, x)
-    if spec == "gaussian":
-        return GaussianKernel(x, model)
-    if spec == "wrapped-gaussian":
-        return WrappedGaussianKernel(x, model)
-    if spec == "sphere-series":
-        return SphereHeatKernel(x, model)
-    raise ValueError(f"unknown kernel id {spec!r}")
-
-
 def adjoint_residual(kernel: HeatKernelField, t, y) -> float:
     """|dp/dt - Lap p + (1/2) tr(dg/dt) p| at (t, y), on the kernel's model.
 

@@ -17,9 +17,9 @@ parts that depend on the points alone (the sphere's ``mu`` and frame
 components) come from `SolutionField.node_terms`, a tuple of per-node
 arrays; a quadrature curve whose nodes do not move with t takes them once
 and hands each block's slices to that block's `log_jet`.
-`grad`, `hess_log`, `grad_norm_sq` and `grad_term` stack or sum those
-columns.  The entropy integrands of one block of quadrature nodes read
-one jet between them (`entropy.JetIntegrands`), taken with the Hessian
+`grad_norm_sq` and `grad_term` sum those columns.  The entropy
+integrands of one block of quadrature nodes read one jet between them
+(`entropy.JetIntegrands`), taken with the Hessian
 only when one of them needs it; nothing keeps a jet once the call that
 asked for it returns, here or there, so a solution object holds no
 per-point state.
@@ -76,7 +76,7 @@ class SolutionField:
         With ``hess=False`` the Hessian is left out (``None``): callers that
         need only u and du do not pay for it in time or memory.  u > 0 is
         not checked here, so du is there wherever u is; the Hessian entries
-        mean nothing where u <= 0, and `hess_log` and the integrands that
+        mean nothing where u <= 0, and the integrands and identities that
         read them raise LogOfZero there.
         """
         raise NotImplementedError
@@ -92,18 +92,8 @@ class SolutionField:
         """
         return None
 
-    def grad(self, t, pts):
-        """Covector components du in the model's gauge, shape (n, dim)."""
-        return np.stack(self.log_jet(t, pts, hess=False).du, axis=-1)
-
     def laplacian(self, t, pts):
         raise NotImplementedError
-
-    def hess_log(self, t, pts):
-        """Covariant Hessian of log u in the gauge, shape (n, dim, dim)."""
-        jet = self.log_jet(t, pts)
-        require_positive(jet.u)
-        return np.stack([np.stack(row, axis=-1) for row in jet.hess], axis=-2)
 
     def grad_norm_sq(self, t, pts, jet=None):
         """|grad u|^2 = |du|^2 / c(t) in the time-t metric; ``jet`` is
@@ -185,33 +175,6 @@ class LogJet:
     u: np.ndarray
     du: tuple
     hess: tuple
-
-
-@dataclass(frozen=True)
-class ValueJet:
-    """Pointwise jet of a solution in the model's gauge."""
-
-    u: float
-    grad_u: np.ndarray
-    grad_norm_sq: float
-    hess_log_u: np.ndarray
-    laplacian_u: float
-    du_dt: float
-
-
-def eval_jet(sol: SolutionField, t, y) -> ValueJet:
-    """Analytic jet at a single point; LogOfZero if hess_log needs u > 0."""
-    sol.model.check_time(t)
-    y = sol.model.check_point(y)
-    pts = y[None, :]
-    return ValueJet(
-        u=float(sol.value(t, pts)[0]),
-        grad_u=sol.grad(t, pts)[0],
-        grad_norm_sq=float(sol.grad_norm_sq(t, pts)[0]),
-        hess_log_u=sol.hess_log(t, pts)[0],
-        laplacian_u=float(sol.laplacian(t, pts)[0]),
-        du_dt=float(sol.du_dt(t, pts)[0]),
-    )
 
 
 class Constant(SolutionField):
@@ -588,9 +551,11 @@ _BOCHNER_SPACE_STEP = 7.4e-3
 
 
 def backward_residual(sol: SolutionField, t, y) -> float:
-    """|du/dt + Lap u| from the analytic jets (zero for exact solutions)."""
-    jet = eval_jet(sol, t, y)
-    return abs(jet.du_dt + jet.laplacian_u)
+    """|du/dt + Lap u| from the analytic jets (zero for exact solutions);
+    u may vanish."""
+    sol.model.check_time(t)
+    pts = sol.model.check_point(y)[None, :]
+    return abs(float(sol.du_dt(t, pts)[0]) + float(sol.laplacian(t, pts)[0]))
 
 
 def bochner_identities(sol: SolutionField, t, y):
@@ -611,14 +576,15 @@ def bochner_identities(sol: SolutionField, t, y):
     model.check_time(t)
     y = model.check_point(y)
     pts = y[None, :]
-    u = float(require_positive(sol.value(t, pts))[0])
+    jet = sol.log_jet(t, pts)
+    u = float(require_positive(jet.u)[0])
     ht = time_step(t) / max(1.0, sol.time_rate_scale)
 
     def ulogu_at(tt):
         return float(sol.ulogu(tt, pts)[0])
 
     lap_u = float(sol.laplacian(t, pts)[0])
-    gterm = float(sol.grad_term(t, pts)[0])
+    gterm = float(sol.grad_term(t, pts, jet)[0])
     lhs1 = _fd_time(ulogu_at, t, model.time_window, ht)
     lhs1 += (np.log(u) + 1.0) * lap_u + gterm
     residual1 = abs(lhs1 - gterm)
@@ -630,12 +596,10 @@ def bochner_identities(sol: SolutionField, t, y):
         return float(sol.grad_term(tt, pts)[0])
 
     h_space = _BOCHNER_SPACE_STEP / sol.space_scale(t, y)
-    grad_log = sol.grad(t, pts)[0] / u
     scale = float(1.0 / model.conformal(t))
-    hess = sol.hess_log(t, pts)[0]
-    hess_sq = scale * scale * float(np.sum(hess * hess))
+    hess_sq = scale * scale * float(sum_squares([h for row in jet.hess for h in row])[0])
     curv = 2.0 * model.ricci_constant - model.rate
-    quad = curv * scale * scale * float(np.sum(grad_log * grad_log))
+    quad = curv * scale * scale * float(sum_squares([c / u for c in jet.du])[0])
     rhs2 = u * (2.0 * hess_sq + quad)
     lhs2 = _fd_time(gterm_at_time, t, model.time_window, ht)
     lhs2 += geometry.fd_laplacian(model, t, y, gterm_at_point, h=h_space)

@@ -164,9 +164,6 @@ class DomainSpec:
             return np.arccos(dots) < angle
         raise ValueError(self.kind)
 
-    def key(self):
-        return (self.kind,) + self.params
-
 
 _DOMAIN_GRAMMAR = {  # kind: (fewest, most parameters, usage)
     "interval": (2, 2, "interval:a,b"),
@@ -271,10 +268,10 @@ class PathEnsemble:
 
     def ensure_exits(self, domains):
         """Replay once to fill the exit cache for every missing domain."""
-        missing = [d for d in domains if d.key() not in self._exits]
+        missing = [d for d in domains if d not in self._exits]
         if missing:
             for rec in replay_exits(self, missing):
-                self._exits[rec.domain.key()] = rec
+                self._exits[rec.domain] = rec
 
     def exit_records(self, domain: DomainSpec) -> ExitRecord:
         """Per-path first grid time outside the domain (cached per ensemble).
@@ -284,7 +281,7 @@ class PathEnsemble:
         that does not apply to the model raises ValueError before any replay.
         """
         self.ensure_exits([domain])
-        return self._exits[domain.key()]
+        return self._exits[domain]
 
 
 def _frozen_mask(model: MetricModel, states):

@@ -117,13 +117,17 @@ def test_constant_separates(line_model):
 @pytest.mark.parametrize(
     "ts, ys, grid",
     [([], np.linspace(-1, 1, 9), "t_grid"), (np.linspace(0.0, 1.0, 6), [], "y_grid"),
-     (np.linspace(0.0, 1.0, 6), np.empty((0, 1)), "y_grid")],
-    ids=["empty-t", "empty-y", "empty-y-2d"],
+     (np.linspace(0.0, 1.0, 6), np.empty((0, 1)), "y_grid"),
+     ([0.5], np.linspace(-1, 1, 9), "t_grid"), (np.linspace(0.0, 1.0, 6), [0.3], "y_grid")],
+    ids=["empty-t", "empty-y", "empty-y-2d", "one-time", "one-point"],
 )
 def test_separation_refuses_an_empty_grid(ts, ys, grid, line_model):
-    # these raised numpy's bare stacking ValueError and an IndexError
-    with pytest.raises(ValueError, match=rf"at least one .* in {grid}"):
-        separation_test(ExponentialLine(2.0, 3.0, line_model), ts, ys)
+    # the empty grids raised numpy's bare stacking ValueError and an
+    # IndexError; a single time or point has no mixed difference, and the
+    # two-mode witness, not separable on a 6 x 9 grid, read as separable
+    witness = SumOfExponentialsLine([(1.0, 1.0), (1.0, 2.0)], line_model)
+    with pytest.raises(ValueError, match=rf"at least two .* in {grid}"):
+        separation_test(witness, ts, ys)
 
 
 def test_static_solution_separates_on_punctured_space():

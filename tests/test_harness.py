@@ -4,6 +4,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def scenario_text(sc):
     if sc.window is not None:
         m["window.min"], m["window.max"] = sc.window
     m.update({
-        "solution": sc.solution, "kernel": sc.kernel, "x": sc.x,
+        "solution": sc.solution, "x": sc.x,
         "t.min": sc.t_min, "t.max": sc.t_max, "t.count": sc.t_count,
         "t.spacing": sc.t_spacing,
     })
@@ -62,7 +63,6 @@ t.max = 4.0
 def test_parse_minimal_scenario():
     sc = parse_scenario(MINIMAL)
     assert sc.id == "line-eternal"
-    assert sc.kernel == "auto"
     assert sc.mc is None
     assert sc.t_count == 16
 
@@ -231,6 +231,41 @@ def test_rigidity_needs_three_grid_times(count, tmp_path):
     run(cfg, out, {"paths": 1000})
     rep = json.loads((out / "analysis.json").read_text())["rigidity"]
     assert rep["antecedent"] and not rep["entropy_linear"] and rep["consistent"]
+
+
+GENERAL = bundled_scenarios()["line_general_exponential"].read_text()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GENERAL.replace('"classify", "separation"', '"local"'),
+         "the local analysis needs mc.* settings and domains"),
+        (GENERAL.replace("t.count = 16", "t.count = 4"),
+         "classify: need >= 8 points spanning at least a decade"),
+    ],
+    ids=["local-without-mc", "classify-short-grid"],
+)
+def test_analysis_needs_are_config_errors(text, message, tmp_path):
+    # both used to fail only after entropy.csv was written
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(cfg, out)
+    assert not out.exists()
+
+
+def test_run_validates_a_scenario_it_is_handed(tmp_path):
+    # this used to simulate 50k paths and write two CSVs before the
+    # rigidity analysis found the grid too short
+    sc = replace(load_scenario(bundled_scenarios()["circle_shrinking"]), t_count=2)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"rigidity analysis needs t.count >= 3, got 2"):
+        run(sc, out)
+    assert not out.exists()
+
+
 _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
 
 
@@ -431,6 +466,12 @@ def test_integral_float_counts_are_accepted():
     assert sc.mc.n_paths == 25_000 and type(sc.mc.n_paths) is int
 
 
+def test_kernel_key_is_rejected():
+    # the kernel follows from the model; kernel is no longer a setting
+    with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['kernel']")):
+        parse_scenario(MINIMAL + 'kernel = "auto"\n')
+
+
 def test_scheme_key_is_rejected():
     # the scheme follows from the model; mc.scheme is no longer a setting
     with pytest.raises(ConfigError, match="mc.scheme"):
@@ -460,7 +501,7 @@ def test_list_keys_refuse_strings_and_scalars(text, message):
 
 _NUMERIC = MC_BLOCK + "window.min = 0.0\nwindow.max = 8.0\nt.count = 16\nbounds.delta = 1.0\n"
 _TYPED = _NUMERIC + (
-    'kernel = "auto"\nt.spacing = "log"\ndomains = ["interval:-1,1"]\n'
+    't.spacing = "log"\ndomains = ["interval:-1,1"]\n'
     'analyses = ["entropy-curve", "local"]\n'
 )
 
@@ -477,13 +518,12 @@ _TYPED = _NUMERIC + (
         ("t.max", "1" + "0" * 400, "t.max is too large for a float"),
         ("id", "5", "id must be a string, got 5"),
         ("model", "1", "model must be a string, got 1"),
-        ("kernel", "0", "kernel must be a string, got 0"),
         ("t.spacing", "1", "t.spacing must be a string, got 1"),
         ("domains", "[5]", "domains[0] must be a string, got 5"),
         ("analyses", '["entropy-curve", 2]', "analyses[1] must be a string, got 2"),
     ],
     ids=["t.max-bool", "t.min-string", "window.min-bool", "bounds.delta-bool", "x-bool",
-         "mc.dt-string", "t.max-overflow", "id-int", "model-int", "kernel-int",
+         "mc.dt-string", "t.max-overflow", "id-int", "model-int",
          "t.spacing-int", "domains-int", "analyses-int"],
 )
 def test_config_values_of_the_wrong_type_are_refused(key, value, message):
@@ -530,7 +570,6 @@ def test_run_pipeline_and_reproducibility(tmp_path):
 id = "tiny"
 model = "euclidean-line"
 solution = "expline:1,1"
-kernel = "auto"
 x = [0.0]
 t.min = 0.25
 t.max = 2.5

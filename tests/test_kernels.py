@@ -11,7 +11,6 @@ from entroflow.kernels import (
     adjoint_residual,
     canonical_kernel,
     kernel_mass,
-    parse_kernel,
 )
 
 
@@ -109,10 +108,6 @@ def test_canonical_and_parse(line_model, circle_model, sphere_model):
     assert isinstance(canonical_kernel(line_model, [0.0]), GaussianKernel)
     assert isinstance(canonical_kernel(circle_model, [0.0]), WrappedGaussianKernel)
     assert isinstance(canonical_kernel(sphere_model, [1.0, 0, 0]), SphereHeatKernel)
-    k = parse_kernel("auto", line_model, [0.0])
-    assert isinstance(k, GaussianKernel)
-    with pytest.raises(ValueError):
-        parse_kernel("nope", line_model, [0.0])
 
 
 # a sample value for each parameter placeholder of the catalog forms

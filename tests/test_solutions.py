@@ -13,7 +13,6 @@ from entroflow.solutions import (
     SumOfExponentialsLine,
     backward_residual,
     bochner_identities,
-    eval_jet,
     parse_solution,
 )
 
@@ -50,32 +49,46 @@ def _sample(sol, gen):
 # --- worked jets -----------------------------------------------------------
 
 
+def _point_jet(sol, t, y):
+    """u, du, |grad u|^2, Hess log u, Lap u and du/dt at one point."""
+    pts = np.asarray(y, dtype=float)[None, :]
+    jet = sol.log_jet(t, pts)
+    return (
+        float(sol.value(t, pts)[0]),
+        np.array([c[0] for c in jet.du]),
+        float(sol.grad_norm_sq(t, pts)[0]),
+        np.array([[h[0] for h in row] for row in jet.hess]),
+        float(sol.laplacian(t, pts)[0]),
+        float(sol.du_dt(t, pts)[0]),
+    )
+
+
 def test_exponential_jet(line_model):
-    jet = eval_jet(ExponentialLine(1.0, 1.0, line_model), 1.0, [1.0])
-    assert jet.u == pytest.approx(1.0)
-    assert jet.grad_u[0] == pytest.approx(1.0)
-    assert jet.grad_norm_sq == pytest.approx(1.0)
-    assert np.all(jet.hess_log_u == 0.0)
-    assert jet.laplacian_u == pytest.approx(1.0)
-    assert jet.du_dt == pytest.approx(-1.0)
+    u, du, gns, hess, lap, dudt = _point_jet(ExponentialLine(1.0, 1.0, line_model), 1.0, [1.0])
+    assert u == pytest.approx(1.0)
+    assert du[0] == pytest.approx(1.0)
+    assert gns == pytest.approx(1.0)
+    assert np.all(hess == 0.0)
+    assert lap == pytest.approx(1.0)
+    assert dudt == pytest.approx(-1.0)
 
 
 def test_constant_jet(line_model):
-    jet = eval_jet(Constant(5.0, line_model), 0.3, [2.0])
-    assert jet.u == 5.0
-    assert jet.grad_norm_sq == 0.0
-    assert jet.laplacian_u == 0.0
-    assert jet.du_dt == 0.0
+    u, _, gns, _, lap, dudt = _point_jet(Constant(5.0, line_model), 0.3, [2.0])
+    assert u == 5.0
+    assert gns == 0.0
+    assert lap == 0.0
+    assert dudt == 0.0
 
 
 def test_radial_harmonic_jet():
     sol = RadialHarmonic3(geometry.punctured3())
-    jet = eval_jet(sol, 0.7, [1.0, 0.0, 0.0])
-    assert jet.u == pytest.approx(1.0)
-    assert jet.grad_norm_sq == pytest.approx(1.0)
-    assert jet.laplacian_u == pytest.approx(0.0, abs=1e-14)
-    assert jet.du_dt == 0.0
-    assert jet.grad_u == pytest.approx(np.array([-1.0, 0.0, 0.0]))
+    u, du, gns, _, lap, dudt = _point_jet(sol, 0.7, [1.0, 0.0, 0.0])
+    assert u == pytest.approx(1.0)
+    assert gns == pytest.approx(1.0)
+    assert lap == pytest.approx(0.0, abs=1e-14)
+    assert dudt == 0.0
+    assert du == pytest.approx(np.array([-1.0, 0.0, 0.0]))
 
 
 def test_exponential_grad_term_identity(line_model):
@@ -88,7 +101,7 @@ def test_exponential_grad_term_identity(line_model):
 def test_log_hessian_vanishes_for_exponentials(line_model):
     sol = ExponentialLine(0.5, 2.0, line_model)
     pts = np.linspace(-1, 1, 5)[:, None]
-    assert np.all(sol.hess_log(0.3, pts) == 0.0)
+    assert np.all(sol.log_jet(0.3, pts).hess[0][0] == 0.0)
 
 
 # --- finite-difference jet oracle ------------------------------------------
@@ -115,7 +128,7 @@ def test_jets_match_finite_differences(idx, line_model, circle_model, sphere_mod
         )
 
         # covector components via directional differences in the gauge
-        grad = sol.grad(t, pts)[0]
+        du = sol.log_jet(t, pts, hess=False).du
         for i, direction in enumerate(_gauge_directions(model, y)):
             if model.kind == geometry.SPHERE_2:
                 fp = float(sol.value(t, _geo(y, direction, h)[None, :])[0])
@@ -124,7 +137,7 @@ def test_jets_match_finite_differences(idx, line_model, circle_model, sphere_mod
                 fp = float(sol.value(t, (y + h * direction)[None, :])[0])
                 fm = float(sol.value(t, (y - h * direction)[None, :])[0])
             assert (fp - fm) / (2 * h) == pytest.approx(
-                float(grad[i]), rel=5e-6, abs=1e-7
+                float(du[i][0]), rel=5e-6, abs=1e-7
             )
 
 
@@ -205,7 +218,7 @@ def test_positivity_threshold(circle_model):
 def test_log_of_zero(line_model):
     sol = Constant(0.0, line_model)
     with pytest.raises(LogOfZero):
-        sol.hess_log(0.5, np.array([[0.0]]))
+        bochner_identities(sol, 0.5, [0.0])
     assert sol.ulogu(0.5, np.array([[0.0]]))[0] == 0.0  # 0 log 0 = 0
 
 
@@ -474,8 +487,9 @@ def _check_all_bits(sol, t, pts):
     jet = sol.log_jet(t, pts)
     assert _bits_equal(jet.u, _ref_value(sol, t, pts))
     assert _bits_equal(sol.value(t, pts), _ref_value(sol, t, pts))
-    assert _bits_equal(sol.grad(t, pts), _ref_grad(sol, t, pts))
-    assert _bits_equal(sol.hess_log(t, pts), _ref_hess_log(sol, t, pts))
+    assert _bits_equal(np.stack(jet.du, axis=-1), _ref_grad(sol, t, pts))
+    hess = np.stack([np.stack(row, axis=-1) for row in jet.hess], axis=-2)
+    assert _bits_equal(hess, _ref_hess_log(sol, t, pts))
     ref = _ref_integrands(sol, t, pts)
     for name, vals in _integrands(sol, t, pts).items():
         assert _bits_equal(vals, ref[name]), name
@@ -498,7 +512,7 @@ def test_jets_equal_the_stacked_forms_at_edge_points(name):
     pts = _edge_points(sol)
     for t in (0.15, 0.35):
         _check_all_bits(sol, t, pts)
-        for i in range(len(pts)):  # single points, as eval_jet passes them
+        for i in range(len(pts)):  # single points, as bochner_identities passes them
             _check_all_bits(sol, t, pts[i : i + 1])
 
 
@@ -633,7 +647,12 @@ def test_hess_log_refuses_a_vanishing_solution(line_model):
     pts = np.array([[0.0], [-800.0]])  # exp underflows to 0 at y = -800
     assert sol.value(0.5, pts)[1] == 0.0
     with pytest.raises(LogOfZero):
-        sol.hess_log(0.5, pts)
-    with pytest.raises(LogOfZero):
         entropy.second_variation_integrand(sol)(0.5, pts)
-    assert np.all(sol.grad(0.5, pts)[1] == 0.0)
+    with pytest.raises(LogOfZero):
+        bochner_identities(sol, 0.5, pts[1])
+    assert sol.log_jet(0.5, pts, hess=False).du[0][1] == 0.0
+
+
+def test_backward_residual_accepts_a_vanishing_solution():
+    # the equation check reads du/dt and Lap u alone, so u = 0 is no error
+    assert backward_residual(Constant(0.0), 0.5, [0.1]) == 0.0

@@ -235,7 +235,7 @@ def test_exit_records_refuse_a_domain_the_model_lacks(line_ensemble):
     cap = DomainSpec.cap([1.0, 0.0, 0.0], 0.5)
     with pytest.raises(ValueError, match="caps apply to the sphere"):
         line_ensemble.exit_records(cap)
-    assert cap.key() not in line_ensemble._exits
+    assert cap not in line_ensemble._exits
 
 
 @pytest.mark.parametrize(
