@@ -41,13 +41,4 @@ from .geometry import MetricModel, parse_model
 from .harness import Scenario, load_scenario, run
 from .kernels import adjoint_residual, canonical_kernel, kernel_mass
 from .solutions import backward_residual, bochner_identities, parse_solution
-from .stochastic import (
-    AtExit,
-    AtTime,
-    DomainSpec,
-    PathEnsemble,
-    SdeConfig,
-    Stopped,
-    expect,
-    simulate,
-)
+from .stochastic import DomainSpec, PathEnsemble, SdeConfig, simulate

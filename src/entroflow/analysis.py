@@ -26,7 +26,7 @@ from .entropy import (
 )
 from .errors import InsufficientCurve, LogOfZero
 from .kernels import GaussianKernel
-from .stochastic import AtTime, PathEnsemble, expect
+from .stochastic import PathEnsemble
 
 GROWTH_CONSTANT = "constant-solution"
 GROWTH_SUBLINEAR = "sublinear"
@@ -79,7 +79,7 @@ def gradient_entropy_check(sol, target, t, level=None) -> GradientBound:
         return xlogy(u, u)
 
     if monte_carlo:
-        r = expect(target, normalized, AtTime(t))
+        r = target.mean(normalized, t)
         rhs, se = r.mean, r.stderr
     else:
         rhs = quadrature.kernel_integral(

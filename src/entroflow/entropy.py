@@ -32,15 +32,7 @@ from scipy.special import xlogy
 from . import geometry, quadrature
 from .errors import CensoredDominates, QuadratureDivergence
 from .solutions import LogJet, SolutionField, require_positive, sum_squares
-from .stochastic import (
-    AtExit,
-    AtTime,
-    ExpectResult,
-    PathEnsemble,
-    Stopped,
-    expect,
-    mean_stderr,
-)
+from .stochastic import ExitRecord, ExpectResult, PathEnsemble, mean_stderr
 
 DEFAULT_CURVE_LEVEL = 2
 
@@ -241,7 +233,7 @@ def entropy_q(sol, kernel, t, level=None) -> float:
 def entropy_mc(sol, ensemble: PathEnsemble, t) -> ExpectResult:
     """Monte Carlo estimate of the entropy at a recorded snapshot time."""
     _same_model(sol, ensemble)
-    return expect(ensemble, sol.ulogu, AtTime(t))
+    return ensemble.mean(sol.ulogu, t)
 
 
 def entropy_prime(sol, target, t, level=None):
@@ -263,7 +255,7 @@ def _kernel_or_ensemble(sol, target, t, level, on_paths, on_nodes, what):
     of ``on_nodes`` against a kernel (refined unless ``level`` is given)."""
     _same_model(sol, target)
     if isinstance(target, PathEnsemble):
-        return expect(target, on_paths, AtTime(t))
+        return target.mean(on_paths, t)
     return quadrature.kernel_integral(
         on_nodes, target, t, growth=shared_growth(sol), level=level, what=what,
     )
@@ -339,7 +331,7 @@ def submartingale_gap(sol, ensemble: PathEnsemble, t) -> GapResult:
     _warn_if_super_ricci_fails(sol.model, 0.0)
     x = ensemble.x[None, :]
     n0 = t * float(sol.grad_term(0.0, x)[0]) + float(sol.ulogu(0.0, x)[0])
-    end = expect(ensemble, sol.ulogu, AtTime(t))
+    end = ensemble.mean(sol.ulogu, t)
     gap = end.mean - n0
 
     half = t / 2.0
@@ -561,11 +553,9 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
         rec = ensemble.exit_records(dom)
         cens[j] = rec.censored_fraction
         for i, t in enumerate(t_grid):
-            r = expect(ensemble, sol.ulogu, Stopped(t, dom))
-            means[j, i], ses[j, i] = r.mean, r.stderr
+            means[j, i], ses[j, i] = mean_stderr(sol.ulogu(*_stopped(ensemble, rec, t)))
         try:
-            r = expect(ensemble, sol.ulogu, AtExit(dom))
-            exits.append(ExitEntry(r.mean, r.stderr, r.censored_frac, False))
+            exits.append(_exit_entry(sol, rec))
         except CensoredDominates:
             exits.append(ExitEntry(math.nan, math.nan, cens[j], True))
     for j in range(m - 1):
@@ -589,6 +579,27 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
     )
 
 
+def _stopped(ensemble, rec: ExitRecord, t):
+    """Per-path times and points of the path stopped at its exit, at t:
+    ``(tau, X_tau)`` where the path left by t, ``(t, X_t)`` elsewhere.  t
+    must be a recorded snapshot time."""
+    stopped_before = rec.tau <= t
+    ts = np.where(stopped_before, rec.tau, t)
+    pts = np.where(stopped_before[:, None], rec.state, ensemble.state_at(t))
+    return ts, pts
+
+
+def _exit_entry(sol, rec: ExitRecord) -> ExitEntry:
+    """Mean of u log u at (tau, X_tau) over the paths that exit; raises
+    CensoredDominates when more than half never exit within the horizon."""
+    frac = rec.censored_fraction
+    if frac > 0.5:
+        raise CensoredDominates(f"{frac:.1%} of paths never exited within the horizon")
+    keep = ~rec.censored
+    mean, stderr = mean_stderr(sol.ulogu(rec.tau[keep], rec.state[keep]))
+    return ExitEntry(mean, stderr, frac, False)
+
+
 def _combined(a, b):
     return np.sqrt(a * a + b * b)
 
@@ -609,10 +620,12 @@ def stopped_increment_residual(sol, ensemble, domain, t):
 
     The per-path time integral of the stopped first-variation integrand is
     a trapezoid over the recorded snapshots, with an exact partial cell up
-    to the exit time using the stored exit state.  Zero in expectation.
+    to the exit time using the stored exit state.  Zero in expectation.  t
+    must be a recorded snapshot time.
     """
     _same_model(sol, ensemble)
     rec = ensemble.exit_records(domain)
+    end_vals = np.asarray(sol.ulogu(*_stopped(ensemble, rec, t)))
     times = [s for s in ensemble.times if s <= t + geometry.TIME_TOL]
     n = ensemble.n_paths
     integral = np.zeros(n)
@@ -631,10 +644,6 @@ def stopped_increment_residual(sol, ensemble, domain, t):
                 g_prev[part] + g_exit
             )
         g_prev = g_next
-    stopped_before = rec.tau <= t
-    ts = np.where(stopped_before, rec.tau, t)
-    pts = np.where(stopped_before[:, None], rec.state, ensemble.state_at(times[-1]))
-    end_vals = np.asarray(sol.ulogu(ts, pts))
     start = float(sol.ulogu(0.0, ensemble.x[None, :])[0])
     resid = end_vals - start - integral
     return mean_stderr(resid)

@@ -10,7 +10,9 @@ covariance ``2 dt / c(t)`` and renormalizes.
 Paths are pure functions of ``(seed, path index)`` via the counter-based
 generator, so exits can be recovered later by replaying the dynamics
 instead of storing every step: an ensemble records states only at the
-requested snapshot times.
+requested snapshot times.  First exits are taken from intervals
+(`DomainSpec`).  `PathEnsemble.mean` is the one Monte Carlo mean over a
+snapshot; the means stopped at an exit are read in `entropy`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, rng
-from .errors import CensoredDominates
 from .geometry import MetricModel, PUNCTURE_RADIUS, finite_params
 
 DEFAULT_SEED = 0xC0FFEE
@@ -76,9 +77,10 @@ class SdeConfig:
 class DomainSpec:
     """A relatively compact domain in the chart.
 
-    kinds: ``interval`` (line: a < y < b, circle: arc a < theta < b with
-    0 <= a < b <= 2 pi), ``ball`` (flat models: |y - center| < r; circle: arc
-    distance < r), ``cap`` (sphere: angle(y, axis) < angle).
+    The one kind is ``interval``: a < y < b on the line, and the arc
+    a < theta < b with 0 <= a < b <= 2 pi on the circle.  Stopped values on
+    intervals are the ones a second method can check (a killed eigen-series
+    or a bridge exit estimator).
     """
 
     kind: str
@@ -91,105 +93,37 @@ class DomainSpec:
             raise ValueError("interval needs a < b")
         return DomainSpec("interval", (a, b))
 
-    @staticmethod
-    def ball(center, radius):
-        center = finite_params("ball center", np.atleast_1d(center))
-        (radius,) = finite_params("ball radius", (radius,))
-        if not center:
-            raise ValueError("ball needs a center")
-        if radius <= 0:
-            raise ValueError("ball needs a positive radius")
-        return DomainSpec("ball", center + (radius,))
-
-    @staticmethod
-    def cap(axis, angle):
-        axis = np.array(finite_params("cap axis", axis))
-        (angle,) = finite_params("cap angle", (angle,))
-        if axis.shape != (3,):
-            raise ValueError("cap needs a 3-component axis")
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ValueError("cap needs a nonzero axis")
-        if angle <= 0:
-            raise ValueError("cap needs a positive opening angle")
-        return DomainSpec("cap", tuple(axis / norm) + (angle,))
-
     def validate_against(self, model: MetricModel):
-        if self.kind == "interval":
-            if model.kind not in (geometry.EUCLIDEAN_LINE, geometry.CIRCLE):
-                raise ValueError("intervals apply to the line and the circle")
-            # contains() reduces angles into [0, 2 pi) before comparing
-            a, b = self.params
-            if model.kind == geometry.CIRCLE and not 0.0 <= a < b <= 2.0 * np.pi:
-                raise ValueError("circle intervals need 0 <= a < b <= 2 pi")
-        elif self.kind == "ball":
-            center, radius = np.array(self.params[:-1]), self.params[-1]
-            if model.kind == geometry.CIRCLE:
-                if center.shape != (1,):
-                    raise ValueError("circle balls take an angle center")
-            elif model.kind in (
-                geometry.EUCLIDEAN_LINE,
-                geometry.EUCLIDEAN_SPACE,
-                geometry.PUNCTURED_3,
-            ):
-                if center.shape != (model.dim_chart,):
-                    raise ValueError("ball center has the wrong dimension")
-                if model.kind == geometry.PUNCTURED_3 and np.linalg.norm(center) <= radius:
-                    raise ValueError("punctured-space balls must exclude the origin")
-            else:
-                raise ValueError("balls do not apply to this model")
-        elif self.kind == "cap":
-            if model.kind != geometry.SPHERE_2:
-                raise ValueError("caps apply to the sphere")
-        else:
+        if self.kind != "interval":
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        if model.kind not in (geometry.EUCLIDEAN_LINE, geometry.CIRCLE):
+            raise ValueError("intervals apply to the line and the circle")
+        # contains() reduces angles into [0, 2 pi) before comparing
+        a, b = self.params
+        if model.kind == geometry.CIRCLE and not 0.0 <= a < b <= 2.0 * np.pi:
+            raise ValueError("circle intervals need 0 <= a < b <= 2 pi")
 
     def contains(self, model: MetricModel, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        if self.kind == "interval":
-            a, b = self.params
-            if model.kind == geometry.CIRCLE:
-                th = np.mod(pts[:, 0], 2.0 * np.pi)
-                return (th > a) & (th < b)
-            return (pts[:, 0] > a) & (pts[:, 0] < b)
-        if self.kind == "ball":
-            center, radius = np.array(self.params[:-1]), self.params[-1]
-            if model.kind == geometry.CIRCLE:
-                d = np.abs(np.mod(pts[:, 0] - center[0] + np.pi, 2.0 * np.pi) - np.pi)
-                return d < radius
-            return np.linalg.norm(pts - center, axis=-1) < radius
-        if self.kind == "cap":
-            axis, angle = np.array(self.params[:3]), self.params[3]
-            dots = np.clip(pts @ axis, -1.0, 1.0)
-            return np.arccos(dots) < angle
-        raise ValueError(self.kind)
-
-
-_DOMAIN_GRAMMAR = {  # kind: (fewest, most parameters, usage)
-    "interval": (2, 2, "interval:a,b"),
-    "ball": (2, math.inf, "ball:c1,..,cn,r"),
-    "cap": (4, 4, "cap:ax,ay,az,angle"),
-}
+        a, b = self.params
+        if model.kind == geometry.CIRCLE:
+            th = np.mod(pts[:, 0], 2.0 * np.pi)
+            return (th > a) & (th < b)
+        return (pts[:, 0] > a) & (pts[:, 0] < b)
 
 
 def parse_domain(spec: str) -> DomainSpec:
-    """Grammar: ``interval:a,b`` | ``ball:c1,..,cn,r`` | ``cap:ax,ay,az,angle``."""
+    """Grammar: ``interval:a,b``."""
     head, _, args = spec.partition(":")
-    head = head.strip()
-    if head not in _DOMAIN_GRAMMAR:
+    if head.strip() != "interval":
         raise ValueError(f"unknown domain id {spec!r}")
-    fewest, most, usage = _DOMAIN_GRAMMAR[head]
     try:
         vals = [float(v) for v in args.split(",")]
     except ValueError:
         vals = []
-    if not fewest <= len(vals) <= most:
-        raise ValueError(f"domain {spec!r} does not read {usage}")
-    if head == "interval":
-        return DomainSpec.interval(*vals)
-    if head == "ball":
-        return DomainSpec.ball(vals[:-1], vals[-1])
-    return DomainSpec.cap(vals[:3], vals[3])
+    if len(vals) != 2:
+        raise ValueError(f"domain {spec!r} does not read interval:a,b")
+    return DomainSpec.interval(*vals)
 
 
 @dataclass
@@ -211,27 +145,9 @@ class ExitRecord:
 
 
 @dataclass(frozen=True)
-class AtTime:
-    t: float
-
-
-@dataclass(frozen=True)
-class Stopped:
-    t: float
-    domain: DomainSpec
-
-
-@dataclass(frozen=True)
-class AtExit:
-    domain: DomainSpec
-
-
-@dataclass(frozen=True)
 class ExpectResult:
     mean: float
     stderr: float
-    censored_frac: float = 0.0
-    n: int = 0
 
 
 @dataclass
@@ -265,6 +181,14 @@ class PathEnsemble:
 
     def state_at(self, t):
         return self.states[:, self.snapshot_index(t), :]
+
+    def mean(self, f, t) -> ExpectResult:
+        """Monte Carlo mean and standard error of ``f(t, points)`` over the
+        paths at a recorded snapshot time; ``f`` is vectorized over paths.
+        A constant observable yields exactly that constant with stderr 0.0,
+        for any path count (see ``mean_stderr``).
+        """
+        return ExpectResult(*mean_stderr(f(t, self.state_at(t))))
 
     def ensure_exits(self, domains):
         """Replay once to fill the exit cache for every missing domain."""
@@ -437,41 +361,6 @@ def replay_exits(ensemble: PathEnsemble, domains) -> list[ExitRecord]:
         d.validate_against(model)
     n_steps = int(round(ensemble.horizon / cfg.dt))
     return _march(model, ensemble.x, cfg, n_steps, (), domains)[2]
-
-
-def expect(ensemble: PathEnsemble, f, mode) -> ExpectResult:
-    """Monte Carlo mean and standard error of f under the chosen mode.
-
-    ``f(times, points)`` must be vectorized over paths; for Stopped/AtExit
-    the times argument is per-path.  A constant observable yields exactly
-    that constant with stderr 0.0, for any path count (see ``mean_stderr``).
-    """
-    if isinstance(mode, AtTime):
-        vals = np.asarray(f(mode.t, ensemble.state_at(mode.t)), dtype=float)
-        return _reduce(vals, 0.0)
-    if isinstance(mode, Stopped):
-        rec = ensemble.exit_records(mode.domain)
-        stopped_before = rec.tau <= mode.t
-        ts = np.where(stopped_before, rec.tau, mode.t)
-        pts = np.where(stopped_before[:, None], rec.state, ensemble.state_at(mode.t))
-        vals = np.asarray(f(ts, pts), dtype=float)
-        return _reduce(vals, rec.censored_fraction)
-    if isinstance(mode, AtExit):
-        rec = ensemble.exit_records(mode.domain)
-        frac = rec.censored_fraction
-        if frac > 0.5:
-            raise CensoredDominates(
-                f"{frac:.1%} of paths never exited within the horizon"
-            )
-        keep = ~rec.censored
-        vals = np.asarray(f(rec.tau[keep], rec.state[keep]), dtype=float)
-        return _reduce(vals, frac)
-    raise TypeError(f"unknown expectation mode {mode!r}")
-
-
-def _reduce(vals, censored_frac):
-    mean, stderr = mean_stderr(vals)
-    return ExpectResult(mean=mean, stderr=stderr, censored_frac=censored_frac, n=vals.size)
 
 
 def mean_stderr(vals):

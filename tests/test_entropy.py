@@ -175,11 +175,11 @@ def test_stopped_outside_start_is_frozen(line_model, line_sol, line_ensemble):
     assert np.allclose(table.stderr[0], 0.0)
 
 
-def test_whole_circle_domain_equals_plain_expectation(circle_model, circle_sol, circle_ensemble):
-    whole = DomainSpec.ball([0.0], 4.0)
-    table = local_entropy(circle_sol, circle_ensemble, [whole], [0.5, 1.0])
+def test_a_domain_no_path_leaves_equals_plain_expectation(line_sol, line_ensemble):
+    whole = DomainSpec.interval(-50.0, 50.0)
+    table = local_entropy(line_sol, line_ensemble, [whole], [0.5, 1.0])
     for i, t in enumerate((0.5, 1.0)):
-        r = entropy_mc(circle_sol, circle_ensemble, t)
+        r = entropy_mc(line_sol, line_ensemble, t)
         assert table.E_D[0, i] == r.mean
     assert table.E_D_exit[0].dominated  # no exits ever happen
     assert table.exit_censored_frac[0] == 1.0
@@ -201,6 +201,17 @@ def test_stopped_increment_identity(line_model, line_sol, line_ensemble):
         line_sol, line_ensemble, DomainSpec.interval(-1.0, 1.0), 1.0
     )
     assert abs(mean) <= max(3 * se, 1e-3)
+
+
+@pytest.mark.parametrize("t", [0.52, 0.549, 1.5])
+def test_stopped_increment_refuses_a_time_it_did_not_record(line_sol, line_ensemble, t):
+    # snapshots lie every 0.05 up to 1.0; this answered from the last
+    # snapshot before t, with that snapshot's states read as the states at t
+    domain = DomainSpec.interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="not a recorded snapshot"):
+        stopped_increment_residual(line_sol, line_ensemble, domain, t)
+    with pytest.raises(ValueError, match="not a recorded snapshot"):
+        local_entropy(line_sol, line_ensemble, [domain], [t])
 
 
 # --- submartingale gaps --------------------------------------------------------

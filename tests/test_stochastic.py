@@ -1,22 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from entroflow import geometry, harness, rng, stochastic
+from entroflow import entropy, geometry, harness, rng, stochastic
 from entroflow.errors import CensoredDominates, ConfigError
+from entroflow.solutions import Constant
 from test_geometry import _metric_at
-from entroflow.stochastic import (
-    AtExit,
-    AtTime,
-    DomainSpec,
-    SdeConfig,
-    Stopped,
-    expect,
-    parse_domain,
-    simulate,
-)
+from entroflow.stochastic import DomainSpec, SdeConfig, parse_domain, simulate
 
 
 def test_reproducibility_and_ensemble_size_independence(line_model):
@@ -143,13 +136,13 @@ def test_exit_time_against_interval_oracle(line_model):
     assert 2.0 < ratio < 5.0
 
 
-def test_full_circle_never_exits(circle_model):
+def test_an_interval_no_path_leaves_is_never_exited(line_model):
     cfg = SdeConfig(dt=1e-3, n_paths=500, seed=21)
-    ens = simulate(circle_model, [0.0], 0.5, cfg, record_times=[0.5])
-    rec = ens.exit_records(DomainSpec.ball([0.0], 4.0))  # arc radius > pi
+    ens = simulate(line_model, [0.0], 0.5, cfg, record_times=[0.5])
+    rec = ens.exit_records(DomainSpec.interval(-50.0, 50.0))
     assert np.all(rec.censored)
     with pytest.raises(CensoredDominates):
-        expect(ens, lambda t, y: np.ones(y.shape[0]), AtExit(DomainSpec.ball([0.0], 4.0)))
+        entropy._exit_entry(Constant(1.0, line_model), rec)
 
 
 def test_exit_monotonicity_in_nested_domains(line_ensemble):
@@ -162,24 +155,30 @@ def test_exit_monotonicity_in_nested_domains(line_ensemble):
 
 def test_stopped_equals_at_time_without_exits(line_ensemble, line_sol):
     big = DomainSpec.interval(-50.0, 50.0)
-    a = expect(line_ensemble, line_sol.ulogu, AtTime(1.0))
-    b = expect(line_ensemble, line_sol.ulogu, Stopped(1.0, big))
-    assert a.mean == b.mean
-    assert a.stderr == b.stderr
+    a = line_ensemble.mean(line_sol.ulogu, 1.0)
+    b = entropy.local_entropy(line_sol, line_ensemble, [big], [1.0])
+    assert a.mean == b.E_D[0, 0]
+    assert a.stderr == b.stderr[0, 0]
 
 
 def test_constant_observable(line_model):
     # exact at every path count: plain summation of 3, 7, 9973 or 20000
-    # copies of 0.1 or 4 log 4 lands an ulp off, with a nonzero stderr
+    # copies of 0.1 or 4 log 4 lands an ulp off, with a nonzero stderr; the
+    # stopped and exit means are local_entropy's, of u log u for u = c
     dom = DomainSpec.interval(-0.2, 0.2)
-    modes = (AtTime(0.2), Stopped(0.2, dom), AtExit(dom))
     for n in (1, 3, 7, 9973, 20_000):
         cfg = SdeConfig(dt=0.05, n_paths=n, seed=0xC0FFEE)
         ens = simulate(line_model, [0.0], 0.4, cfg, record_times=[0.2, 0.4])
         for c in (1.0, 0.1, math.pi, 4.0 * math.log(4.0)):
-            for mode in modes:
-                r = expect(ens, lambda t, y, c=c: np.full(y.shape[0], c), mode)
-                assert (r.mean, r.stderr) == (c, 0.0), (n, c, mode)
+            r = ens.mean(lambda t, y, c=c: np.full(y.shape[0], c), 0.2)
+            assert (r.mean, r.stderr) == (c, 0.0), (n, c)
+            sol = Constant(c, line_model)
+            v = float(sol.ulogu(0.0, ens.x[None, :])[0])
+            table = entropy.local_entropy(sol, ens, [dom], [0.2])
+            assert (table.E_D[0, 0], table.stderr[0, 0]) == (v, 0.0), (n, c)
+            (at_exit,) = table.E_D_exit
+            assert not at_exit.dominated, (n, c)
+            assert (at_exit.mean, at_exit.stderr) == (v, 0.0), (n, c)
 
 
 def test_mean_stays_as_accurate_as_an_exactly_rounded_sum(line_ensemble):
@@ -190,7 +189,7 @@ def test_mean_stays_as_accurate_as_an_exactly_rounded_sum(line_ensemble):
     for offset in (0.0, -7.25, 1e3):
         f = lambda t, y, offset=offset: offset + y[:, 0] ** 3
         v = f(1.0, pts)
-        r = expect(line_ensemble, f, AtTime(1.0))
+        r = line_ensemble.mean(f, 1.0)
         assert abs(r.mean - math.fsum(v) / v.size) <= 4.0 * eps * np.max(np.abs(v))
     # a non-finite first sample is not used as the centre
     with np.errstate(invalid="ignore"):
@@ -205,7 +204,7 @@ def test_weak_consistency_under_step_halving(line_model):
     for dt in (2e-3, 1e-3):
         cfg = SdeConfig(dt=dt, n_paths=50_000, seed=31)
         ens = simulate(line_model, [0.0], 0.5, cfg, record_times=[0.5])
-        vals.append(expect(ens, f, AtTime(0.5)))
+        vals.append(ens.mean(f, 0.5))
     diff = abs(vals[0].mean - vals[1].mean)
     assert diff <= 3.0 * math.hypot(vals[0].stderr, vals[1].stderr)
 
@@ -225,26 +224,27 @@ def test_config_validation(line_model):
 def test_domain_validation():
     with pytest.raises(ValueError):
         DomainSpec.interval(1.0, -1.0)
-    with pytest.raises(ValueError):
-        DomainSpec.ball([0.0, 0.0, 0.0], 0.5).validate_against(geometry.punctured3())
+    with pytest.raises(ValueError, match="intervals apply to the line and the circle"):
+        DomainSpec.interval(-1.0, 1.0).validate_against(geometry.punctured3())
     d = parse_domain("interval:-1,1")
     assert d.kind == "interval" and d.params == (-1.0, 1.0)
 
 
-def test_exit_records_refuse_a_domain_the_model_lacks(line_ensemble):
-    cap = DomainSpec.cap([1.0, 0.0, 0.0], 0.5)
-    with pytest.raises(ValueError, match="caps apply to the sphere"):
-        line_ensemble.exit_records(cap)
-    assert cap not in line_ensemble._exits
+def test_exit_records_refuse_a_domain_the_model_lacks(sphere_ensemble):
+    interval = DomainSpec.interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="intervals apply to the line and the circle"):
+        sphere_ensemble.exit_records(interval)
+    assert interval not in sphere_ensemble._exits
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        "cap:0,0,0,0.5",  # a zero axis has no direction
+        # ball and cap are unknown kinds
+        "cap:0,0,0,0.5",
         "interval:1",
         "cap:1,0,0",
-        "ball:0.5",  # a radius and no center
+        "ball:0.5",
         "interval:a,b",
         "interval:-1,nan",
         "interval:-inf,1",
@@ -255,28 +255,26 @@ def test_exit_records_refuse_a_domain_the_model_lacks(line_ensemble):
     ],
 )
 def test_malformed_domain_specs_raise_value_error(spec):
-    with pytest.raises(ValueError, match="domain|finite|axis|center"):
+    with pytest.raises(ValueError, match="domain|finite"):
         parse_domain(spec)
 
 
 def test_malformed_domain_constructors_raise_value_error():
     for build in (
-        lambda: DomainSpec.cap([0.0, 0.0, 0.0], 0.5),
-        lambda: DomainSpec.cap([1.0, 0.0], 0.5),
-        lambda: DomainSpec.cap([[1.0, 0.0, 0.0]], 0.5),
-        lambda: DomainSpec.ball([], 1.0),
-        lambda: DomainSpec.ball([0.0], math.nan),
         lambda: DomainSpec.interval(0.0, math.inf),
+        lambda: DomainSpec.interval(math.nan, 1.0),
+        lambda: DomainSpec.interval(1.0, 1.0),
     ):
         with pytest.raises(ValueError):
             build()
 
 
-def test_zero_cap_axis_is_a_config_error():
-    # normalising a zero axis gives NaNs, and every path would "exit" at tau = 0
-    text = harness.bundled_scenarios()["sphere_ricci_flow"].read_text()
-    with pytest.raises(ConfigError, match="nonzero axis"):
-        harness.parse_scenario(text + 'domains = ["cap:0,0,0,0.5"]\n')
+@pytest.mark.parametrize("spec", ["ball:0,1", "cap:1,0,0,0.5"])
+def test_deleted_domain_kinds_are_config_errors(spec):
+    text = harness.bundled_scenarios()["line_eternal"].read_text()
+    text = re.sub("^domains = .*$", f'domains = ["{spec}"]', text, flags=re.M)
+    with pytest.raises(ConfigError, match=re.escape(f"unknown domain id '{spec}'")):
+        harness.parse_scenario(text)
 
 
 @pytest.mark.parametrize(
@@ -358,30 +356,21 @@ def test_euler_step_leaves_frozen_paths_bit_unchanged():
 
 
 @pytest.mark.parametrize(
-    "model, x, horizon, dt, domain, frozen",
+    "model, x, horizon, dt, domain",
     [
-        (geometry.line(), [0.0], 0.5, 1e-3, DomainSpec.interval(-0.5, 0.7), None),
+        (geometry.line(), [0.0], 0.5, 1e-3, DomainSpec.interval(-0.5, 0.7)),
         (geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)), [1.5], 0.3, 1e-3,
-         DomainSpec.interval(0.1, 3.0), None),
-        (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.3, 1e-3,
-         DomainSpec.cap([1.0, 0.0, 0.0], 0.5), None),
-        (geometry.punctured3(), [0.3, 0.0, 0.0], 0.04, 1e-3,
-         DomainSpec.ball([0.3, 0.0, 0.0], 0.25), [3, 17, 250]),
+         DomainSpec.interval(0.1, 3.0)),
     ],
-    ids=["line-interval", "circle-arc", "sphere-cap", "punctured-ball-frozen"],
+    ids=["line-interval", "circle-arc"],
 )
-def test_replayed_exits_match_the_recorded_path(monkeypatch, model, x, horizon, dt, domain,
-                                                frozen):
+def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     # a snapshot at every step shows each path's first grid exit directly;
-    # the replay must find the same exit, bit for bit, frozen paths included
+    # the replay must find the same exit, bit for bit
     cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
     n_steps = int(round(horizon / dt))
-    if frozen is not None:
-        _send_into_the_puncture(monkeypatch, model, x, dt, cfg, 10, np.array(frozen))
     ens = simulate(model, x, horizon, cfg, record_times=np.arange(n_steps + 1) * dt)
     assert ens.times.size == n_steps + 1
-    if frozen is not None:
-        assert np.array_equal(np.flatnonzero(ens.blowup), frozen)
     inside = np.stack(
         [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
     )
@@ -410,31 +399,34 @@ def test_mean_stderr_refuses_an_empty_sample():
 # while step k is finished.  The ensembles must equal ensembles stepped with
 # the helper switched off, bit for bit.
 
-_STEPPED = {  # model, start, horizon, dt, domain
+_STEPPED = {  # model, start, horizon, dt, domain (intervals apply to the line and circle)
     "line": (geometry.line(), [0.0], 0.02, 1e-3, DomainSpec.interval(-0.1, 0.15)),
     "circle": (geometry.circle(1.0, -0.1, time_window=(0.0, 1.25)), [1.5], 0.02, 1e-3,
                DomainSpec.interval(1.4, 1.7)),
     "sphere": (geometry.sphere2(1.0, 2.0, time_window=(0.0, 1.2)), [1.0, 0.0, 0.0], 0.02,
-               1e-3, DomainSpec.cap([1.0, 0.0, 0.0], 0.15)),
-    "punctured": (geometry.punctured3(), [0.3, 0.0, 0.0], 0.02, 1e-3,
-                  DomainSpec.ball([0.3, 0.0, 0.0], 0.15)),
+               1e-3, None),
+    "punctured": (geometry.punctured3(), [0.3, 0.0, 0.0], 0.02, 1e-3, None),
 }
 
 
 def _stepped(name, n):
+    """The ensemble and, where the model has a domain, its replayed exits."""
     model, x, horizon, dt, domain = _STEPPED[name]
     ens = simulate(model, x, horizon, SdeConfig(dt=dt, n_paths=n, seed=41),
                    record_times=[horizon / 2])
-    return ens, stochastic.replay_exits(ens, [domain])[0]
+    rec = None if domain is None else stochastic.replay_exits(ens, [domain])[0]
+    return ens, rec
 
 
 def _assert_same_ensemble(a, b):
     (ens_a, rec_a), (ens_b, rec_b) = a, b
-    for x, y in ((ens_a.states, ens_b.states), (rec_a.tau, rec_b.tau),
-                 (rec_a.state, rec_b.state)):
+    pairs = [(ens_a.states, ens_b.states)]
+    if rec_a is not None:
+        pairs += [(rec_a.tau, rec_b.tau), (rec_a.state, rec_b.state)]
+        assert np.array_equal(rec_a.censored, rec_b.censored)
+    for x, y in pairs:
         assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
     assert np.array_equal(ens_a.blowup, ens_b.blowup)
-    assert np.array_equal(rec_a.censored, rec_b.censored)
 
 
 @pytest.mark.parametrize("n", [rng._SPLIT_MIN - 1, rng._SPLIT_MIN, 25_000, 100_003])
@@ -446,7 +438,8 @@ def test_lookahead_stepping_equals_serial_stepping_bit_for_bit(name, n, helper, 
     ahead = _stepped(name, n)
     _assert_same_ensemble(ahead, serial)
     assert (helper.submitted > 0) == (n >= rng._SPLIT_MIN)
-    assert 0 < ahead[1].censored.sum() < n  # some paths exit, some do not
+    if ahead[1] is not None:
+        assert 0 < ahead[1].censored.sum() < n  # some paths exit, some do not
     assert rng._slot.ahead is None
 
 
@@ -484,12 +477,13 @@ def test_normals_calls_per_simulate_and_replay_pass(name, monkeypatch):
     n_steps = int(round(horizon / dt))
     ens = simulate(model, x, horizon, SdeConfig(dt=dt, n_paths=25_000, seed=41),
                    record_times=[horizon / 2])
-    assert len(calls) == n_steps * model.dim_chart
-    calls.clear()
-    rec = stochastic.replay_exits(ens, [domain])[0]
-    assert rec.censored.any()  # so the replay ran to the horizon
-    assert len(calls) == n_steps * model.dim_chart
-    assert sorted(calls) == [k for k in range(n_steps) for _ in range(model.dim_chart)]
+    per_pass = [k for k in range(n_steps) for _ in range(model.dim_chart)]
+    assert sorted(calls) == per_pass
+    if domain is not None:
+        calls.clear()
+        rec = stochastic.replay_exits(ens, [domain])[0]
+        assert rec.censored.any()  # so the replay ran to the horizon
+        assert sorted(calls) == per_pass
 
 
 def test_early_stopped_replay_leaves_no_job_pending(helper, monkeypatch):
