@@ -11,7 +11,7 @@ first variation diverges on the punctured space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -19,14 +19,14 @@ from scipy.special import xlogy
 from . import geometry, quadrature, solutions
 from .entropy import (
     JetIntegrands,
-    _same_model,
+    _kernel_or_ensemble,
+    _target,
     first_variation_integrand,
     shared_growth,
     ulogu_integrand,
 )
 from .errors import InsufficientCurve, LogOfZero
 from .kernels import GaussianKernel
-from .stochastic import PathEnsemble
 
 GROWTH_CONSTANT = "constant-solution"
 GROWTH_SUBLINEAR = "sublinear"
@@ -66,8 +66,7 @@ def gradient_entropy_check(sol, target, t, level=None) -> GradientBound:
     point or the ensemble's start point.  ``level`` applies to a kernel
     only.  Equality is attained by the exponential eternal solutions.
     """
-    _same_model(sol, target)
-    monte_carlo = isinstance(target, PathEnsemble)
+    monte_carlo = _target(sol, target)
     x = target.x if monte_carlo else target.base_point
     u0 = float(sol.value(0.0, x[None, :])[0])
     if u0 <= 0:
@@ -78,15 +77,8 @@ def gradient_entropy_check(sol, target, t, level=None) -> GradientBound:
         u = sol.value(tt, pts) / u0
         return xlogy(u, u)
 
-    if monte_carlo:
-        r = target.mean(normalized, t)
-        rhs, se = r.mean, r.stderr
-    else:
-        rhs = quadrature.kernel_integral(
-            normalized, target, t,
-            growth=shared_growth(sol), level=level, what="normalized entropy",
-        )
-        se = 0.0
+    r = _kernel_or_ensemble(sol, target, t, level, normalized, "normalized entropy")
+    rhs, se = (r.mean, r.stderr) if monte_carlo else (r, 0.0)
     holds = lhs <= rhs + 3.0 * se + 1e-8 * (1.0 + abs(rhs))
     return GradientBound(lhs=lhs, rhs=rhs, stderr=se, holds=holds)
 
@@ -106,31 +98,37 @@ class CorollaryBounds:
 def corollary_bounds(sol, kernel, t, delta, level=None) -> CorollaryBounds:
     """The delta-form and sup-form corollaries of the gradient bound, at
     the kernel's base point x.
+
+    Both bound |grad log u|(0, x), ``delta_lhs`` = ``sup_lhs``: the delta
+    form by delta/(2t) + N/(2 delta), Young's bound on sqrt(N/t) with N the
+    normalized entropy; the sup form by sqrt(log(sup u / u0) / t), unless
+    the sup is unbounded (it grows with the box, or overflows).
     """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    # gradient_entropy_check takes either kind; the base point is a kernel's
+    _target(sol, kernel, "kernel")
     base = gradient_entropy_check(sol, kernel, t, level=level)
     x = kernel.base_point
     u0 = float(sol.value(0.0, x[None, :])[0])
-    grad_sq = base.lhs / t  # |grad u / u|^2 (0, x)
+    grad = math.sqrt(base.lhs / t)  # |grad u / u| (0, x)
     delta_rhs = delta / (2.0 * t) + base.rhs / (2.0 * delta)
-    delta_holds = grad_sq <= delta_rhs + 1e-8 * (1.0 + abs(delta_rhs))
+    delta_holds = grad <= delta_rhs + 1e-8 * (1.0 + abs(delta_rhs))
 
     sup_value, unbounded = _sup_over_window(sol, x, t)
-    sup_lhs = math.sqrt(grad_sq)
     if unbounded:
         return CorollaryBounds(
-            delta_lhs=grad_sq, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
+            delta_lhs=grad, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
             sup_value=sup_value, sup_unbounded=True,
-            sup_lhs=sup_lhs, sup_rhs=math.inf, sup_bound_holds=None,
+            sup_lhs=grad, sup_rhs=math.inf, sup_bound_holds=None,
         )
     ratio = max(sup_value / u0, 1.0)
     sup_rhs = math.sqrt(math.log(ratio) / t)
-    sup_holds = sup_lhs <= sup_rhs + 1e-8 * (1.0 + sup_rhs)
+    sup_holds = grad <= sup_rhs + 1e-8 * (1.0 + sup_rhs)
     return CorollaryBounds(
-        delta_lhs=grad_sq, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
+        delta_lhs=grad, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
         sup_value=sup_value, sup_unbounded=False,
-        sup_lhs=sup_lhs, sup_rhs=sup_rhs, sup_bound_holds=sup_holds,
+        sup_lhs=grad, sup_rhs=sup_rhs, sup_bound_holds=sup_holds,
     )
 
 
@@ -158,7 +156,11 @@ def _sup_over_window(sol, x, t):
             direction[0] = 1.0
             radii = np.linspace(1e-3, r, 4097)
             pts = x[None, :] + radii[:, None] * direction[None, :]
-        sups.append(max(float(np.max(sol.value(s, pts))) for s in (0.0, t)))
+        # u overflowing a box is itself the sign of an unbounded solution
+        with np.errstate(over="ignore"):
+            sups.append(max(float(np.max(sol.value(s, pts))) for s in (0.0, t)))
+        if not math.isfinite(sups[-1]):
+            return math.inf, True
     growths = np.diff(sups) / np.maximum(np.abs(sups[:-1]), 1e-300)
     unbounded = bool(np.any(growths > 0.01))
     return sups[-1], unbounded
@@ -177,7 +179,6 @@ class GrowthReport:
     fit_residual: float             # relative residual of a linear fit to E
     tol_theta: float
     inconsistent: bool              # sublinear-but-nonconstant under the gap check
-    evidence: object = field(repr=False, default=None)
 
 
 def require_classifiable(t_grid) -> np.ndarray:
@@ -236,7 +237,7 @@ def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthR
     return GrowthReport(
         theta=theta, theta_infinite=theta_inf, growth_class=cls, slope=slope,
         fit_residual=fit_residual, tol_theta=tol_theta,
-        inconsistent=inconsistent, evidence=curve,
+        inconsistent=inconsistent,
     )
 
 
@@ -334,7 +335,7 @@ def rigidity_check(sol, kernel, t_grid, y_grid, level=2) -> RigidityReport:
     needs at least three distinct times (InsufficientCurve otherwise).
     """
     model = sol.model
-    _same_model(sol, kernel)
+    _target(sol, kernel, "kernel")
     t_grid = np.asarray(t_grid, dtype=float)
     pts = _as_points(model, y_grid)
     if not len(pts):

@@ -8,11 +8,15 @@ and the second is ``2u (|hess log u|^2 + (Ric - dg/dt / 2)(grad log u,
 grad log u))``; both are computed here by quadrature and by Monte Carlo.
 
 No function here takes a metric model: each reads it from the solution
-(``sol.model``), and the heat kernel or path ensemble it is paired with
-must live on that same model, or the call raises ValueError before any
-work.  A target that is a kernel means quadrature, one that is a
-`PathEnsemble` means Monte Carlo (`entropy_prime`, `entropy_second`,
-`entropy_curve`).
+(``sol.model``), and pairs it with a target, a heat kernel
+(`kernels.HeatKernelField`, quadrature) or a `PathEnsemble` (Monte Carlo),
+on that same model.  `entropy_q` and `conditions` take a kernel;
+`entropy_mc`, `submartingale_gap`, `local_entropy` and
+`stopped_increment_residual` take an ensemble; `entropy_prime`,
+`entropy_second` and `entropy_curve` take either, and the target's kind
+picks the method, which evaluates the same integrand either way.  Any other
+target, the other kind, or a target on another model raises ValueError
+before any work.
 
 Every kernel-measure integral of one scenario shares a single truncation
 policy (growth rate ``2 * b_max``), so E, E', E'' and the condition
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from . import geometry, quadrature
+from . import geometry, kernels, quadrature
 from .errors import CensoredDominates, QuadratureDivergence
 from .solutions import LogJet, SolutionField, require_positive, sum_squares
 from .stochastic import ExitRecord, ExpectResult, PathEnsemble, mean_stderr
@@ -212,52 +216,59 @@ def cond0a_integrand(sol):
 # pointwise functionals
 
 
-def _same_model(sol, target):
-    """Refuse a kernel or ensemble on another model than the solution's."""
+def _target(sol, target, need=None) -> bool:
+    """True for a `PathEnsemble` (Monte Carlo), False for a heat kernel
+    (quadrature).  ValueError for any other target, for the other kind than
+    ``need`` ("kernel" or "ensemble") when given, and for a target on
+    another model than the solution's."""
+    what = (
+        "ensemble" if isinstance(target, PathEnsemble)
+        else "kernel" if isinstance(target, kernels.HeatKernelField) else None
+    )
+    if what is None or need not in (None, what):
+        wanted = {"kernel": "a heat kernel", "ensemble": "a path ensemble"}.get(
+            need, "a heat kernel or a path ensemble"
+        )
+        raise ValueError(f"this call needs {wanted}, not a {type(target).__name__}")
     if target.model != sol.model:
-        what = "ensemble" if isinstance(target, PathEnsemble) else "kernel"
         raise ValueError(
             f"the solution lives on {sol.model!r} but the {what} on {target.model!r}"
         )
+    return what == "ensemble"
+
+
+def _kernel_or_ensemble(sol, target, t, level, f, what, need=None):
+    """Monte Carlo of the integrand ``f`` over an ensemble at t, or its
+    quadrature against a kernel (refined unless ``level`` is given); ``need``
+    as in `_target`."""
+    if _target(sol, target, need):
+        return target.mean(f, t)
+    return quadrature.kernel_integral(
+        f, target, t, growth=shared_growth(sol), level=level, what=what,
+    )
 
 
 def entropy_q(sol, kernel, t, level=None) -> float:
     """Quadrature value of the entropy at time t (requires t > 0)."""
-    _same_model(sol, kernel)
-    return quadrature.kernel_integral(
-        ulogu_integrand(sol), kernel, t,
-        growth=shared_growth(sol), level=level, what="entropy",
-    )
+    return _kernel_or_ensemble(sol, kernel, t, level, ulogu_integrand(sol), "entropy", "kernel")
 
 
 def entropy_mc(sol, ensemble: PathEnsemble, t) -> ExpectResult:
     """Monte Carlo estimate of the entropy at a recorded snapshot time."""
-    _same_model(sol, ensemble)
-    return ensemble.mean(sol.ulogu, t)
+    return _kernel_or_ensemble(sol, ensemble, t, None, ulogu_integrand(sol), "entropy", "ensemble")
 
 
 def entropy_prime(sol, target, t, level=None):
     """First variation; quadrature against a kernel or MC over an ensemble."""
     return _kernel_or_ensemble(
-        sol, target, t, level, sol.grad_term, first_variation_integrand(sol),
-        "first variation",
+        sol, target, t, level, first_variation_integrand(sol), "first variation"
     )
 
 
 def entropy_second(sol, target, t, level=None):
     """Second variation; nonnegative whenever dg/dt <= 2 Ric pointwise."""
-    f = second_variation_integrand(sol)
-    return _kernel_or_ensemble(sol, target, t, level, f, f, "second variation")
-
-
-def _kernel_or_ensemble(sol, target, t, level, on_paths, on_nodes, what):
-    """Monte Carlo of ``on_paths`` over an ensemble at t, or the quadrature
-    of ``on_nodes`` against a kernel (refined unless ``level`` is given)."""
-    _same_model(sol, target)
-    if isinstance(target, PathEnsemble):
-        return target.mean(on_paths, t)
-    return quadrature.kernel_integral(
-        on_nodes, target, t, growth=shared_growth(sol), level=level, what=what,
+    return _kernel_or_ensemble(
+        sol, target, t, level, second_variation_integrand(sol), "second variation"
     )
 
 
@@ -284,30 +295,19 @@ def conditions(sol, kernel, t) -> ConditionReport:
     The three share one grid and one solution jet per refinement level
     (with the Hessian only while cond2 is refining); each stops at its own.
     """
-    _same_model(sol, kernel)
-    return _conditions(sol, kernel, t)
-
-
-def _conditions(sol, kernel, t):
-    vals = {}
-    flags = {}
-    tables = {}
+    _target(sol, kernel, "kernel")
+    names = ("cond1", "cond2", "cond0a")
     integrands = _integrands(sol, _cond1, _cond2, _cond0a)
     refs = quadrature.refine_expectations(integrands, kernel, t, growth=shared_growth(sol))
-    for name, ref in zip(("cond1", "cond2", "cond0a"), refs):
-        tables[name] = ref.values
-        if ref.converged:
-            vals[name], flags[name] = ref.value, False
-        elif ref.divergent:
-            vals[name], flags[name] = math.inf, True
-        else:
+    for name, ref in zip(names, refs):
+        if not (ref.converged or ref.divergent):
             raise QuadratureDivergence(
                 f"{name} neither stabilized nor diverged", levels=ref.values
             )
     return ConditionReport(
-        cond1=vals["cond1"], cond2=vals["cond2"], cond0a=vals["cond0a"],
-        cond1_divergent=flags["cond1"], cond2_divergent=flags["cond2"],
-        cond0a_divergent=flags["cond0a"], tables=tables,
+        *(ref.value if ref.converged else math.inf for ref in refs),
+        *(ref.divergent for ref in refs),
+        tables={name: ref.values for name, ref in zip(names, refs)},
     )
 
 
@@ -327,7 +327,7 @@ def submartingale_gap(sol, ensemble: PathEnsemble, t) -> GapResult:
     Nonnegative within Monte Carlo error when the evolution satisfies
     dg/dt <= 2 Ric and the condition integrals are finite.
     """
-    _same_model(sol, ensemble)
+    _target(sol, ensemble, "ensemble")
     _warn_if_super_ricci_fails(sol.model, 0.0)
     x = ensemble.x[None, :]
     n0 = t * float(sol.grad_term(0.0, x)[0]) + float(sol.ulogu(0.0, x)[0])
@@ -387,18 +387,14 @@ class EntropyCurve:
             "cond1_divergent,cond2_divergent,cond0a_divergent"
         )
         lines = [cols]
+        values = (
+            self.t_grid, self.E, self.E_stderr, self.E_prime, self.E_prime_stderr,
+            self.E_second, self.E_second_stderr, self.cond1, self.cond2, self.cond0a,
+        )
+        flags = (self.cond1_divergent, self.cond2_divergent, self.cond0a_divergent)
         for i in range(len(self.t_grid)):
-            row = [
-                _fmt(self.t_grid[i]), _fmt(self.E[i]), _fmt(self.E_stderr[i]),
-                _fmt(self.E_prime[i]), _fmt(self.E_prime_stderr[i]),
-                _fmt(self.E_second[i]), _fmt(self.E_second_stderr[i]),
-                _fmt(self.cond1[i]), _fmt(self.cond2[i]), _fmt(self.cond0a[i]),
-                self.method[i],
-                _fmt_bool(self.cond1_divergent[i]),
-                _fmt_bool(self.cond2_divergent[i]),
-                _fmt_bool(self.cond0a_divergent[i]),
-            ]
-            lines.append(",".join(row))
+            row = [_fmt(v[i]) for v in values] + [self.method[i]]
+            lines.append(",".join(row + [_fmt_bool(f[i]) for f in flags]))
         _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -442,43 +438,34 @@ def entropy_curve(
     that depend on them alone, once for all times
     (`quadrature.curve_expectations`) and drops them on return.
     """
-    _same_model(sol, target)
-    monte_carlo = isinstance(target, PathEnsemble)
+    monte_carlo = _target(sol, target)
     if monte_carlo and with_conditions:
         raise ValueError("the condition integrals need a kernel, not an ensemble")
     t_grid = np.asarray(t_grid, dtype=float)
     n = t_grid.size
-    E = np.empty(n)
-    Ese = np.zeros(n)
-    Ep = np.empty(n)
-    Epse = np.zeros(n)
-    Es = np.empty(n)
-    Esse = np.zeros(n)
-    c1 = np.full(n, np.nan)
-    c2 = np.full(n, np.nan)
-    c0 = np.full(n, np.nan)
-    d1 = np.zeros(n, dtype=bool)
-    d2 = np.zeros(n, dtype=bool)
-    d0 = np.zeros(n, dtype=bool)
     row = _integrands(sol, _ulogu, _first_variation, _second_variation)
     if monte_carlo:
         method = "monte-carlo"
-        for i, t in enumerate(t_grid):
-            (E[i], Ese[i]), (Ep[i], Epse[i]), (Es[i], Esse[i]) = row.reduce_columns(
-                t, target.state_at(t), mean_stderr
-            )
+        rows = [row.reduce_columns(t, target.state_at(t), mean_stderr) for t in t_grid]
     else:
         method = "quadrature"
-        rows = quadrature.curve_expectations(row, target, t_grid, level, shared_growth(sol))
-        for i, values in enumerate(rows):
-            E[i], Ep[i], Es[i] = values
-    if with_conditions:
-        for i, t in enumerate(t_grid):
-            rep = _conditions(sol, target, t)
-            c1[i], c2[i], c0[i] = rep.cond1, rep.cond2, rep.cond0a
-            d1[i], d2[i], d0[i] = (
-                rep.cond1_divergent, rep.cond2_divergent, rep.cond0a_divergent,
+        rows = [
+            [(v, 0.0) for v in values]
+            for values in quadrature.curve_expectations(
+                row, target, t_grid, level, shared_growth(sol)
             )
+        ]
+    # (mean, stderr) of E, E' and E'', each over the times
+    cols = np.array(rows, dtype=float).reshape(n, 3, 2).transpose(1, 2, 0)
+    (E, Ese), (Ep, Epse), (Es, Esse) = cols
+    if with_conditions:
+        reps = [conditions(sol, target, t) for t in t_grid]
+        conds = [(r.cond1, r.cond2, r.cond0a) for r in reps]
+        flags = [(r.cond1_divergent, r.cond2_divergent, r.cond0a_divergent) for r in reps]
+    else:
+        conds, flags = [(math.nan,) * 3] * n, [(False,) * 3] * n
+    c1, c2, c0 = np.array(conds, dtype=float).reshape(n, 3).T
+    d1, d2, d0 = np.array(flags, dtype=bool).reshape(n, 3).T
     return EntropyCurve(
         t_grid=t_grid, E=E, E_stderr=Ese,
         E_prime=Ep, E_prime_stderr=Epse,
@@ -539,10 +526,13 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
     The exhaustion value at each t is reported as the largest-domain entry
     together with a plateau flag instead of an extrapolated limit.
     """
-    _same_model(sol, ensemble)
+    _target(sol, ensemble, "ensemble")
     if not domains:
         raise ValueError("local entropies need at least one domain")
     t_grid = np.asarray(t_grid, dtype=float)
+    # refuse a time that is not a snapshot before the replay
+    for t in t_grid:
+        ensemble.snapshot_index(t)
     m, n = len(domains), t_grid.size
     means = np.empty((m, n))
     ses = np.empty((m, n))
@@ -623,7 +613,7 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     to the exit time using the stored exit state.  Zero in expectation.  t
     must be a recorded snapshot time.
     """
-    _same_model(sol, ensemble)
+    _target(sol, ensemble, "ensemble")
     rec = ensemble.exit_records(domain)
     end_vals = np.asarray(sol.ulogu(*_stopped(ensemble, rec, t)))
     times = [s for s in ensemble.times if s <= t + geometry.TIME_TOL]

@@ -146,7 +146,7 @@ class Scenario:
 
     def validate(self):
         try:
-            model, _, _, _, doms = self.build()
+            model, sol, _, _, doms = self.build()
             for dom in doms:
                 dom.validate_against(model)
             if self.mc is not None:
@@ -182,6 +182,13 @@ class Scenario:
         if "local" in self.analyses and (self.mc is None or not self.domains):
             raise ConfigError(
                 f"scenario {self.id!r}: the local analysis needs mc.* settings and domains"
+            )
+        if "divergence" in self.analyses and not isinstance(sol, solutions.RadialHarmonic3):
+            # the divergence tables are those of 1/|y| on punctured 3-space
+            raise ConfigError(
+                f"scenario {self.id!r}: the divergence analysis needs model "
+                f"'punctured-3' and solution 'radial3', got {self.model!r} and "
+                f"{self.solution!r}"
             )
         if "rigidity" in self.analyses and self.t_count < 3:
             # two times always fit a line; run's subsample of t_grid keeps
@@ -418,8 +425,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
             sup_grad = _sup_grad_sample(sol, kern, t_grid, level)
             ok = model.flow_condition != "violated"
             rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
-            d = {k: v for k, v in asdict(rep).items() if k != "evidence"}
-            report["classify"] = _jsonable(d)
+            report["classify"] = _jsonable(asdict(rep))
 
     if "separation" in scenario.analyses:
         with _timed(clocks, "separation"):
@@ -439,7 +445,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
 
     if "divergence" in scenario.analyses:
         with _timed(clocks, "divergence"):
-            rep = analysis.divergence_demo(t_ref)
+            rep = analysis.divergence_demo(t_ref, x=x)
             report["divergence"] = _jsonable(asdict(rep))
 
     if len(report) > 1:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ def test_delta_bound_equality_case(line_sol, line_kernel):
     assert cb.delta_rhs == pytest.approx(1.0, abs=1e-8)
     assert cb.delta_bound_holds
     # the grid sup of e^{y-t} grows with the box: sup form not applicable
+    assert cb.sup_unbounded
+    assert cb.sup_bound_holds is None
+
+
+def test_delta_bound_reads_the_gradient_not_its_square(line_model, line_kernel):
+    # delta/(2t) + N/(2 delta) is Young's bound on sqrt(N/t), so it bounds
+    # |grad log u| = b = 3 here, not its square 9, which used to fail it
+    t = 1.0968
+    cb = corollary_bounds(ExponentialLine(2.0, 3.0, line_model), line_kernel, t, 1.0, level=2)
+    assert cb.delta_lhs == pytest.approx(3.0, rel=1e-12)
+    assert cb.delta_lhs == cb.sup_lhs
+    assert cb.delta_rhs == pytest.approx(1.0 / (2.0 * t) + 9.0 * t / 2.0, rel=1e-8)
+    assert cb.delta_bound_holds
+
+
+def test_sup_probe_reads_an_overflow_as_unbounded(line_model, line_kernel):
+    # 2 exp(3y - 9t) overflows on the fourth doubled box; that used to print
+    # two numpy overflow RuntimeWarnings
+    sol = ExponentialLine(2.0, 3.0, line_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cb = corollary_bounds(sol, line_kernel, 1.0968, 1.0, level=2)
+    assert cb.sup_value == math.inf
     assert cb.sup_unbounded
     assert cb.sup_bound_holds is None
 

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from entroflow import analysis, entropy, geometry, kernels, quadrature, solutions
+from entroflow import analysis, entropy, geometry, kernels, quadrature, solutions, stochastic
 from entroflow.entropy import (
     EntropyCurve,
     conditions,
@@ -760,9 +760,45 @@ def test_a_target_on_another_model_is_refused(
         call(circle_sol, target)
 
 
+_ONE_METHOD_CALLS = sorted(n for n in _PAIRED_CALLS if not n.endswith(("-kernel", "-ensemble")))
+_KIND_NAMES = {"kernel": "a heat kernel", "ensemble": "a path ensemble"}
+
+
+@pytest.mark.parametrize("name", _ONE_METHOD_CALLS)
+def test_the_wrong_kind_of_target_is_refused(name, line_sol, line_kernel, line_ensemble):
+    # an ensemble where a kernel is needed, or the reverse, on the same
+    # model; this used to fail as a bare AttributeError inside the call
+    what, call = _PAIRED_CALLS[name]
+    other = line_ensemble if what == "kernel" else line_kernel
+    with pytest.raises(ValueError, match=f"needs {_KIND_NAMES[what]}, not a {type(other).__name__}"):
+        call(line_sol, other)
+
+
+@pytest.mark.parametrize("name", sorted(set(_PAIRED_CALLS) - set(_ONE_METHOD_CALLS)))
+def test_a_target_of_neither_kind_is_refused(name, line_sol):
+    # the target's kind picks the method; anything else is not guessed at
+    with pytest.raises(ValueError, match="needs a heat kernel or a path ensemble, not a str"):
+        _PAIRED_CALLS[name][1](line_sol, "kernel")
+
+
 def test_monte_carlo_curve_refuses_conditions(line_sol, line_ensemble):
     with pytest.raises(ValueError, match="condition integrals need a kernel"):
         entropy_curve(line_sol, line_ensemble, [0.5])
+
+
+def test_local_entropy_refuses_an_unrecorded_time_before_the_replay(line_model, monkeypatch):
+    # a time that is not a snapshot used to be refused only after every
+    # domain's exits were replayed
+    cfg = stochastic.SdeConfig(dt=0.01, n_paths=200, seed=1)
+    ens = stochastic.simulate(line_model, [0.0], 1.0, cfg, record_times=[0.5, 1.0])
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("replayed the exits")
+
+    monkeypatch.setattr(stochastic, "replay_exits", no_replay)
+    with pytest.raises(ValueError, match="t=0.52 is not a recorded snapshot"):
+        local_entropy(ExponentialLine(1.0, 1.0, line_model), ens, [DomainSpec.interval(-3, 3)],
+                      [0.5, 0.52])
 
 
 def test_local_entropy_refuses_an_empty_domain_list(line_sol, line_ensemble):

@@ -4,7 +4,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow import geometry, kernels, quadrature, solutions, stochastic
+from entroflow import analysis, geometry, kernels, quadrature, solutions, stochastic
 from entroflow.errors import ChartViolation, ConfigError, OutOfWindow
 from entroflow.harness import (
     ANALYSES,
     Scenario,
     _apply_overrides,
+    _jsonable,
     bundled_scenarios,
     load_scenario,
     parse_config_text,
@@ -125,7 +126,8 @@ def test_readme_config_example_parses():
     block = section.split("```\n", 2)[1]
     sc = parse_scenario(block)
     assert sc.id == "line-eternal"
-    assert sc.analyses == ANALYSES
+    # every analysis but divergence, which needs the punctured space
+    assert sc.analyses == tuple(a for a in ANALYSES if a != "divergence")
     assert sc.domains == ("interval:-1,1", "interval:-2,2")
 
 
@@ -243,8 +245,11 @@ GENERAL = bundled_scenarios()["line_general_exponential"].read_text()
          "the local analysis needs mc.* settings and domains"),
         (GENERAL.replace("t.count = 16", "t.count = 4"),
          "classify: need >= 8 points spanning at least a decade"),
+        (GENERAL.replace('"entropy-curve", "classify", "separation"', '"divergence"'),
+         "the divergence analysis needs model 'punctured-3' and solution 'radial3', "
+         "got 'euclidean-line' and 'expline:2,3'"),
     ],
-    ids=["local-without-mc", "classify-short-grid"],
+    ids=["local-without-mc", "classify-short-grid", "divergence-off-the-punctured-space"],
 )
 def test_analysis_needs_are_config_errors(text, message, tmp_path):
     # both used to fail only after entropy.csv was written
@@ -254,6 +259,20 @@ def test_analysis_needs_are_config_errors(text, message, tmp_path):
     with pytest.raises(ConfigError, match=re.escape(message)):
         run(cfg, out)
     assert not out.exists()
+
+
+def test_divergence_tables_start_at_the_scenario_point(tmp_path):
+    # the divergence analysis used to start every kernel at (1, 0, 0)
+    text = bundled_scenarios()["punctured_divergence"].read_text()
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text.replace("x = [1.0, 0.0, 0.0]", "x = [2.0, 0.0, 0.0]"))
+    sc = load_scenario(cfg)
+    assert sc.x == (2.0, 0.0, 0.0)
+    run(cfg, tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    t_ref = float(sc.t_grid()[sc.t_count // 2])
+    expected = analysis.divergence_demo(t_ref, x=(2.0, 0.0, 0.0))
+    assert report["divergence"] == json.loads(json.dumps(_jsonable(asdict(expected))))
 
 
 def test_run_validates_a_scenario_it_is_handed(tmp_path):
