@@ -26,7 +26,7 @@ cases = [
 ]
 for sol, label in cases:
     curve = entropy_curve(sol, kern, grid, with_conditions=False)
-    rep = classify_growth(curve, sup_grad_sample=None, super_ricci_ok=True)
+    rep = classify_growth(sol, kern, curve)
     slope = "-" if rep.slope is None else f"{rep.slope:.6f}"
     print(f"{label:<18} class = {rep.growth_class:<18} theta = {rep.theta:<10.4g} "
           f"slope = {slope}")
@@ -35,7 +35,7 @@ circle = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
 csol = solutions.CircleSpectral(2.0, [(1, 0.5, 0.0)], circle)
 ckern = kernels.WrappedGaussianKernel(np.array([0.0]), circle)
 ccurve = entropy_curve(csol, ckern, np.geomspace(0.125, 1.25, 12), with_conditions=False)
-rep = classify_growth(ccurve, super_ricci_ok=True)
+rep = classify_growth(csol, ckern, ccurve)
 print(f"{'circle mode':<18} class = {rep.growth_class:<18} "
       f"theta -> infinity: {rep.theta_infinite}")
 

@@ -7,9 +7,15 @@ first-variation formula genuinely needs the integrability conditions.
 Refinement tables shrink the inner cutoff delta toward the puncture.
 """
 
+import numpy as np
+
+from entroflow import geometry, kernels, solutions
 from entroflow.analysis import divergence_demo
 
-rep = divergence_demo(1.0)
+space = geometry.punctured3()
+sol = solutions.RadialHarmonic3(space)
+kern = kernels.GaussianKernel(np.array([1.0, 0.0, 0.0]), space)
+rep = divergence_demo(sol, kern, 1.0)
 
 print("u = 1/|y| on punctured 3-space, base point (1,0,0), t = 1")
 print()

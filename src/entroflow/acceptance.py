@@ -236,7 +236,7 @@ def _criterion_3(ctx, rows):
         )
         grid = np.geomspace(0.25, 4.0, 16)
         curve = entropy_curve(sol, kern, grid, level=LEVEL, with_conditions=False)
-        rep = analysis.classify_growth(curve, sup_grad_sample=None, super_ricci_ok=True)
+        rep = analysis.classify_growth(sol, kern, curve)
         rows.append(
             _row_bool(
                 f"3-class-a{a:g}b{b:g}", "classified as linear growth",
@@ -369,7 +369,8 @@ def _criterion_8(ctx, rows):
 
 
 def _criterion_9(ctx, rows):
-    rep = analysis.divergence_demo(1.0)
+    _, sol, kern = ctx.bundle("punctured")
+    rep = analysis.divergence_demo(sol, kern, 1.0)
     rows.append(
         _row_le("9-entropy-stable", "entropy spread across inner cutoffs",
                 rep.entropy_spread, 1e-4)

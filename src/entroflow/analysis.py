@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from . import geometry, quadrature, solutions
+from . import geometry, quadrature
 from .entropy import (
     JetIntegrands,
     _kernel_or_ensemble,
@@ -26,7 +26,6 @@ from .entropy import (
     ulogu_integrand,
 )
 from .errors import InsufficientCurve, LogOfZero
-from .kernels import GaussianKernel
 
 GROWTH_CONSTANT = "constant-solution"
 GROWTH_SUBLINEAR = "sublinear"
@@ -85,6 +84,7 @@ def gradient_entropy_check(sol, target, t, level=None) -> GradientBound:
 
 @dataclass(frozen=True)
 class CorollaryBounds:
+    gradient: GradientBound     # the gradient-entropy check both forms read
     delta_lhs: float
     delta_rhs: float
     delta_bound_holds: bool
@@ -102,7 +102,8 @@ def corollary_bounds(sol, kernel, t, delta, level=None) -> CorollaryBounds:
     Both bound |grad log u|(0, x), ``delta_lhs`` = ``sup_lhs``: the delta
     form by delta/(2t) + N/(2 delta), Young's bound on sqrt(N/t) with N the
     normalized entropy; the sup form by sqrt(log(sup u / u0) / t), unless
-    the sup is unbounded (it grows with the box, or overflows).
+    the sup is unbounded (it grows with the box, or overflows).  The
+    `GradientBound` both read is the report's ``gradient``.
     """
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
@@ -116,18 +117,13 @@ def corollary_bounds(sol, kernel, t, delta, level=None) -> CorollaryBounds:
     delta_holds = grad <= delta_rhs + 1e-8 * (1.0 + abs(delta_rhs))
 
     sup_value, unbounded = _sup_over_window(sol, x, t)
-    if unbounded:
-        return CorollaryBounds(
-            delta_lhs=grad, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
-            sup_value=sup_value, sup_unbounded=True,
-            sup_lhs=grad, sup_rhs=math.inf, sup_bound_holds=None,
-        )
-    ratio = max(sup_value / u0, 1.0)
-    sup_rhs = math.sqrt(math.log(ratio) / t)
-    sup_holds = grad <= sup_rhs + 1e-8 * (1.0 + sup_rhs)
+    sup_rhs, sup_holds = math.inf, None
+    if not unbounded:
+        sup_rhs = math.sqrt(math.log(max(sup_value / u0, 1.0)) / t)
+        sup_holds = grad <= sup_rhs + 1e-8 * (1.0 + sup_rhs)
     return CorollaryBounds(
-        delta_lhs=grad, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
-        sup_value=sup_value, sup_unbounded=False,
+        gradient=base, delta_lhs=grad, delta_rhs=delta_rhs, delta_bound_holds=delta_holds,
+        sup_value=sup_value, sup_unbounded=unbounded,
         sup_lhs=grad, sup_rhs=sup_rhs, sup_bound_holds=sup_holds,
     )
 
@@ -190,18 +186,20 @@ def require_classifiable(t_grid) -> np.ndarray:
     return t
 
 
-def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthReport:
-    """Classify an entropy curve by its long-time first variation.
+def classify_growth(sol, kernel, curve) -> GrowthReport:
+    """Classify the solution's entropy curve, sampled against ``kernel``, by
+    its long-time first variation.
 
-    ``sup_grad_sample`` is an independently sampled maximum of
-    |grad u|^2/u; the constant class additionally requires it to be small.
-    ``super_ricci_ok`` (when provided) marks whether dg/dt <= 2 Ric was
-    verified: a sublinear-but-nonconstant outcome is then flagged as a
-    numerical inconsistency rather than reported as a finding.  The linear
-    class takes `_LINEAR_RTOL` (1e-3) as its relative tolerance, and the
-    report's ``tol_theta``, the absolute tolerance on E', is
+    The constant class also needs max |grad u|^2/u at most 1e-6, probed on
+    the kernel's level-1 grids at the curve's first and last time.  Unless
+    the model violates dg/dt <= 2 Ric (``model.flow_condition``), a
+    sublinear-but-nonconstant outcome is flagged as a numerical
+    inconsistency rather than reported as a finding.  The linear class
+    takes `_LINEAR_RTOL` (1e-3) as its relative tolerance, and the report's
+    ``tol_theta``, the absolute tolerance on E', is
     ``1e-4 * (1 + |E(t_end)| / t_end)``.
     """
+    _target(sol, kernel, "kernel")
     t = require_classifiable(curve.t_grid)
     ep = np.asarray(curve.E_prime, dtype=float)
     es = np.asarray(curve.E_second, dtype=float)
@@ -225,20 +223,26 @@ def classify_growth(curve, sup_grad_sample=None, super_ricci_ok=None) -> GrowthR
     inconsistent = False
     if theta_inf or increasing:
         cls, slope = GROWTH_SUPERLINEAR, None
-    elif theta <= tol_theta and (sup_grad_sample is None or sup_grad_sample <= 1e-6):
+    elif theta <= tol_theta and _max_grad_term(sol, kernel, (t[0], t[-1])) <= 1e-6:
         cls, slope = GROWTH_CONSTANT, 0.0
     elif second_small and flat <= max(_LINEAR_RTOL * abs(theta), 10.0 * tol_theta) \
             and fit_residual <= _LINEAR_RTOL:
         cls, slope = GROWTH_LINEAR, theta
     else:
         cls, slope = GROWTH_SUBLINEAR, None
-        if super_ricci_ok:
-            inconsistent = True
+        inconsistent = sol.model.flow_condition != "violated"
     return GrowthReport(
         theta=theta, theta_infinite=theta_inf, growth_class=cls, slope=slope,
         fit_residual=fit_residual, tol_theta=tol_theta,
         inconsistent=inconsistent,
     )
+
+
+def _max_grad_term(sol, kernel, times):
+    """Max of |grad u|^2/u over the kernel's level-1 grid at each time."""
+    model, x, growth = kernel.model, kernel.base_point, shared_growth(sol)
+    grids = (quadrature.build_grid(model, x, t, level=1, growth=growth)[0] for t in times)
+    return max(float(np.max(sol.grad_term(t, pts))) for t, pts in zip(times, grids))
 
 
 def _linear_fit_residual(t, e):
@@ -388,17 +392,21 @@ class DivergenceReport:
     stable_under_mesh_doubling: bool
 
 
-def divergence_demo(t, x=(1.0, 0.0, 0.0), levels=range(4)) -> DivergenceReport:
-    """Refinement tables for 1/|y| on punctured 3-space.
+def divergence_demo(sol, kernel, t, levels=range(4)) -> DivergenceReport:
+    """Refinement tables of the entropy and first-variation integrals of
+    ``sol`` against ``kernel`` at t, with the inner cutoff shrinking toward
+    the puncture level by level.
 
-    The entropy integral stabilizes as the inner cutoff shrinks while the
-    first-variation integral grows logarithmically and is flagged
-    divergent; doubling the outer radius or the mesh density must not
-    change either classification.
+    The kernel must be on punctured 3-space, where the grids refine (the
+    catalog's solutions there have no growth to truncate for).  For 1/|y|
+    the entropy integral stabilizes while the first-variation
+    integral grows logarithmically and is flagged divergent; doubling the
+    outer radius or the mesh density must not change either
+    classification.
     """
-    model = geometry.punctured3()
-    sol = solutions.RadialHarmonic3(model)
-    kernel = GaussianKernel(np.asarray(x, dtype=float), model)
+    _target(sol, kernel, "kernel")
+    if kernel.model.kind != geometry.PUNCTURED_3:
+        raise ValueError(f"the tables need a kernel on punctured-3, not on {kernel.model.kind}")
     levels = list(levels)
     if not levels:
         raise ValueError("the divergence demo needs at least one level")

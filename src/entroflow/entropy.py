@@ -39,6 +39,8 @@ from .solutions import LogJet, SolutionField, require_positive, sum_squares
 from .stochastic import ExitRecord, ExpectResult, PathEnsemble, mean_stderr
 
 DEFAULT_CURVE_LEVEL = 2
+# a curve's level lies in [0, MAX_LEVEL], the deepest level a grid is built at
+MAX_LEVEL = quadrature.MAX_LEVEL
 
 
 def shared_growth(sol: SolutionField) -> float:

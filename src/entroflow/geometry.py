@@ -86,8 +86,9 @@ class MetricModel:
             )
         t0, t1 = self.time_window
         finite_params("c0, rate and the time window ends", (self.c0, self.rate, t0, t1))
-        if not (0.0 <= t0 < t1):
-            raise ValueError(f"invalid time window {self.time_window}")
+        # the motion, the kernel and the clock s(t) all start at t = 0
+        if not (0.0 == t0 < t1):
+            raise ValueError(f"time window {self.time_window} must start at 0 and end after it")
         if self.kind in _CONFORMAL_KINDS:
             if self.min_conformal <= 0:
                 raise ValueError(
@@ -221,9 +222,10 @@ def parse_model(spec: str, time_window=None) -> MetricModel:
     n_params = usage.count(",") + 1 if ":" in usage else 0
     try:
         vals = [float(v) for v in args.split(",")] if sep else []
-    except ValueError:
-        vals = []
-    if len(vals) != n_params or (head == EUCLIDEAN_SPACE and not vals[0].is_integer()):
+        ok = len(vals) == n_params and (head != EUCLIDEAN_SPACE or vals[0].is_integer())
+    except ValueError:  # a word, or nothing after the colon
+        ok = False
+    if not ok:
         raise ValueError(f"model {spec!r} does not read {usage}")
     if head == EUCLIDEAN_LINE:
         model = line()

@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, entropy, geometry, kernels, quadrature, rng, solutions, stochastic
-from .entropy import DEFAULT_CURVE_LEVEL
+from . import analysis, entropy, geometry, kernels, rng, solutions, stochastic
+from .entropy import DEFAULT_CURVE_LEVEL, MAX_LEVEL
 from .errors import ConfigError, EntroflowError, InsufficientCurve
 from .stochastic import DEFAULT_SEED, SdeConfig
 
@@ -115,10 +115,8 @@ class Scenario:
                 )
             mc = None
             if "mc.paths" in m:
-                mc = SdeConfig(
-                    dt=_step("mc.dt", m.pop("mc.dt")),
-                    n_paths=_path_count("mc.paths", m.pop("mc.paths")),
-                    seed=_whole("mc.seed", m.pop("mc.seed", DEFAULT_SEED)),
+                mc = _sde_config(
+                    "mc.", m.pop("mc.dt"), m.pop("mc.paths"), m.pop("mc.seed", DEFAULT_SEED)
                 )
             sc = cls(
                 id=_text("id", m.pop("id")),
@@ -146,7 +144,7 @@ class Scenario:
 
     def validate(self):
         try:
-            model, sol, _, _, doms = self.build()
+            model, _, _, _, doms = self.build()
             for dom in doms:
                 dom.validate_against(model)
             if self.mc is not None:
@@ -183,12 +181,11 @@ class Scenario:
             raise ConfigError(
                 f"scenario {self.id!r}: the local analysis needs mc.* settings and domains"
             )
-        if "divergence" in self.analyses and not isinstance(sol, solutions.RadialHarmonic3):
-            # the divergence tables are those of 1/|y| on punctured 3-space
+        if "divergence" in self.analyses and model.kind != geometry.PUNCTURED_3:
+            # the divergence tables refine toward the puncture
             raise ConfigError(
                 f"scenario {self.id!r}: the divergence analysis needs model "
-                f"'punctured-3' and solution 'radial3', got {self.model!r} and "
-                f"{self.solution!r}"
+                f"'punctured-3', got {self.model!r}"
             )
         if "rigidity" in self.analyses and self.t_count < 3:
             # two times always fit a line; run's subsample of t_grid keeps
@@ -225,9 +222,7 @@ class Scenario:
         model = geometry.parse_model(self.model, time_window=self.window)
         sol = solutions.parse_solution(self.solution, model)
         x = model.check_point(np.asarray(self.x, dtype=float))
-        kern = None
-        if _needs_kernel(self.analyses):
-            kern = kernels.canonical_kernel(model, x)
+        kern = kernels.canonical_kernel(model, x)
         doms = [stochastic.parse_domain(d) for d in self.domains]
         return model, sol, kern, x, doms
 
@@ -267,12 +262,19 @@ def _items(read, key, value):
     return tuple(read(f"{key}[{i}]", v) for i, v in enumerate(value))
 
 
-def _path_count(key, value):
-    """A whole number of paths no larger than `rng.MAX_PATHS`."""
-    n = _whole(key, value)
+def _sde_config(prefix, dt, paths, seed):
+    """The `SdeConfig` of a config's ``mc.*`` values (``prefix`` "mc.") or of
+    run overrides (prefix ""); each bad value is a ConfigError naming its key."""
+    dt = _step(prefix + "dt", dt)
+    n = _whole(prefix + "paths", paths)
+    if n < 1:
+        raise ConfigError(f"{prefix}paths must be at least 1, got {n}")
     if n > rng.MAX_PATHS:
-        raise ConfigError(f"{key} must not exceed 2**36 (rng.MAX_PATHS), got {n}")
-    return n
+        raise ConfigError(f"{prefix}paths must not exceed 2**36 (rng.MAX_PATHS), got {n}")
+    seed = _whole(prefix + "seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{prefix}seed must lie in [0, 2**64), got {seed}")
+    return SdeConfig(dt=dt, n_paths=n, seed=seed)
 
 
 def _step(key, value):
@@ -281,13 +283,6 @@ def _step(key, value):
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"{key} must be positive and finite, got {value!r}")
     return dt
-
-
-def _needs_kernel(analyses):
-    return any(
-        a in analyses
-        for a in ("entropy-curve", "conditions", "bounds", "classify", "rigidity")
-    )
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -347,6 +342,8 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
         level = _whole("refine", overrides.get("refine", level))
         if level < 0:
             raise ConfigError(f"refine must not be negative, got {level}")
+        if level > MAX_LEVEL:
+            raise ConfigError(f"refine must not exceed {MAX_LEVEL}, got {level}")
     scenario.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -406,14 +403,13 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
     t_ref = float(t_grid[len(t_grid) // 2])
     if "bounds" in scenario.analyses:
         with _timed(clocks, "bounds"):
-            gb = analysis.gradient_entropy_check(sol, kern, t_ref, level=level)
-            cb = analysis.corollary_bounds(
+            corollaries = asdict(analysis.corollary_bounds(
                 sol, kern, t_ref, scenario.bounds_delta, level=level
-            )
+            ))
             report["bounds"] = {
                 "t": t_ref,
-                "gradient": _jsonable(asdict(gb)),
-                "corollaries": _jsonable(asdict(cb)),
+                "gradient": _jsonable(corollaries.pop("gradient")),
+                "corollaries": _jsonable(corollaries),
             }
 
     if "classify" in scenario.analyses:
@@ -422,9 +418,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
                 curve = entropy.entropy_curve(
                     sol, kern, t_grid, level=level, with_conditions=False
                 )
-            sup_grad = _sup_grad_sample(sol, kern, t_grid, level)
-            ok = model.flow_condition != "violated"
-            rep = analysis.classify_growth(curve, sup_grad_sample=sup_grad, super_ricci_ok=ok)
+            rep = analysis.classify_growth(sol, kern, curve)
             report["classify"] = _jsonable(asdict(rep))
 
     if "separation" in scenario.analyses:
@@ -445,7 +439,7 @@ def _run_stages(scenario, outdir, level) -> RunManifest:
 
     if "divergence" in scenario.analyses:
         with _timed(clocks, "divergence"):
-            rep = analysis.divergence_demo(t_ref, x=x)
+            rep = analysis.divergence_demo(sol, kern, t_ref)
             report["divergence"] = _jsonable(asdict(rep))
 
     if len(report) > 1:
@@ -485,10 +479,9 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
                 UserWarning, stacklevel=3,
             )
         return sc
-    mc = SdeConfig(
-        dt=_step("dt", overrides.get("dt", mc.dt)),
-        n_paths=_path_count("paths", overrides.get("paths", mc.n_paths)),
-        seed=_whole("seed", overrides.get("seed", mc.seed)),
+    mc = _sde_config(
+        "", overrides.get("dt", mc.dt), overrides.get("paths", mc.n_paths),
+        overrides.get("seed", mc.seed),
     )
     return replace(sc, mc=mc)
 
@@ -514,17 +507,6 @@ def _default_ygrid(model):
         radii = np.linspace(0.4, 2.5, 9)
         return radii[:, None] * np.array([1.0, 0.0, 0.0])[None, :]
     raise ValueError(model.kind)
-
-
-def _sup_grad_sample(sol, kern, t_grid, level):
-    worst = 0.0
-    for t in (t_grid[0], t_grid[-1]):
-        pts, _ = quadrature.build_grid(
-            kern.model, kern.base_point, t, level=min(level, 1),
-            growth=entropy.shared_growth(sol),
-        )
-        worst = max(worst, float(np.max(sol.grad_term(t, pts))))
-    return worst
 
 
 def _jsonable(obj):

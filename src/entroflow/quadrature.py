@@ -112,6 +112,9 @@ _GROWTH_STREAK = 3
 # _STABLE_ATOL + _STABLE_RTOL * |value|
 _STABLE_RTOL = 1e-10
 _STABLE_ATOL = 1e-12
+# the deepest refinement level: punctured refinement reaches it, and the
+# sphere grid already holds 25M nodes there
+MAX_LEVEL = 6
 # nodes evaluated together: each (n,) column of a block is 128 KiB, so a
 # block's density, jet and columns stay in a 2 MiB L2 cache
 _NODE_BLOCK = 1 << 14
@@ -307,6 +310,8 @@ def _check_grid(model, x, t, level):
     """Refuse a bad level or time; the base point x as a chart point."""
     if isinstance(level, bool) or not isinstance(level, numbers.Integral) or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
+    if level > MAX_LEVEL:
+        raise ValueError(f"level must not exceed MAX_LEVEL = {MAX_LEVEL}, got {level}")
     model.check_time(t)
     if not t > 0:
         raise ValueError(f"the kernel measure needs t > 0, got t={t!r}")
@@ -373,7 +378,7 @@ def refine_expectations(fs, kernel, t, growth=0.0, levels=None) -> tuple:
     integrand is still refining.
     """
     if levels is None:
-        levels = range(7) if kernel.model.kind == geometry.PUNCTURED_3 else range(5)
+        levels = range(MAX_LEVEL + 1 if kernel.model.kind == geometry.PUNCTURED_3 else 5)
     levels = tuple(levels)
     if not levels:
         raise ValueError("refinement needs at least one level")

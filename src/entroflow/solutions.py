@@ -33,6 +33,7 @@ terms; see there for nine).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -667,24 +668,19 @@ def _read_params(head, args):
     return float(a0_s), modes
 
 
+# the mode groups after a0: (...) groups, optionally comma-separated
+_MODE_GROUP = r"\(([^()]*)\)"
+_MODE_GROUPS = re.compile(rf"\s*({_MODE_GROUP}(\s*,?\s*{_MODE_GROUP})*)?\s*")
+
+
 def _floats(text):
     return [float(v) for v in text.split(",")]
 
 
 def _split_mode_groups(args: str):
+    """a0 and the text of each parenthesized mode group after it; the groups
+    may be separated by commas and spaces, and nothing else."""
     head, _, rest = args.partition(",")
-    groups = []
-    depth = 0
-    buf = []
-    for ch in rest:
-        if ch == "(":
-            depth += 1
-            buf = []
-        elif ch == ")":
-            depth -= 1
-            groups.append("".join(buf))
-        elif depth > 0:
-            buf.append(ch)
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {args!r}")
-    return head, groups
+    if not _MODE_GROUPS.fullmatch(rest):
+        raise ValueError(f"{args!r} does not list (...) mode groups")
+    return head, re.findall(_MODE_GROUP, rest)

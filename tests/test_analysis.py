@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -34,15 +35,15 @@ def _curve(sol, kernel, t_lo=0.25, t_hi=4.0, n=16):
 
 
 def test_constant_classification(line_model, line_kernel):
-    curve = _curve(Constant(5.0, line_model), line_kernel)
-    rep = classify_growth(curve, sup_grad_sample=0.0, super_ricci_ok=True)
+    sol = Constant(5.0, line_model)
+    rep = classify_growth(sol, line_kernel, _curve(sol, line_kernel))
     assert rep.growth_class == GROWTH_CONSTANT
     assert rep.theta == pytest.approx(0.0, abs=1e-12)
     assert not rep.inconsistent
 
 
 def test_linear_classification_eternal(line_sol, line_kernel):
-    rep = classify_growth(_curve(line_sol, line_kernel), super_ricci_ok=True)
+    rep = classify_growth(line_sol, line_kernel, _curve(line_sol, line_kernel))
     assert rep.growth_class == GROWTH_LINEAR
     assert rep.theta == pytest.approx(1.0, abs=1e-9)
     assert rep.slope == pytest.approx(1.0, abs=1e-6)
@@ -52,25 +53,22 @@ def test_linear_classification_eternal(line_sol, line_kernel):
 @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 1.0)])
 def test_linear_classification_general(a, b, line_model, line_kernel):
     sol = ExponentialLine(a, b, line_model)
-    rep = classify_growth(_curve(sol, line_kernel), super_ricci_ok=True)
+    rep = classify_growth(sol, line_kernel, _curve(sol, line_kernel))
     assert rep.growth_class == GROWTH_LINEAR
     assert rep.slope == pytest.approx(a * b * b, abs=1e-6)
 
 
 def test_theta_scales_with_amplitude(line_model, line_kernel):
     # replacing u by a*u multiplies the long-time slope by a
-    base = classify_growth(
-        _curve(ExponentialLine(1.0, 1.0, line_model), line_kernel)
-    ).theta
-    tripled = classify_growth(
-        _curve(ExponentialLine(3.0, 1.0, line_model), line_kernel)
-    ).theta
+    one, three = ExponentialLine(1.0, 1.0, line_model), ExponentialLine(3.0, 1.0, line_model)
+    base = classify_growth(one, line_kernel, _curve(one, line_kernel)).theta
+    tripled = classify_growth(three, line_kernel, _curve(three, line_kernel)).theta
     assert tripled == pytest.approx(3.0 * base, rel=1e-9)
 
 
 def test_spectral_modes_grow_superlinearly(circle_sol, circle_kernel):
     curve = _curve(circle_sol, circle_kernel, 0.125, 1.25, 12)
-    rep = classify_growth(curve, super_ricci_ok=True)
+    rep = classify_growth(circle_sol, circle_kernel, curve)
     assert rep.growth_class == GROWTH_SUPERLINEAR
     assert rep.theta_infinite
     assert not rep.inconsistent
@@ -78,9 +76,35 @@ def test_spectral_modes_grow_superlinearly(circle_sol, circle_kernel):
 
 def test_insufficient_curve(line_sol, line_kernel):
     with pytest.raises(InsufficientCurve):
-        classify_growth(_curve(line_sol, line_kernel, 1.0, 2.0, 8))
+        classify_growth(line_sol, line_kernel, _curve(line_sol, line_kernel, 1.0, 2.0, 8))
     with pytest.raises(InsufficientCurve):
-        classify_growth(_curve(line_sol, line_kernel, 0.25, 4.0, 4))
+        classify_growth(line_sol, line_kernel, _curve(line_sol, line_kernel, 0.25, 4.0, 4))
+
+
+def test_constant_class_probes_the_solution(line_model, line_kernel, monkeypatch):
+    # a flat entropy curve is constant only if the solution's |grad u|^2/u
+    # is small too; the probe runs only on such curves
+    sol = ExponentialLine(1.0, 1.0, line_model)
+    flat = _curve(Constant(5.0, line_model), line_kernel)
+    assert classify_growth(sol, line_kernel, flat).growth_class != GROWTH_CONSTANT
+    monkeypatch.setattr(analysis, "_max_grad_term", lambda *a: pytest.fail("probed"))
+    rep = classify_growth(sol, line_kernel, _curve(sol, line_kernel))
+    assert rep.growth_class == GROWTH_LINEAR
+
+
+@pytest.mark.parametrize("rate, inconsistent", [(0.0, True), (-0.1, True), (0.1, False)])
+def test_sublinear_flag_reads_the_flow_condition(rate, inconsistent):
+    # E = log(1 + t) is sublinear; under dg/dt <= 2 Ric (rate <= 0 on the
+    # circle) that is flagged as inconsistent, not reported as a finding
+    model = geometry.circle(1.0, rate, time_window=(0.0, 4.0))
+    kernel = kernels.WrappedGaussianKernel(np.array([0.0]), model)
+    t = np.geomspace(0.25, 4.0, 16)
+    curve = types.SimpleNamespace(
+        t_grid=t, E=np.log1p(t), E_prime=1.0 / (1.0 + t), E_second=-1.0 / (1.0 + t) ** 2
+    )
+    rep = classify_growth(Constant(1.0, model), kernel, curve)
+    assert rep.growth_class == analysis.GROWTH_SUBLINEAR
+    assert rep.inconsistent is inconsistent
 
 
 # --- separation ------------------------------------------------------------------
@@ -354,8 +378,14 @@ def test_rigidity_flags_nonconstant_under_strict_positivity(circle_model, circle
 # --- the punctured-space dichotomy ------------------------------------------------
 
 
+def _punctured(x=(1.0, 0.0, 0.0)):
+    """1/|y| on punctured 3-space and the kernel started at x."""
+    model = geometry.punctured3()
+    return solutions.RadialHarmonic3(model), kernels.GaussianKernel(np.asarray(x), model)
+
+
 def test_divergence_demo_tables():
-    rep = divergence_demo(1.0)
+    rep = divergence_demo(*_punctured(), 1.0)
     assert rep.cutoffs == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5])
     assert rep.entropy_stable
     assert rep.entropy_spread <= 1e-4
@@ -372,11 +402,9 @@ def test_divergence_demo_tables():
 def test_divergence_demo_equals_separate_integrals_bit_for_bit():
     # E and E' of a level share one grid; each must equal the value of
     # its own kernel_integral call
-    t, x = 0.5, np.array([0.0, 0.8, 0.6])
-    rep = divergence_demo(t, x=x, levels=range(3))
-    model = geometry.punctured3()
-    sol = solutions.RadialHarmonic3(model)
-    kernel = kernels.GaussianKernel(x, model)
+    t = 0.5
+    sol, kernel = _punctured((0.0, 0.8, 0.6))
+    rep = divergence_demo(sol, kernel, t, levels=range(3))
     for lv in range(3):
         e = quadrature.kernel_integral(ulogu_integrand(sol), kernel, t, level=lv)
         p = quadrature.kernel_integral(first_variation_integrand(sol), kernel, t, level=lv)
@@ -413,7 +441,7 @@ def test_divergence_demo_takes_one_jet_per_grid(monkeypatch):
     monkeypatch.setattr(quadrature, "build_grid", recorded_build)
     monkeypatch.setattr(cls, "log_jet", counted_jet)
     monkeypatch.setattr(cls, "value", counted_value)
-    divergence_demo(1.0, levels=range(3))
+    divergence_demo(*_punctured(), 1.0, levels=range(3))
     assert len(grids) == 7
     for grid, kind in zip(grids, [("jet", False)] * 6 + [("value", None)]):
         n = -(-len(grid) // 1000)
@@ -423,13 +451,16 @@ def test_divergence_demo_takes_one_jet_per_grid(monkeypatch):
     assert calls == []
 
 
-def test_divergence_demo_refuses_bad_input():
+def test_divergence_demo_refuses_bad_input(line_sol, line_kernel):
     # t = 0 raised a bare ZeroDivisionError, no levels "max() arg is an
     # empty sequence"
     with pytest.raises(ValueError, match="t > 0"):
-        divergence_demo(0.0)
+        divergence_demo(*_punctured(), 0.0)
     with pytest.raises(ValueError, match="at least one level"):
-        divergence_demo(1.0, levels=[])
+        divergence_demo(*_punctured(), 1.0, levels=[])
+    # its grids refine toward the puncture, which no other model has
+    with pytest.raises(ValueError, match="need a kernel on punctured-3, not on euclidean-line"):
+        divergence_demo(line_sol, line_kernel, 1.0)
 
 
 # --- corollary bounds ---------------------------------------------------------------

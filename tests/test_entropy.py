@@ -743,6 +743,11 @@ _PAIRED_CALLS = {
     "rigidity_check": (
         "kernel", lambda sol, k: analysis.rigidity_check(sol, k, [0.5], [[0.0]], level=0)
     ),
+    # the target is checked before the curve is read
+    "classify_growth": ("kernel", lambda sol, k: analysis.classify_growth(sol, k, None)),
+    "divergence_demo": (
+        "kernel", lambda sol, k: analysis.divergence_demo(sol, k, 0.5, levels=[0])
+    ),
 }
 
 

@@ -246,8 +246,7 @@ GENERAL = bundled_scenarios()["line_general_exponential"].read_text()
         (GENERAL.replace("t.count = 16", "t.count = 4"),
          "classify: need >= 8 points spanning at least a decade"),
         (GENERAL.replace('"entropy-curve", "classify", "separation"', '"divergence"'),
-         "the divergence analysis needs model 'punctured-3' and solution 'radial3', "
-         "got 'euclidean-line' and 'expline:2,3'"),
+         "the divergence analysis needs model 'punctured-3', got 'euclidean-line'"),
     ],
     ids=["local-without-mc", "classify-short-grid", "divergence-off-the-punctured-space"],
 )
@@ -271,8 +270,49 @@ def test_divergence_tables_start_at_the_scenario_point(tmp_path):
     run(cfg, tmp_path / "out")
     report = json.loads((tmp_path / "out" / "analysis.json").read_text())
     t_ref = float(sc.t_grid()[sc.t_count // 2])
-    expected = analysis.divergence_demo(t_ref, x=(2.0, 0.0, 0.0))
+    model = geometry.punctured3()
+    expected = analysis.divergence_demo(
+        solutions.RadialHarmonic3(model),
+        kernels.GaussianKernel(np.array([2.0, 0.0, 0.0]), model), t_ref,
+    )
     assert report["divergence"] == json.loads(json.dumps(_jsonable(asdict(expected))))
+
+
+def test_bounds_stage_runs_the_gradient_check_once(tmp_path, monkeypatch):
+    # the stage used to call gradient_entropy_check, then corollary_bounds,
+    # which ran the same quadrature again
+    calls = []
+    check = analysis.gradient_entropy_check
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "gradient_entropy_check", counted)
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(GENERAL.replace('"entropy-curve", "classify", "separation"', '"bounds"'))
+    run(cfg, tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "analysis.json").read_text())["bounds"]
+    assert calls == [report["t"]]
+    assert report["gradient"]["holds"] and "gradient" not in report["corollaries"]
+
+
+def test_a_window_must_start_at_zero(tmp_path):
+    # the motion, the kernel and the clock s(t) all start at t = 0; this
+    # window used to fail with a NaN in the wrapped kernel after the output
+    # directory was made
+    with pytest.raises(ValueError, match=r"time window \(1.0, 2.0\) must start at 0"):
+        geometry.circle(-1.0, 2.0, time_window=(1.0, 2.0))
+    text = (CIRCLE.replace('"circle:1,-0.1"', '"circle:-1,2"')
+            .replace("window.min = 0.0", "window.min = 1.0")
+            .replace("window.max = 1.25", "window.max = 2.0")
+            .replace("t.min = 0.125", "t.min = 1.1").replace("t.max = 1.25", "t.max = 1.9"))
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="must start at 0"):
+        run(cfg, out)
+    assert not out.exists()
 
 
 def test_run_validates_a_scenario_it_is_handed(tmp_path):
@@ -286,6 +326,7 @@ def test_run_validates_a_scenario_it_is_handed(tmp_path):
 
 
 _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
+_SHRINKING = geometry.circle(1.0, -0.1, time_window=(0.0, 1.25))
 
 
 @pytest.mark.parametrize(
@@ -434,6 +475,33 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
         (lambda: run(parse_scenario(CIRCLE), Path(os.devnull) / "out",
                      overrides={"dt": 0.003}),
          ConfigError, "mc.dt = 0.003 steps to t = 1.251, past the window end 1.25"),
+        # the overrides were a bare ValueError from SdeConfig, the same values
+        # in a config an error line that did not name the key
+        (lambda: run(parse_scenario(CIRCLE), Path(os.devnull) / "out",
+                     overrides={"paths": 0}),
+         ConfigError, "paths must be at least 1, got 0"),
+        (lambda: run(parse_scenario(CIRCLE), Path(os.devnull) / "out",
+                     overrides={"seed": -1}),
+         ConfigError, "seed must lie in [0, 2**64), got -1"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.paths = 2000", "mc.paths = 0")),
+         ConfigError, "mc.paths must be at least 1, got 0"),
+        (lambda: parse_scenario(MC_BLOCK.replace("mc.seed = 12648430", "mc.seed = -1")),
+         ConfigError, "mc.seed must lie in [0, 2**64), got -1"),
+        # levels past the deepest one ran out of memory after the Monte Carlo
+        # run, or built grids too large to hold
+        (lambda: run(parse_scenario(MINIMAL), Path(os.devnull) / "out",
+                     overrides={"refine": 7}),
+         ConfigError, "refine must not exceed 6"),
+        (lambda: quadrature.build_grid(geometry.line(), [0.0], 0.5, level=7),
+         ValueError, "level must not exceed MAX_LEVEL = 6"),
+        # text outside the mode groups, and an empty parameter list, were
+        # ignored
+        (lambda: solutions.parse_solution("circle-spec:2,junk(1,0.5,0)", _SHRINKING),
+         ValueError, "does not read circle-spec:a0,(k,ak,phik)..."),
+        (lambda: solutions.parse_solution("circle-spec:2,(1,0.5,0)xyz", _SHRINKING),
+         ValueError, "does not read circle-spec:a0,(k,ak,phik)..."),
+        (lambda: geometry.parse_model("euclidean-line:"),
+         ValueError, "does not read euclidean-line"),
     ],
     ids=["paths-fraction", "seed-fraction", "seed-negative", "seed-2**64",
          "dt-nan", "dt-inf", "mc.paths", "mc.seed", "mc.dt-nan", "mc.dt-inf",
@@ -451,7 +519,10 @@ _LINE_KERNEL = kernels.GaussianKernel(np.zeros(1), geometry.line())
          "circle-spec-unbalanced", "sphere-spec-long", "circle-spec-no-modes",
          "sphere-spec-no-modes", "space-fraction", "bounds-delta-negative",
          "bounds-delta-inf", "override-unknown-key", "mc.dt-coarse",
-         "dt-override-coarse", "dt-override-past-window"],
+         "dt-override-coarse", "dt-override-past-window", "paths-override-zero",
+         "seed-override-negative", "mc.paths-zero", "mc.seed-negative",
+         "refine-past-max", "level-past-max", "circle-spec-stray-head",
+         "circle-spec-stray-tail", "model-spec-empty"],
 )
 def test_invalid_integer_inputs_fail_at_once(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
