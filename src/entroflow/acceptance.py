@@ -12,8 +12,12 @@ Two tables of plain data name everything the rows read: `BUNDLES` gives
 each (model, solution, kernel) triple as catalog ids, and `ENSEMBLES` gives
 each path ensemble as a bundle, horizon, path count, snapshot times and exit
 intervals.  Each entry records exactly the snapshot times its rows read, no
-more, and a test enforces it.  A suite builds an entry on first use and
-keeps it, so ``paper-examples`` simulates only ``ens-line-t4``.  The benchmark's
+more, and a test enforces it.  A suite builds an entry on first use, so
+``paper-examples`` simulates only ``ens-line-t4``, and `READS` names the
+ensembles each criterion reads, so `verify` drops each ensemble after its
+last reader.  ``properties`` runs criterion 10 before criterion 8, so
+``ens-line-t4`` and ``ens-circle`` are gone before ``ens-line-t1`` is
+simulated and replayed.  The benchmark's
 ``perfbench/worker.VERIFY_ENSEMBLES`` restates the ensemble plan as (paths,
 steps, chart dimension, replayed); it must match `ENSEMBLES` until the
 benchmark reads the table, and a test checks that it does.
@@ -129,31 +133,49 @@ def _exit_domains(name):
 
 
 class _Context:
-    """Builds each bundle and ensemble of the plan on first use, then keeps it."""
+    """Builds each bundle and ensemble of the plan on first use.
+
+    A bundle is kept to the end; an ensemble is kept until `release` drops
+    it, and asking for it again afterwards is an error, not a second
+    simulation.
+    """
 
     def __init__(self):
-        self._built = {}
+        self._bundles = {}
+        self._ensembles = {}  # name -> PathEnsemble, the ones still held
+        self._released = set()
 
     def bundle(self, name):
         """(model, solution, kernel) of the `BUNDLES` entry `name`."""
-        if name not in self._built:
+        if name not in self._bundles:
             model_id, window, sol_id, x = BUNDLES[name]
             model = geometry.parse_model(model_id, time_window=window)
             sol = solutions.parse_solution(sol_id, model)
-            self._built[name] = model, sol, kernels.canonical_kernel(model, x)
-        return self._built[name]
+            self._bundles[name] = model, sol, kernels.canonical_kernel(model, x)
+        return self._bundles[name]
 
     def ensemble(self, name):
         """The `PathEnsemble` of the `ENSEMBLES` entry `name`."""
-        if name not in self._built:
+        if name in self._released:
+            raise RuntimeError(
+                f"ensemble {name!r} was released after its last reader in READS; "
+                "a criterion that reads it must be listed there"
+            )
+        if name not in self._ensembles:
             bundle, horizon, paths, record, widths = ENSEMBLES[name]
             model, _, kern = self.bundle(bundle)
             cfg = SdeConfig(dt=DT, n_paths=paths, seed=DEFAULT_SEED)
             ens = stochastic.simulate(model, kern.base_point, horizon, cfg, record_times=record)
             if widths:
                 ens.ensure_exits(_exit_domains(name))
-            self._built[name] = ens
-        return self._built[name]
+            self._ensembles[name] = ens
+        return self._ensembles[name]
+
+    def release(self, keep):
+        """Drop every held ensemble whose name is not in `keep`."""
+        for name in set(self._ensembles) - set(keep):
+            del self._ensembles[name]
+            self._released.add(name)
 
 
 def _paired(ctx, name):
@@ -476,11 +498,23 @@ def _random_point(gen, model):
     raise ValueError(model.kind)
 
 
+# criterion -> the ENSEMBLES entries it reads; verify drops an ensemble once
+# no later criterion of its suite reads it, and a test checks the table
+READS = {
+    _criterion_1: ("ens-line-t4",),
+    _criterion_6: ("ens-line-t4", "ens-circle", "ens-sphere"),
+    _criterion_7: ("ens-line-t4", "ens-circle", "ens-sphere"),
+    _criterion_8: ("ens-line-t1",),
+    _criterion_10: ("ens-line-t4", "ens-circle"),
+}
+
+# criterion 10 runs before criterion 8: ens-line-t4 and ens-circle are
+# dropped before ens-line-t1 is simulated and replayed
 _CRITERIA = {
     "paper-examples": (_criterion_1, _criterion_2, _criterion_3, _criterion_9),
     "properties": (
         _criterion_4, _criterion_5, _criterion_6, _criterion_7,
-        _criterion_8, _criterion_10, _criterion_11, _criterion_12,
+        _criterion_10, _criterion_8, _criterion_11, _criterion_12,
     ),
 }
 
@@ -496,8 +530,9 @@ def verify(suite="all"):
     ctx = _Context()
     rows = []
     t0 = time.perf_counter()
-    for fn in funcs:
+    for i, fn in enumerate(funcs):
         fn(ctx, rows)
+        ctx.release(name for later in funcs[i + 1:] for name in READS.get(later, ()))
     return rows, time.perf_counter() - t0
 
 

@@ -143,8 +143,10 @@ class Scenario:
         return sc
 
     def validate(self):
+        """Check the scenario; returns the (model, sol, kern, x, doms) it built."""
         try:
-            model, _, _, _, doms = self.build()
+            built = self.build()
+            model, _, _, _, doms = built
             for dom in doms:
                 dom.validate_against(model)
             if self.mc is not None:
@@ -207,6 +209,7 @@ class Scenario:
                     f"scenario {self.id!r}: mc.dt = {self.mc.dt} steps to "
                     f"t = {horizon:.12g}, past the window end {t1}"
                 )
+        return built
 
     def _mc_horizon(self) -> float:
         """t.max rounded up to a whole number of Monte Carlo steps."""
@@ -344,18 +347,18 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
             raise ConfigError(f"refine must not be negative, got {level}")
         if level > MAX_LEVEL:
             raise ConfigError(f"refine must not exceed {MAX_LEVEL}, got {level}")
-    scenario.validate()
+    built = scenario.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _run_stages(scenario, outdir, level)
+        return _run_stages(scenario, built, outdir, level)
     except EntroflowError as exc:
         exc.args = (f"scenario {scenario.id!r}: {exc}",) + exc.args[1:]
         raise
 
 
-def _run_stages(scenario, outdir, level) -> RunManifest:
-    model, sol, kern, x, doms = scenario.build()
+def _run_stages(scenario, built, outdir, level) -> RunManifest:
+    model, sol, kern, x, doms = built
     t_grid = scenario.t_grid()
     outputs = []
     clocks = {}

@@ -113,9 +113,9 @@ def test_every_plan_entry_builds(monkeypatch):
 
 
 def test_plan_records_only_what_verify_reads(monkeypatch):
-    # every snapshot time of a plan entry is a (paths, dim) array held to the
-    # end of verify; t = 0 is exempt: simulate always keeps it, and
-    # stopped_increment_residual reads it
+    # every snapshot time of a plan entry is a (paths, dim) array held until
+    # the entry's last reader in verify; t = 0 is exempt: simulate always
+    # keeps it, and stopped_increment_residual reads it
     small = _small_plan(monkeypatch)
     built = {}
     build = acceptance._Context.ensemble
@@ -139,6 +139,78 @@ def test_plan_records_only_what_verify_reads(monkeypatch):
         name: {round(float(t), 9) for t in ens.times} - {0.0} for name, ens in built.items()
     }
     assert recorded == read
+
+
+def _spy_reads(monkeypatch):
+    """Wrap ``_Context.ensemble``; returns the list of names it is asked for."""
+    asked = []
+    build = acceptance._Context.ensemble
+
+    def spied(ctx, name):
+        asked.append(name)
+        return build(ctx, name)
+
+    monkeypatch.setattr(acceptance._Context, "ensemble", spied)
+    return asked
+
+
+def _suite(name):
+    crit = acceptance._CRITERIA
+    return crit["paper-examples"] + crit["properties"] if name == "all" else crit[name]
+
+
+def test_reads_table_names_what_each_criterion_reads(monkeypatch):
+    # verify drops an ensemble after the last criterion READS lists for it;
+    # a criterion that read an unlisted ensemble would find it gone
+    _small_plan(monkeypatch)
+    asked = _spy_reads(monkeypatch)
+    for fn in _suite("all"):
+        asked.clear()
+        fn(acceptance._Context(), [])
+        assert set(asked) == set(acceptance.READS.get(fn, ())), fn.__name__
+
+
+@pytest.mark.parametrize("suite", ["all", "properties", "paper-examples"])
+def test_verify_drops_each_ensemble_after_its_last_reader(suite, monkeypatch):
+    _small_plan(monkeypatch)
+    simulated = _count_calls(monkeypatch, "simulate", lambda args: args[2])
+    replays = _count_calls(monkeypatch, "replay_exits", lambda args: len(args[1]))
+    asked = _spy_reads(monkeypatch)
+    held = []
+    release = acceptance._Context.release
+
+    def spied(ctx, keep):
+        release(ctx, keep)
+        held.append(set(ctx._ensembles))
+
+    monkeypatch.setattr(acceptance._Context, "release", spied)
+    acceptance.verify(suite)
+    funcs = _suite(suite)
+    reads = [set(acceptance.READS.get(fn, ())) for fn in funcs]
+    # after each criterion, exactly the ensembles read before it and after it
+    expected = [set().union(*reads[: i + 1]) & set().union(*reads[i + 1:])
+                for i in range(len(funcs))]
+    assert held == expected and held[-1] == set()
+    # each entry is simulated once, and ens-line-t1 replayed once if read
+    assert len(simulated) == len(set(asked))
+    assert replays == ([4] if "ens-line-t1" in asked else [])
+    # criterion 10 runs before criterion 8, which alone reads ens-line-t1
+    if suite != "paper-examples":
+        assert held[funcs.index(acceptance._criterion_8) - 1] == set()
+
+
+def test_a_released_ensemble_is_not_simulated_again(monkeypatch):
+    _small_plan(monkeypatch)
+    simulated = _count_calls(monkeypatch, "simulate", lambda args: args[2])
+    ctx = acceptance._Context()
+    ens = ctx.ensemble("ens-sphere")
+    ctx.release(["ens-sphere"])
+    assert ctx.ensemble("ens-sphere") is ens
+    ctx.release(())
+    assert ctx._ensembles == {}
+    with pytest.raises(RuntimeError, match="'ens-sphere' was released"):
+        ctx.ensemble("ens-sphere")
+    assert simulated == [1.0]
 
 
 def test_benchmark_restates_the_ensemble_plan(monkeypatch):

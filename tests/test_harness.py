@@ -297,6 +297,22 @@ def test_bounds_stage_runs_the_gradient_check_once(tmp_path, monkeypatch):
     assert report["gradient"]["holds"] and "gradient" not in report["corollaries"]
 
 
+def test_run_builds_a_config_twice(tmp_path, monkeypatch):
+    # loading validates (one build) and run validates again (a second); run
+    # used to build a third time for its stages instead of reusing the second
+    built = []
+    build = Scenario.build
+
+    def counted(sc):
+        built.append(build(sc))
+        return built[-1]
+
+    monkeypatch.setattr(Scenario, "build", counted)
+    run(bundled_scenarios()["punctured_divergence"], tmp_path / "out")
+    assert len(built) == 2
+    assert (tmp_path / "out" / "analysis.json").is_file()
+
+
 def test_a_window_must_start_at_zero(tmp_path):
     # the motion, the kernel and the clock s(t) all start at t = 0; this
     # window used to fail with a NaN in the wrapped kernel after the output
