@@ -16,12 +16,11 @@ from entroflow.stochastic import DomainSpec, SdeConfig
 line = geometry.line()
 sol = solutions.ExponentialLine(1.0, 1.0, line)
 record = np.round(np.linspace(0.0, 1.0, 21), 3)
+domains = [DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]
 ens = stochastic.simulate(
     line, [0.0], 1.0, SdeConfig(dt=1e-3, n_paths=50_000, seed=0xC0FFEE),
-    record_times=record,
+    record_times=record, domains=domains,
 )
-
-domains = [DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]
 table = local_entropy(sol, ens, domains, [0.25, 0.5, 1.0])
 
 print("stopped entropies on nested intervals (-n, n), 50k paths")

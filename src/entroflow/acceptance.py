@@ -17,7 +17,7 @@ more, and a test enforces it.  A suite builds an entry on first use, so
 ensembles each criterion reads, so `verify` drops each ensemble after its
 last reader.  ``properties`` runs criterion 10 before criterion 8, so
 ``ens-line-t4`` and ``ens-circle`` are gone before ``ens-line-t1`` is
-simulated and replayed.  The benchmark's
+simulated with its exits.  The benchmark's
 ``perfbench/worker.VERIFY_ENSEMBLES`` restates the ensemble plan as (paths,
 steps, chart dimension, replayed); it must match `ENSEMBLES` until the
 benchmark reads the table, and a test checks that it does.
@@ -114,10 +114,10 @@ BUNDLES = {
 }
 
 # name -> (bundle, horizon, paths, snapshot times, exit half-widths); each
-# ensemble starts at its bundle's kernel base point and finds its exits from
-# the intervals (-n, n) of the half-widths n by replay.  The snapshot times
-# are exactly those the rows read, as a test checks; simulate also keeps
-# t = 0, which no row reads
+# ensemble starts at its bundle's kernel base point and is simulated with the
+# intervals (-n, n) of the half-widths n, whose exits simulate finds by one
+# replay at build.  The snapshot times are exactly those the rows read, as a
+# test checks; simulate also keeps t = 0, which no row reads
 ENSEMBLES = {
     "ens-line-t4": ("line-eternal", 4.0, 100_000, (0.25, 0.5, 1.0, 4.0), ()),
     "ens-line-t1": ("line-eternal", 1.0, 100_000, (0.25, 0.5, 1.0), (1, 2, 3, 4)),
@@ -125,11 +125,6 @@ ENSEMBLES = {
     "ens-sphere": ("sphere-ricci", 1.0, 20_000, (0.5, 1.0), ()),
 }
 DT = 1e-3  # the step of every ensemble; each runs at DEFAULT_SEED
-
-
-def _exit_domains(name):
-    """The exit intervals of the `ENSEMBLES` entry `name`."""
-    return [DomainSpec.interval(-n, n) for n in ENSEMBLES[name][4]]
 
 
 class _Context:
@@ -165,10 +160,10 @@ class _Context:
             bundle, horizon, paths, record, widths = ENSEMBLES[name]
             model, _, kern = self.bundle(bundle)
             cfg = SdeConfig(dt=DT, n_paths=paths, seed=DEFAULT_SEED)
-            ens = stochastic.simulate(model, kern.base_point, horizon, cfg, record_times=record)
-            if widths:
-                ens.ensure_exits(_exit_domains(name))
-            self._ensembles[name] = ens
+            self._ensembles[name] = stochastic.simulate(
+                model, kern.base_point, horizon, cfg, record_times=record,
+                domains=[DomainSpec.interval(-n, n) for n in widths],
+            )
         return self._ensembles[name]
 
     def release(self, keep):
@@ -373,7 +368,7 @@ def _criterion_7(ctx, rows):
 
 def _criterion_8(ctx, rows):
     sol, ens = _paired(ctx, "ens-line-t1")
-    table = local_entropy(sol, ens, _exit_domains("ens-line-t1"), [0.25, 0.5, 1.0])
+    table = local_entropy(sol, ens, list(ens.exits), [0.25, 0.5, 1.0])
     rows.append(
         _row_ge("8-monotone-t", "stopped entropy nondecreasing in t (z)",
                 table.monotone_t_z, -3.0)
@@ -509,7 +504,7 @@ READS = {
 }
 
 # criterion 10 runs before criterion 8: ens-line-t4 and ens-circle are
-# dropped before ens-line-t1 is simulated and replayed
+# dropped before ens-line-t1 is simulated with its exits
 _CRITERIA = {
     "paper-examples": (_criterion_1, _criterion_2, _criterion_3, _criterion_9),
     "properties": (

@@ -524,25 +524,21 @@ class LocalEntropyTable:
 def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyTable:
     """Stopped entropies E_D(t), exit entropies E_D, and the exhaustion value.
 
-    Domains must be nested (checked per path through exit monotonicity).
-    The exhaustion value at each t is reported as the largest-domain entry
-    together with a plateau flag instead of an extrapolated limit.
+    Domains must be nested (checked per path through exit monotonicity) and
+    among those the ensemble was simulated with.  The exhaustion value at
+    each t is the largest-domain entry with a plateau flag, not a limit.
     """
     _target(sol, ensemble, "ensemble")
     if not domains:
         raise ValueError("local entropies need at least one domain")
+    recs = [_exit_record(ensemble, dom) for dom in domains]
     t_grid = np.asarray(t_grid, dtype=float)
-    # refuse a time that is not a snapshot before the replay
-    for t in t_grid:
-        ensemble.snapshot_index(t)
     m, n = len(domains), t_grid.size
     means = np.empty((m, n))
     ses = np.empty((m, n))
     cens = np.empty(m)
     exits = []
-    ensemble.ensure_exits(domains)
-    for j, dom in enumerate(domains):
-        rec = ensemble.exit_records(dom)
+    for j, rec in enumerate(recs):
         cens[j] = rec.censored_fraction
         for i, t in enumerate(t_grid):
             means[j, i], ses[j, i] = mean_stderr(sol.ulogu(*_stopped(ensemble, rec, t)))
@@ -550,10 +546,8 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
             exits.append(_exit_entry(sol, rec))
         except CensoredDominates:
             exits.append(ExitEntry(math.nan, math.nan, cens[j], True))
-    for j in range(m - 1):
-        tau_small = ensemble.exit_records(domains[j]).tau
-        tau_big = ensemble.exit_records(domains[j + 1]).tau
-        if np.any(tau_small > tau_big + geometry.TIME_TOL):
+    for small, big in zip(recs[:-1], recs[1:]):
+        if np.any(small.tau > big.tau + geometry.TIME_TOL):
             raise ValueError("domains are not nested: exit times decreased")
     e_m = means[-1].copy()
     if m >= 2:
@@ -569,6 +563,14 @@ def local_entropy(sol, ensemble: PathEnsemble, domains, t_grid) -> LocalEntropyT
         exit_censored_frac=cens, E_D_exit=exits, E_M=e_m, E_M_stabilized=stab,
         monotone_t_z=mono_t, monotone_D_z=mono_d,
     )
+
+
+def _exit_record(ensemble, domain) -> ExitRecord:
+    """The exits ``simulate`` found from ``domain``; ValueError for another."""
+    if domain not in ensemble.exits:
+        raise ValueError(f"the ensemble has no exits from {domain}: it was "
+                         f"simulated with domains={list(ensemble.exits)}")
+    return ensemble.exits[domain]
 
 
 def _stopped(ensemble, rec: ExitRecord, t):
@@ -613,10 +615,11 @@ def stopped_increment_residual(sol, ensemble, domain, t):
     The per-path time integral of the stopped first-variation integrand is
     a trapezoid over the recorded snapshots, with an exact partial cell up
     to the exit time using the stored exit state.  Zero in expectation.  t
-    must be a recorded snapshot time.
+    must be a recorded snapshot time and the domain one the ensemble was
+    simulated with.
     """
     _target(sol, ensemble, "ensemble")
-    rec = ensemble.exit_records(domain)
+    rec = _exit_record(ensemble, domain)
     end_vals = np.asarray(sol.ulogu(*_stopped(ensemble, rec, t)))
     times = [s for s in ensemble.times if s <= t + geometry.TIME_TOL]
     n = ensemble.n_paths

@@ -15,7 +15,7 @@ A scenario file is TOML, read by the standard library's ``tomllib``::
     mc.dt = 0.001
     mc.seed = 12648430
     domains = ["interval:-1,1", "interval:-2,2"]
-    analyses = ["entropy-curve", "classify"]
+    analyses = ["entropy-curve", "local", "classify"]
 
 Tables read as dotted keys: an ``[mc]`` table holding ``paths = 100000``
 is the key ``mc.paths``.
@@ -108,11 +108,9 @@ class Scenario:
         m = dict(m)
         try:
             window = None
-            if "window.min" in m or "window.max" in m:
-                window = (
-                    _real("window.min", m.pop("window.min")),
-                    _real("window.max", m.pop("window.max")),
-                )
+            if "window.max" in m:
+                # every model's window starts at 0
+                window = (0.0, _real("window.max", m.pop("window.max")))
             mc = None
             if "mc.paths" in m:
                 mc = _sde_config(
@@ -182,6 +180,11 @@ class Scenario:
         if "local" in self.analyses and (self.mc is None or not self.domains):
             raise ConfigError(
                 f"scenario {self.id!r}: the local analysis needs mc.* settings and domains"
+            )
+        if self.domains and "local" not in self.analyses:
+            raise ConfigError(
+                f"scenario {self.id!r}: domains are read only by the local analysis, "
+                "which the config does not run"
             )
         if "divergence" in self.analyses and model.kind != geometry.PUNCTURED_3:
             # the divergence tables refine toward the puncture
@@ -369,10 +372,9 @@ def _run_stages(scenario, built, outdir, level) -> RunManifest:
         with _timed(clocks, "simulate"):
             mc_times = _mc_times(t_grid, scenario.mc.dt)
             ensemble = stochastic.simulate(
-                model, x, scenario._mc_horizon(), scenario.mc, record_times=mc_times
+                model, x, scenario._mc_horizon(), scenario.mc, record_times=mc_times,
+                domains=doms,
             )
-            if doms:
-                ensemble.ensure_exits(doms)
 
     curve = None
     if "entropy-curve" in scenario.analyses or "conditions" in scenario.analyses:

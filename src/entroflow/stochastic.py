@@ -8,18 +8,19 @@ increment.  On the sphere the scheme takes a tangential increment of
 covariance ``2 dt / c(t)`` and renormalizes.
 
 Paths are pure functions of ``(seed, path index)`` via the counter-based
-generator, so exits can be recovered later by replaying the dynamics
-instead of storing every step: an ensemble records states only at the
-requested snapshot times.  First exits are taken from intervals
-(`DomainSpec`).  `PathEnsemble.mean` is the one Monte Carlo mean over a
-snapshot; the means stopped at an exit are read in `entropy`.
+generator, so `simulate` records states only at the requested snapshot
+times and finds the first exits from its domains (intervals, `DomainSpec`)
+by replaying the paths once, at build.  `PathEnsemble.mean` is the one
+Monte Carlo mean over a snapshot; the means stopped at an exit are read in
+`entropy`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,11 +127,10 @@ def parse_domain(spec: str) -> DomainSpec:
     return DomainSpec.interval(*vals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExitRecord:
     """Per-path first-exit data for one domain."""
 
-    domain: DomainSpec
     tau: np.ndarray        # exit time; +inf while censored
     state: np.ndarray      # state at exit (or start point when tau = 0)
 
@@ -150,9 +150,10 @@ class ExpectResult:
     stderr: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathEnsemble:
-    """Snapshots of a simulated ensemble plus the recipe to replay it."""
+    """Snapshots of a simulated ensemble and the first exits, replayed once
+    at build, from the domains `simulate` was given, in order; frozen."""
 
     model: MetricModel
     x: np.ndarray
@@ -161,7 +162,7 @@ class PathEnsemble:
     times: np.ndarray            # recorded snapshot times (includes 0 and T)
     states: np.ndarray           # (n_paths, len(times), chart_dim)
     blowup: np.ndarray           # paths that left the chart and were frozen
-    _exits: dict = field(default_factory=dict, repr=False)
+    exits: MappingProxyType      # domain -> ExitRecord, read-only
 
     @property
     def n_paths(self):
@@ -189,23 +190,6 @@ class PathEnsemble:
         for any path count (see ``mean_stderr``).
         """
         return ExpectResult(*mean_stderr(f(t, self.state_at(t))))
-
-    def ensure_exits(self, domains):
-        """Replay once to fill the exit cache for every missing domain."""
-        missing = [d for d in domains if d not in self._exits]
-        if missing:
-            for rec in replay_exits(self, missing):
-                self._exits[rec.domain] = rec
-
-    def exit_records(self, domain: DomainSpec) -> ExitRecord:
-        """Per-path first grid time outside the domain (cached per ensemble).
-
-        Paths starting outside get tau = 0 with the start point as exit state;
-        paths never leaving within the horizon are marked censored.  A domain
-        that does not apply to the model raises ValueError before any replay.
-        """
-        self.ensure_exits([domain])
-        return self._exits[domain]
 
 
 def _frozen_mask(model: MetricModel, states):
@@ -305,15 +289,23 @@ def _march(model, x, cfg, n_steps, record, domains):
                 break
     if blown is None:
         blown = np.zeros(n, dtype=bool)
-    exits = [ExitRecord(d, tau, st) for d, tau, st in zip(domains, taus, exit_states)]
+    exits = [ExitRecord(tau, st) for tau, st in zip(taus, exit_states)]
     return snaps, blown, exits
 
 
-def simulate(model: MetricModel, x, horizon, cfg: SdeConfig, record_times=None) -> PathEnsemble:
-    """Run the ensemble to the horizon, recording states at snapshot times."""
+def simulate(model: MetricModel, x, horizon, cfg: SdeConfig, record_times=None,
+             domains=()) -> PathEnsemble:
+    """Run the ensemble to the horizon, recording states at snapshot times,
+    then replay it once for the first exits from the distinct ``domains``,
+    each checked against the model before the first step."""
     cfg.validate_against(model)
     x = model.check_point(x)
     model.check_time(horizon)
+    domains = list(dict.fromkeys(domains))
+    for d in domains:
+        if not isinstance(d, DomainSpec):
+            raise ValueError(f"domains must be DomainSpec values, got {d!r}")
+        d.validate_against(model)
     n_steps = int(round(horizon / cfg.dt))
     if abs(n_steps * cfg.dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be a whole number of steps")
@@ -323,7 +315,8 @@ def simulate(model: MetricModel, x, horizon, cfg: SdeConfig, record_times=None) 
         )
     record = _snap_indices(record_times, horizon, cfg.dt, n_steps)
     states, blown, _ = _march(model, x, cfg, n_steps, record, ())
-    return PathEnsemble(
+    exits = {}
+    ens = PathEnsemble(
         model=model,
         x=x,
         cfg=cfg,
@@ -331,7 +324,11 @@ def simulate(model: MetricModel, x, horizon, cfg: SdeConfig, record_times=None) 
         times=np.asarray(record, dtype=float) * cfg.dt,
         states=states,
         blowup=blown,
+        exits=MappingProxyType(exits),
     )
+    if domains:
+        exits.update(zip(domains, replay_exits(ens, domains)))
+    return ens
 
 
 def _snap_indices(record_times, horizon, dt, n_steps):
@@ -354,7 +351,9 @@ def replay_exits(ensemble: PathEnsemble, domains) -> list[ExitRecord]:
 
     Exit is the first grid time at which a path is outside the (open)
     domain; no overshoot correction is applied, so exit times carry an
-    O(sqrt(dt)) upward bias.  Paths starting outside get tau = 0.
+    O(sqrt(dt)) upward bias.  Paths starting outside get tau = 0 with the
+    start point as exit state; paths never leaving within the horizon are
+    censored.
     """
     model, cfg = ensemble.model, ensemble.cfg
     for d in domains:

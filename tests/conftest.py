@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from entroflow import geometry, kernels, solutions, stochastic
-from entroflow.stochastic import SdeConfig
+from entroflow.stochastic import DomainSpec, SdeConfig
+
+# the intervals whose exits the tests of line_ensemble read: one outside
+# the start, nested ones about it, and one no path leaves
+LINE_DOMAINS = tuple(
+    DomainSpec.interval(a, b)
+    for a, b in ((2, 3), (-0.5, 0.5), (-1, 1), (-2, 2), (-3, 3), (-4, 4), (-50, 50))
+)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +63,9 @@ def sphere_kernel(sphere_model):
 def line_ensemble(line_model):
     cfg = SdeConfig(dt=1e-3, n_paths=20_000, seed=0xC0FFEE)
     record = np.round(np.linspace(0.0, 1.0, 21), 3)
-    return stochastic.simulate(line_model, [0.0], 1.0, cfg, record_times=record)
+    return stochastic.simulate(
+        line_model, [0.0], 1.0, cfg, record_times=record, domains=LINE_DOMAINS
+    )
 
 
 @pytest.fixture(scope="session")

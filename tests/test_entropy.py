@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from entroflow import analysis, entropy, geometry, kernels, quadrature, solutions, stochastic
+from entroflow import analysis, entropy, geometry, kernels, quadrature, solutions
 from entroflow.entropy import (
     EntropyCurve,
     conditions,
@@ -212,6 +212,17 @@ def test_stopped_increment_refuses_a_time_it_did_not_record(line_sol, line_ensem
         stopped_increment_residual(line_sol, line_ensemble, domain, t)
     with pytest.raises(ValueError, match="not a recorded snapshot"):
         local_entropy(line_sol, line_ensemble, [domain], [t])
+
+
+def test_a_domain_the_ensemble_was_not_simulated_with_is_refused(line_sol, line_ensemble):
+    # exits are found when the ensemble is simulated, and only there
+    untracked = DomainSpec.interval(-7.0, 7.0)
+    message = r"no exits from .*-7\.0, 7\.0.*simulated with domains=\[.*\(2\.0, 3\.0\)"
+    with pytest.raises(ValueError, match=message):
+        local_entropy(line_sol, line_ensemble, [DomainSpec.interval(-1, 1), untracked], [0.5])
+    with pytest.raises(ValueError, match=message):
+        stopped_increment_residual(line_sol, line_ensemble, untracked, 0.5)
+    assert untracked not in line_ensemble.exits
 
 
 # --- submartingale gaps --------------------------------------------------------
@@ -789,21 +800,6 @@ def test_a_target_of_neither_kind_is_refused(name, line_sol):
 def test_monte_carlo_curve_refuses_conditions(line_sol, line_ensemble):
     with pytest.raises(ValueError, match="condition integrals need a kernel"):
         entropy_curve(line_sol, line_ensemble, [0.5])
-
-
-def test_local_entropy_refuses_an_unrecorded_time_before_the_replay(line_model, monkeypatch):
-    # a time that is not a snapshot used to be refused only after every
-    # domain's exits were replayed
-    cfg = stochastic.SdeConfig(dt=0.01, n_paths=200, seed=1)
-    ens = stochastic.simulate(line_model, [0.0], 1.0, cfg, record_times=[0.5, 1.0])
-
-    def no_replay(*args, **kwargs):
-        raise AssertionError("replayed the exits")
-
-    monkeypatch.setattr(stochastic, "replay_exits", no_replay)
-    with pytest.raises(ValueError, match="t=0.52 is not a recorded snapshot"):
-        local_entropy(ExponentialLine(1.0, 1.0, line_model), ens, [DomainSpec.interval(-3, 3)],
-                      [0.5, 0.52])
 
 
 def test_local_entropy_refuses_an_empty_domain_list(line_sol, line_ensemble):

@@ -31,7 +31,7 @@ def scenario_text(sc):
     """The round-trip oracle: a Scenario written back as flat config text."""
     m = {"id": sc.id, "model": sc.model}
     if sc.window is not None:
-        m["window.min"], m["window.max"] = sc.window
+        m["window.max"] = sc.window[1]
     m.update({
         "solution": sc.solution, "x": sc.x,
         "t.min": sc.t_min, "t.max": sc.t_max, "t.count": sc.t_count,
@@ -200,16 +200,14 @@ def test_validation_errors():
     bad = """
 id = "bad-window"
 model = "circle:1,-0.1"
-window.min = 0.0
 window.max = 1.25
 solution = "circle-spec:2,(1,0.5,0)"
 x = [0.0]
 t.min = 0.5
 t.max = 3.0
 """
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ConfigError, match=r"t grid \[0.5, 3.0\] outside the model window"):
         parse_scenario(bad)
-    assert "window" in str(err.value)
 
 
 MC_BLOCK = MINIMAL + "mc.paths = 2000\nmc.dt = 0.001\nmc.seed = 12648430\n"
@@ -243,12 +241,15 @@ GENERAL = bundled_scenarios()["line_general_exponential"].read_text()
     [
         (GENERAL.replace('"classify", "separation"', '"local"'),
          "the local analysis needs mc.* settings and domains"),
+        (GENERAL + 'domains = ["interval:-1,1"]\n',
+         "domains are read only by the local analysis, which the config does not run"),
         (GENERAL.replace("t.count = 16", "t.count = 4"),
          "classify: need >= 8 points spanning at least a decade"),
         (GENERAL.replace('"entropy-curve", "classify", "separation"', '"divergence"'),
          "the divergence analysis needs model 'punctured-3', got 'euclidean-line'"),
     ],
-    ids=["local-without-mc", "classify-short-grid", "divergence-off-the-punctured-space"],
+    ids=["local-without-mc", "domains-without-local", "classify-short-grid",
+         "divergence-off-the-punctured-space"],
 )
 def test_analysis_needs_are_config_errors(text, message, tmp_path):
     # both used to fail only after entropy.csv was written
@@ -314,21 +315,42 @@ def test_run_builds_a_config_twice(tmp_path, monkeypatch):
 
 
 def test_a_window_must_start_at_zero(tmp_path):
-    # the motion, the kernel and the clock s(t) all start at t = 0; this
-    # window used to fail with a NaN in the wrapped kernel after the output
-    # directory was made
+    # the motion, the kernel and the clock s(t) all start at t = 0, so a
+    # config sets only the window's end; window.min, whose one valid value
+    # was 0, is an unknown key, refused before the output directory is made
     with pytest.raises(ValueError, match=r"time window \(1.0, 2.0\) must start at 0"):
         geometry.circle(-1.0, 2.0, time_window=(1.0, 2.0))
-    text = (CIRCLE.replace('"circle:1,-0.1"', '"circle:-1,2"')
-            .replace("window.min = 0.0", "window.min = 1.0")
-            .replace("window.max = 1.25", "window.max = 2.0")
-            .replace("t.min = 0.125", "t.min = 1.1").replace("t.max = 1.25", "t.max = 1.9"))
-    cfg = tmp_path / "w.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "out"
-    with pytest.raises(ConfigError, match="must start at 0"):
-        run(cfg, out)
-    assert not out.exists()
+    for start in ("0.0", "1.0"):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(CIRCLE + f"window.min = {start}\n")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['window.min']")):
+            run(cfg, out)
+        assert not out.exists()
+
+
+def test_window_max_alone_sets_a_window_from_zero():
+    # perfbench reads Scenario.window as a (start, end) pair
+    sc = parse_scenario(CIRCLE)
+    assert sc.window == (0.0, 1.25)
+    assert sc.build()[0].time_window == (0.0, 1.25)
+    assert parse_scenario(MINIMAL).window is None
+
+
+def test_run_simulates_its_domains_with_one_replay(tmp_path, monkeypatch):
+    # the local stage reads the exits simulate found; nothing replays later
+    replays = []
+    replay = stochastic.replay_exits
+
+    def counted(ens, domains):
+        replays.append(list(domains))
+        return replay(ens, domains)
+
+    monkeypatch.setattr(stochastic, "replay_exits", counted)
+    sc = load_scenario(bundled_scenarios()["line_eternal"])
+    run(sc, tmp_path, overrides={"paths": 200})
+    assert replays == [[stochastic.parse_domain(d) for d in sc.domains]]
+    assert (tmp_path / "local.csv").read_text().count("\n") == 1 + 4 * 16
 
 
 def test_run_validates_a_scenario_it_is_handed(tmp_path):
@@ -605,7 +627,7 @@ def test_list_keys_refuse_strings_and_scalars(text, message):
         parse_scenario(text)
 
 
-_NUMERIC = MC_BLOCK + "window.min = 0.0\nwindow.max = 8.0\nt.count = 16\nbounds.delta = 1.0\n"
+_NUMERIC = MC_BLOCK + "window.max = 8.0\nt.count = 16\nbounds.delta = 1.0\n"
 _TYPED = _NUMERIC + (
     't.spacing = "log"\ndomains = ["interval:-1,1"]\n'
     'analyses = ["entropy-curve", "local"]\n'
@@ -617,7 +639,7 @@ _TYPED = _NUMERIC + (
     [
         ("t.max", "true", "t.max must be a number, got True"),
         ("t.min", '"0.5"', "t.min must be a number, got '0.5'"),
-        ("window.min", "false", "window.min must be a number, got False"),
+        ("window.max", "false", "window.max must be a number, got False"),
         ("bounds.delta", "true", "bounds.delta must be a number, got True"),
         ("x", "[true]", "x[0] must be a number, got True"),
         ("mc.dt", '"0.001"', "mc.dt must be a number, got '0.001'"),
@@ -628,7 +650,7 @@ _TYPED = _NUMERIC + (
         ("domains", "[5]", "domains[0] must be a string, got 5"),
         ("analyses", '["entropy-curve", 2]', "analyses[1] must be a string, got 2"),
     ],
-    ids=["t.max-bool", "t.min-string", "window.min-bool", "bounds.delta-bool", "x-bool",
+    ids=["t.max-bool", "t.min-string", "window.max-bool", "bounds.delta-bool", "x-bool",
          "mc.dt-string", "t.max-overflow", "id-int", "model-int",
          "t.spacing-int", "domains-int", "analyses-int"],
 )
@@ -649,12 +671,19 @@ def test_config_values_of_the_wrong_type_are_refused(key, value, message):
 )
 def test_inf_nan_and_bare_decimal_points_are_refused(key, value):
     # TOML reads bare inf and nan as floats, which validation refuses; it
-    # refuses .5 and 1. at the line they are on
+    # refuses .5 and 1. at the line they are on.  window.min is no longer a
+    # key: a config that still sets it is refused whatever the value
     parse_scenario(_NUMERIC)  # valid as it stands
     lines = _NUMERIC.splitlines()
+    if key == "window.min":
+        lines.append("window.min = 0.0")
     lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
     lines[lineno - 1] = f"{key} = [{value}]" if key == "x" else f"{key} = {value}"
-    match = rf"at line {lineno}, column" if value in (".5", "1.") else None
+    match = None
+    if value in (".5", "1."):
+        match = rf"at line {lineno}, column"
+    elif key == "window.min":
+        match = re.escape("unknown config keys: ['window.min']")
     with pytest.raises(ConfigError, match=match):
         parse_scenario("\n".join(lines) + "\n")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -110,7 +111,7 @@ def test_em_drift_vanishes_on_catalog_charts():
 
 
 def test_exit_convention_outside_start(line_ensemble):
-    rec = line_ensemble.exit_records(DomainSpec.interval(2.0, 3.0))
+    rec = line_ensemble.exits[DomainSpec.interval(2.0, 3.0)]
     assert np.all(rec.tau == 0.0)
     assert np.all(rec.state == 0.0)
     assert not np.any(rec.censored)
@@ -123,10 +124,11 @@ def test_exit_time_against_interval_oracle(line_model):
     r = 0.1
     target = r * r / 2.0
     means = {}
+    interval = DomainSpec.interval(-r, r)
     for dt, n in ((1e-4, 20_000), (1e-5, 20_000)):
         cfg = SdeConfig(dt=dt, n_paths=n, seed=13)
-        ens = simulate(line_model, [0.0], 0.2, cfg, record_times=[0.2])
-        rec = ens.exit_records(DomainSpec.interval(-r, r))
+        ens = simulate(line_model, [0.0], 0.2, cfg, record_times=[0.2], domains=[interval])
+        rec = ens.exits[interval]
         assert not np.any(rec.censored)
         means[dt] = float(rec.tau.mean())
     assert abs(means[1e-5] - target) / target < 0.10
@@ -138,19 +140,47 @@ def test_exit_time_against_interval_oracle(line_model):
 
 def test_an_interval_no_path_leaves_is_never_exited(line_model):
     cfg = SdeConfig(dt=1e-3, n_paths=500, seed=21)
-    ens = simulate(line_model, [0.0], 0.5, cfg, record_times=[0.5])
-    rec = ens.exit_records(DomainSpec.interval(-50.0, 50.0))
+    whole = DomainSpec.interval(-50.0, 50.0)
+    rec = simulate(line_model, [0.0], 0.5, cfg, record_times=[0.5], domains=[whole]).exits[whole]
     assert np.all(rec.censored)
     with pytest.raises(CensoredDominates):
         entropy._exit_entry(Constant(1.0, line_model), rec)
 
 
 def test_exit_monotonicity_in_nested_domains(line_ensemble):
-    taus = []
-    for n in (0.5, 1.0, 2.0):
-        taus.append(line_ensemble.exit_records(DomainSpec.interval(-n, n)).tau)
+    taus = [line_ensemble.exits[DomainSpec.interval(-n, n)].tau for n in (0.5, 1.0, 2.0)]
     assert np.all(taus[0] <= taus[1] + 1e-12)
     assert np.all(taus[1] <= taus[2] + 1e-12)
+
+
+def test_nested_domains_cost_one_replay_pass(line_model, monkeypatch):
+    # the exits of every domain come from one replay after the stepping
+    # pass: two passes' draws in all, whatever the number of domains
+    replays = []
+    replay = stochastic.replay_exits
+
+    def counted(ens, domains):
+        replays.append(list(domains))
+        return replay(ens, domains)
+
+    monkeypatch.setattr(stochastic, "replay_exits", counted)
+    calls = _counting_normals(monkeypatch)
+    nested = [DomainSpec.interval(-n, n) for n in (0.5, 1.0, 2.0, 50.0)]
+    n_steps = 200
+    ens = simulate(line_model, [0.0], n_steps * 1e-3, SdeConfig(dt=1e-3, n_paths=100, seed=5),
+                   domains=nested + nested[:1])
+    assert replays == [nested]  # the repeated domain is replayed once
+    assert list(ens.exits) == nested
+    assert ens.exits[nested[-1]].censored.all()  # so the replay ran to the horizon
+    assert len(calls) == 2 * n_steps
+
+
+def test_an_ensemble_is_read_only(line_ensemble):
+    interval = DomainSpec.interval(-1.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        line_ensemble.exits = {}
+    with pytest.raises(TypeError):
+        line_ensemble.exits[interval] = line_ensemble.exits[interval]
 
 
 def test_stopped_equals_at_time_without_exits(line_ensemble, line_sol):
@@ -168,7 +198,7 @@ def test_constant_observable(line_model):
     dom = DomainSpec.interval(-0.2, 0.2)
     for n in (1, 3, 7, 9973, 20_000):
         cfg = SdeConfig(dt=0.05, n_paths=n, seed=0xC0FFEE)
-        ens = simulate(line_model, [0.0], 0.4, cfg, record_times=[0.2, 0.4])
+        ens = simulate(line_model, [0.0], 0.4, cfg, record_times=[0.2, 0.4], domains=[dom])
         for c in (1.0, 0.1, math.pi, 4.0 * math.log(4.0)):
             r = ens.mean(lambda t, y, c=c: np.full(y.shape[0], c), 0.2)
             assert (r.mean, r.stderr) == (c, 0.0), (n, c)
@@ -230,11 +260,16 @@ def test_domain_validation():
     assert d.kind == "interval" and d.params == (-1.0, 1.0)
 
 
-def test_exit_records_refuse_a_domain_the_model_lacks(sphere_ensemble):
-    interval = DomainSpec.interval(-1.0, 1.0)
+def test_simulate_refuses_a_domain_the_model_lacks(sphere_model, monkeypatch):
+    # refused before the first step: no draw is made
+    calls = _counting_normals(monkeypatch)
+    cfg = SdeConfig(dt=1e-3, n_paths=100, seed=3)
     with pytest.raises(ValueError, match="intervals apply to the line and the circle"):
-        sphere_ensemble.exit_records(interval)
-    assert interval not in sphere_ensemble._exits
+        simulate(sphere_model, [1.0, 0.0, 0.0], 0.5, cfg,
+                 domains=[DomainSpec.interval(-1.0, 1.0)])
+    with pytest.raises(ValueError, match="domains must be DomainSpec values, got 'interval:-1,1'"):
+        simulate(geometry.line(), [0.0], 0.5, cfg, domains=["interval:-1,1"])
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -366,10 +401,12 @@ def test_euler_step_leaves_frozen_paths_bit_unchanged():
 )
 def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     # a snapshot at every step shows each path's first grid exit directly;
-    # the replay must find the same exit, bit for bit
+    # the exits simulate finds, and a later replay, must be the same, bit
+    # for bit
     cfg = SdeConfig(dt=dt, n_paths=500, seed=41)
     n_steps = int(round(horizon / dt))
-    ens = simulate(model, x, horizon, cfg, record_times=np.arange(n_steps + 1) * dt)
+    ens = simulate(model, x, horizon, cfg, record_times=np.arange(n_steps + 1) * dt,
+                   domains=[domain])
     assert ens.times.size == n_steps + 1
     inside = np.stack(
         [domain.contains(model, ens.states[:, k, :]) for k in range(n_steps + 1)], axis=1
@@ -380,10 +417,13 @@ def test_replayed_exits_match_the_recorded_path(model, x, horizon, dt, domain):
     tau = np.where(censored, np.inf, ens.times[first_out])
     state = np.where(censored[:, None], ens.states[:, 0, :], ens.states[rows, first_out, :])
     assert 0 < censored.sum() < cfg.n_paths
-    rec = ens.exit_records(domain)
+    rec = ens.exits[domain]
     assert np.array_equal(rec.tau, tau)
     assert np.array_equal(rec.state, state)
     assert np.array_equal(rec.censored, censored)
+    (again,) = stochastic.replay_exits(ens, [domain])
+    for a, b in ((rec.tau, again.tau), (rec.state, again.state)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_mean_stderr_refuses_an_empty_sample():
@@ -410,12 +450,12 @@ _STEPPED = {  # model, start, horizon, dt, domain (intervals apply to the line a
 
 
 def _stepped(name, n):
-    """The ensemble and, where the model has a domain, its replayed exits."""
+    """The ensemble and, where the model has a domain, its exits."""
     model, x, horizon, dt, domain = _STEPPED[name]
+    domains = [] if domain is None else [domain]
     ens = simulate(model, x, horizon, SdeConfig(dt=dt, n_paths=n, seed=41),
-                   record_times=[horizon / 2])
-    rec = None if domain is None else stochastic.replay_exits(ens, [domain])[0]
-    return ens, rec
+                   record_times=[horizon / 2], domains=domains)
+    return ens, ens.exits.get(domain)
 
 
 def _assert_same_ensemble(a, b):
