@@ -8,15 +8,16 @@ Suites: ``paper-examples`` (exact worked-example values), ``properties``
 (derivative consistency, monotonicity, bound and identity checks), and
 ``all``.
 
-Two tables of plain data name everything the rows read: `BUNDLES` gives
-each (model, solution, kernel) triple as catalog ids, and `ENSEMBLES` gives
-each path ensemble as a bundle, horizon, path count, snapshot times and exit
-intervals.  Each entry records exactly the snapshot times its rows read, no
-more, and a test enforces it.  A suite builds an entry on first use, so
-``paper-examples`` simulates only ``ens-line-t4``, and `READS` names the
-ensembles each criterion reads, so `verify` drops each ensemble after its
-last reader.  ``properties`` runs criterion 10 before criterion 8, so
-``ens-line-t4`` and ``ens-circle`` are gone before ``ens-line-t1`` is
+`BUNDLES` names each (model, solution, kernel) triple as catalog ids, and
+`ENSEMBLES` each path ensemble as a bundle, horizon, path count and exit
+intervals.  `READS`, the one declaration of what the rows read from the
+ensembles, gives each criterion's ensembles and their snapshot times.  An
+ensemble records the union of the times declared for it, in every suite,
+is built on first use (``paper-examples`` simulates only ``ens-line-t4``)
+and is dropped after the last criterion of its suite that declares it.  A
+criterion asking for an ensemble it does not declare is refused before
+anything is simulated.  ``properties`` runs criterion 10 before criterion
+8, so ``ens-line-t4`` and ``ens-circle`` are gone before ``ens-line-t1`` is
 simulated with its exits.  The benchmark's
 ``perfbench/worker.VERIFY_ENSEMBLES`` restates the ensemble plan as (paths,
 steps, chart dimension, replayed); it must match `ENSEMBLES` until the
@@ -113,16 +114,15 @@ BUNDLES = {
     "punctured": ("punctured-3", None, "radial3", (1.0, 0.0, 0.0)),
 }
 
-# name -> (bundle, horizon, paths, snapshot times, exit half-widths); each
-# ensemble starts at its bundle's kernel base point and is simulated with the
-# intervals (-n, n) of the half-widths n, whose exits simulate finds by one
-# replay at build.  The snapshot times are exactly those the rows read, as a
-# test checks; simulate also keeps t = 0, which no row reads
+# name -> (bundle, horizon, paths, exit half-widths); each ensemble starts at
+# its bundle's kernel base point and is simulated with the intervals (-n, n)
+# of the half-widths n, whose exits simulate finds by one replay at build.
+# The snapshot times it records are those READS declares for it
 ENSEMBLES = {
-    "ens-line-t4": ("line-eternal", 4.0, 100_000, (0.25, 0.5, 1.0, 4.0), ()),
-    "ens-line-t1": ("line-eternal", 1.0, 100_000, (0.25, 0.5, 1.0), (1, 2, 3, 4)),
-    "ens-circle": ("circle-shrink", 1.0, 100_000, (0.5, 1.0), ()),
-    "ens-sphere": ("sphere-ricci", 1.0, 20_000, (0.5, 1.0), ()),
+    "ens-line-t4": ("line-eternal", 4.0, 100_000, ()),
+    "ens-line-t1": ("line-eternal", 1.0, 100_000, (1, 2, 3, 4)),
+    "ens-circle": ("circle-shrink", 1.0, 100_000, ()),
+    "ens-sphere": ("sphere-ricci", 1.0, 20_000, ()),
 }
 DT = 1e-3  # the step of every ensemble; each runs at DEFAULT_SEED
 
@@ -130,15 +130,14 @@ DT = 1e-3  # the step of every ensemble; each runs at DEFAULT_SEED
 class _Context:
     """Builds each bundle and ensemble of the plan on first use.
 
-    A bundle is kept to the end; an ensemble is kept until `release` drops
-    it, and asking for it again afterwards is an error, not a second
-    simulation.
+    A bundle is kept to the end.  An ensemble is handed only to the running
+    criterion, `reader`, if `READS` declares it, and kept until `release`.
     """
 
     def __init__(self):
         self._bundles = {}
         self._ensembles = {}  # name -> PathEnsemble, the ones still held
-        self._released = set()
+        self.reader = None
 
     def bundle(self, name):
         """(model, solution, kernel) of the `BUNDLES` entry `name`."""
@@ -151,17 +150,16 @@ class _Context:
 
     def ensemble(self, name):
         """The `PathEnsemble` of the `ENSEMBLES` entry `name`."""
-        if name in self._released:
-            raise RuntimeError(
-                f"ensemble {name!r} was released after its last reader in READS; "
-                "a criterion that reads it must be listed there"
-            )
+        if name not in READS.get(self.reader, {}):
+            raise RuntimeError(f"{self.reader.__name__} reads ensemble {name!r}, "
+                               "which READS does not declare for it")
         if name not in self._ensembles:
-            bundle, horizon, paths, record, widths = ENSEMBLES[name]
+            bundle, horizon, paths, widths = ENSEMBLES[name]
             model, _, kern = self.bundle(bundle)
             cfg = SdeConfig(dt=DT, n_paths=paths, seed=DEFAULT_SEED)
+            record = {t for reads in READS.values() for t in reads.get(name, ())}
             self._ensembles[name] = stochastic.simulate(
-                model, kern.base_point, horizon, cfg, record_times=record,
+                model, kern.base_point, horizon, cfg, record_times=sorted(record),
                 domains=[DomainSpec.interval(-n, n) for n in widths],
             )
         return self._ensembles[name]
@@ -170,7 +168,6 @@ class _Context:
         """Drop every held ensemble whose name is not in `keep`."""
         for name in set(self._ensembles) - set(keep):
             del self._ensembles[name]
-            self._released.add(name)
 
 
 def _paired(ctx, name):
@@ -493,14 +490,16 @@ def _random_point(gen, model):
     raise ValueError(model.kind)
 
 
-# criterion -> the ENSEMBLES entries it reads; verify drops an ensemble once
-# no later criterion of its suite reads it, and a test checks the table
+# criterion -> {ENSEMBLES entry: the snapshot times it reads}, checked both
+# ways by a test; simulate also keeps t = 0, which no row reads
 READS = {
-    _criterion_1: ("ens-line-t4",),
-    _criterion_6: ("ens-line-t4", "ens-circle", "ens-sphere"),
-    _criterion_7: ("ens-line-t4", "ens-circle", "ens-sphere"),
-    _criterion_8: ("ens-line-t1",),
-    _criterion_10: ("ens-line-t4", "ens-circle"),
+    _criterion_1: {"ens-line-t4": (0.25, 1.0, 4.0)},
+    _criterion_6: {
+        "ens-line-t4": (0.5, 1.0), "ens-circle": (0.5, 1.0), "ens-sphere": (0.5, 1.0),
+    },
+    _criterion_7: {"ens-line-t4": (1.0,), "ens-circle": (1.0,), "ens-sphere": (1.0,)},
+    _criterion_8: {"ens-line-t1": (0.25, 0.5, 1.0)},
+    _criterion_10: {"ens-line-t4": (0.25, 1.0), "ens-circle": (1.0,)},
 }
 
 # criterion 10 runs before criterion 8: ens-line-t4 and ens-circle are
@@ -526,8 +525,9 @@ def verify(suite="all"):
     rows = []
     t0 = time.perf_counter()
     for i, fn in enumerate(funcs):
+        ctx.reader = fn
         fn(ctx, rows)
-        ctx.release(name for later in funcs[i + 1:] for name in READS.get(later, ()))
+        ctx.release(name for later in funcs[i + 1:] for name in READS.get(later, {}))
     return rows, time.perf_counter() - t0
 
 

@@ -105,6 +105,11 @@ class Scenario:
 
     @classmethod
     def from_mapping(cls, m: dict) -> "Scenario":
+        return cls._checked(m)[0]
+
+    @classmethod
+    def _checked(cls, m: dict):
+        """(scenario, what its validation built) of a flat config mapping."""
         m = dict(m)
         try:
             window = None
@@ -137,8 +142,7 @@ class Scenario:
             raise ConfigError(str(exc)) from None
         if m:
             raise ConfigError(f"unknown config keys: {sorted(m)}")
-        sc.validate()
-        return sc
+        return sc, sc.validate()
 
     def validate(self):
         """Check the scenario; returns the (model, sol, kern, x, doms) it built."""
@@ -296,7 +300,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return _load(path)[0]
+
+
+def _load(path):
+    """(scenario, what its validation built) of the config file at `path`."""
+    return Scenario._checked(parse_config_text(Path(path).read_text(encoding="utf-8")))
 
 
 def bundled_scenarios() -> dict:
@@ -335,8 +344,9 @@ def _package_version():
 
 def run(scenario, outdir, overrides=None) -> RunManifest:
     """Execute a scenario's analyses and write CSV/JSON artifacts."""
+    built = None
     if not isinstance(scenario, Scenario):
-        scenario = load_scenario(scenario)
+        scenario, built = _load(scenario)
     level = DEFAULT_CURVE_LEVEL
     if overrides:
         unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
@@ -344,13 +354,16 @@ def run(scenario, outdir, overrides=None) -> RunManifest:
             raise ConfigError(
                 f"unknown override keys {unknown}; the keys are {list(OVERRIDE_KEYS)}"
             )
-        scenario = _apply_overrides(scenario, overrides)
+        overridden = _apply_overrides(scenario, overrides)
+        if overridden != scenario:  # its mc changed: validate it again
+            scenario, built = overridden, None
         level = _whole("refine", overrides.get("refine", level))
         if level < 0:
             raise ConfigError(f"refine must not be negative, got {level}")
         if level > MAX_LEVEL:
             raise ConfigError(f"refine must not exceed {MAX_LEVEL}, got {level}")
-    built = scenario.validate()
+    if built is None:
+        built = scenario.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
@@ -494,7 +507,7 @@ def _apply_overrides(sc: Scenario, overrides: dict) -> Scenario:
 def _mc_times(t_grid, dt):
     """The grid's times snapped onto the step grid (within half a step),
     sorted and without repeats: the snapshots a Monte Carlo run records and
-    reads.  None passes the horizon, t.max rounded up to a whole step."""
+    reads."""
     return np.asarray(sorted({round(t / dt) * dt for t in t_grid}))
 
 

@@ -85,8 +85,8 @@ def _count_calls(monkeypatch, name, record):
 def _small_plan(monkeypatch):
     """The ensembles at 200 paths: the same horizons, snapshots and exits."""
     small = {
-        name: (bundle, horizon, 200, record, widths)
-        for name, (bundle, horizon, _, record, widths) in acceptance.ENSEMBLES.items()
+        name: (bundle, horizon, 200, widths)
+        for name, (bundle, horizon, _, widths) in acceptance.ENSEMBLES.items()
     }
     monkeypatch.setattr(acceptance, "ENSEMBLES", small)
     return small
@@ -100,58 +100,70 @@ def test_every_plan_entry_builds(monkeypatch):
         model, sol, kern = ctx.bundle(name)
         assert sol.model is model and kern.model is model
         assert kern.base_point.tolist() == list(x)
-    for name, (bundle, horizon, _, record, widths) in small.items():
+    for name, (bundle, horizon, _, widths) in small.items():
         model, _, kern = ctx.bundle(bundle)
+        ctx.reader = next(fn for fn, reads in acceptance.READS.items() if name in reads)
         ens = ctx.ensemble(name)
         assert ens.model is model
         assert ens.x.tolist() == kern.base_point.tolist()
         assert ens.horizon == pytest.approx(horizon)
-        assert set(np.round(record, 9)) <= set(np.round(ens.times, 9))
+        # the union of the times every criterion declares, and t = 0
+        declared = {t for reads in acceptance.READS.values() for t in reads.get(name, ())}
+        assert set(np.round(ens.times, 9)) == declared | {0.0}
         assert ctx.ensemble(name) is ens
     # one replay pass, for the one ensemble with exit intervals
     assert replays == [[DomainSpec.interval(-n, n) for n in (1, 2, 3, 4)]]
 
 
-def test_plan_records_only_what_verify_reads(monkeypatch):
-    # every snapshot time of a plan entry is a (paths, dim) array held until
-    # the entry's last reader in verify; t = 0 is exempt: simulate always
-    # keeps it, and stopped_increment_residual reads it
-    small = _small_plan(monkeypatch)
-    built = {}
+def _spy_builds(monkeypatch):
+    """Wrap ``_Context.ensemble``; returns the dict of name -> ensemble it
+    handed out, and the list of contexts it was called on."""
+    built, contexts = {}, []
     build = acceptance._Context.ensemble
 
-    def named(ctx, name):
+    def spied(ctx, name):
         built[name] = build(ctx, name)
+        contexts.append(ctx)
         return built[name]
 
-    read = {name: set() for name in small}
+    monkeypatch.setattr(acceptance._Context, "ensemble", spied)
+    return built, contexts
+
+
+def test_each_criterion_reads_exactly_what_it_declares(monkeypatch):
+    # READS is the one declaration: an ensemble records the times declared
+    # for it, and verify holds it until its last declared reader.  So a
+    # declared (ensemble, time) pair that no row reads is a snapshot kept
+    # for nothing, and an undeclared one is refused or missing.  t = 0 is
+    # exempt: simulate always keeps it, and stopped_increment_residual reads it
+    _small_plan(monkeypatch)
+    built, contexts = _spy_builds(monkeypatch)
+    read = {}
     index = stochastic.PathEnsemble.snapshot_index
 
     def spied(ens, t):
         name = next(n for n, e in built.items() if e is ens)
-        read[name].add(round(float(t), 9))
+        if round(float(t), 9) != 0.0:
+            read.setdefault(contexts[-1].reader, set()).add((name, round(float(t), 9)))
         return index(ens, t)
 
-    monkeypatch.setattr(acceptance._Context, "ensemble", named)
     monkeypatch.setattr(stochastic.PathEnsemble, "snapshot_index", spied)
     acceptance.verify("all")
-    recorded = {
-        name: {round(float(t), 9) for t in ens.times} - {0.0} for name, ens in built.items()
+    declared = {
+        fn: {(name, round(t, 9)) for name, ts in reads.items() for t in ts}
+        for fn, reads in acceptance.READS.items()
     }
-    assert recorded == read
+    assert read == declared
 
 
-def _spy_reads(monkeypatch):
-    """Wrap ``_Context.ensemble``; returns the list of names it is asked for."""
-    asked = []
-    build = acceptance._Context.ensemble
-
-    def spied(ctx, name):
-        asked.append(name)
-        return build(ctx, name)
-
-    monkeypatch.setattr(acceptance._Context, "ensemble", spied)
-    return asked
+@pytest.mark.parametrize("suite", ["paper-examples", "all"])
+def test_record_times_do_not_depend_on_the_suite(suite, monkeypatch):
+    # paper-examples reads ens-line-t4 only at 0.25, 1 and 4, yet builds it
+    # with the snapshots that properties reads too
+    _small_plan(monkeypatch)
+    built, _ = _spy_builds(monkeypatch)
+    acceptance.verify(suite)
+    assert built["ens-line-t4"].times.tolist() == [0.0, 0.25, 0.5, 1.0, 4.0]
 
 
 def _suite(name):
@@ -159,23 +171,12 @@ def _suite(name):
     return crit["paper-examples"] + crit["properties"] if name == "all" else crit[name]
 
 
-def test_reads_table_names_what_each_criterion_reads(monkeypatch):
-    # verify drops an ensemble after the last criterion READS lists for it;
-    # a criterion that read an unlisted ensemble would find it gone
-    _small_plan(monkeypatch)
-    asked = _spy_reads(monkeypatch)
-    for fn in _suite("all"):
-        asked.clear()
-        fn(acceptance._Context(), [])
-        assert set(asked) == set(acceptance.READS.get(fn, ())), fn.__name__
-
-
 @pytest.mark.parametrize("suite", ["all", "properties", "paper-examples"])
 def test_verify_drops_each_ensemble_after_its_last_reader(suite, monkeypatch):
     _small_plan(monkeypatch)
     simulated = _count_calls(monkeypatch, "simulate", lambda args: args[2])
     replays = _count_calls(monkeypatch, "replay_exits", lambda args: len(args[1]))
-    asked = _spy_reads(monkeypatch)
+    built, _ = _spy_builds(monkeypatch)
     held = []
     release = acceptance._Context.release
 
@@ -186,30 +187,35 @@ def test_verify_drops_each_ensemble_after_its_last_reader(suite, monkeypatch):
     monkeypatch.setattr(acceptance._Context, "release", spied)
     acceptance.verify(suite)
     funcs = _suite(suite)
-    reads = [set(acceptance.READS.get(fn, ())) for fn in funcs]
+    reads = [set(acceptance.READS.get(fn, {})) for fn in funcs]
     # after each criterion, exactly the ensembles read before it and after it
     expected = [set().union(*reads[: i + 1]) & set().union(*reads[i + 1:])
                 for i in range(len(funcs))]
     assert held == expected and held[-1] == set()
     # each entry is simulated once, and ens-line-t1 replayed once if read
-    assert len(simulated) == len(set(asked))
-    assert replays == ([4] if "ens-line-t1" in asked else [])
+    assert len(simulated) == len(built)
+    assert replays == ([4] if "ens-line-t1" in built else [])
     # criterion 10 runs before criterion 8, which alone reads ens-line-t1
     if suite != "paper-examples":
         assert held[funcs.index(acceptance._criterion_8) - 1] == set()
 
 
-def test_a_released_ensemble_is_not_simulated_again(monkeypatch):
+def test_an_undeclared_ensemble_read_is_refused_before_it_is_simulated(monkeypatch):
     _small_plan(monkeypatch)
     simulated = _count_calls(monkeypatch, "simulate", lambda args: args[2])
+    # a held ensemble is refused to a criterion that does not declare it
     ctx = acceptance._Context()
-    ens = ctx.ensemble("ens-sphere")
-    ctx.release(["ens-sphere"])
-    assert ctx.ensemble("ens-sphere") is ens
-    ctx.release(())
-    assert ctx._ensembles == {}
-    with pytest.raises(RuntimeError, match="'ens-sphere' was released"):
+    ctx.reader = acceptance._criterion_6
+    ctx.ensemble("ens-sphere")
+    ctx.reader = acceptance._criterion_10
+    with pytest.raises(RuntimeError, match="_criterion_10 reads ensemble 'ens-sphere', "
+                                           "which READS does not declare for it"):
         ctx.ensemble("ens-sphere")
+    assert simulated == [1.0]
+    # and verify refuses an undeclared one before simulating it
+    monkeypatch.setitem(acceptance.READS, acceptance._criterion_1, {})
+    with pytest.raises(RuntimeError, match="_criterion_1 reads ensemble 'ens-line-t4'"):
+        acceptance.verify("paper-examples")
     assert simulated == [1.0]
 
 
@@ -221,7 +227,7 @@ def test_benchmark_restates_the_ensemble_plan(monkeypatch):
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
     derived = []
-    for bundle, horizon, paths, _, widths in acceptance.ENSEMBLES.values():
+    for bundle, horizon, paths, widths in acceptance.ENSEMBLES.values():
         model_id, window, _, _ = acceptance.BUNDLES[bundle]
         dim = geometry.parse_model(model_id, time_window=window).dim_chart
         derived.append((paths, round(horizon / acceptance.DT), dim, bool(widths)))

@@ -298,9 +298,9 @@ def test_bounds_stage_runs_the_gradient_check_once(tmp_path, monkeypatch):
     assert report["gradient"]["holds"] and "gradient" not in report["corollaries"]
 
 
-def test_run_builds_a_config_twice(tmp_path, monkeypatch):
-    # loading validates (one build) and run validates again (a second); run
-    # used to build a third time for its stages instead of reusing the second
+def test_run_builds_a_config_once(tmp_path, monkeypatch):
+    # loading validates, which builds the scenario, and run reuses that
+    # build; it used to validate again, and before that build a third time
     built = []
     build = Scenario.build
 
@@ -310,8 +310,15 @@ def test_run_builds_a_config_twice(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Scenario, "build", counted)
     run(bundled_scenarios()["punctured_divergence"], tmp_path / "out")
-    assert len(built) == 2
+    assert len(built) == 1
     assert (tmp_path / "out" / "analysis.json").is_file()
+    # an override that changes the scenario's mc validates it again
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(MC_BLOCK)
+    for overrides, builds in (({"refine": 1}, 1), ({"paths": 50}, 2)):
+        built.clear()
+        run(cfg, tmp_path / "mc", overrides=overrides)
+        assert len(built) == builds, overrides
 
 
 def test_a_window_must_start_at_zero(tmp_path):
