@@ -117,43 +117,77 @@ def test_every_plan_entry_builds(monkeypatch):
 
 def _spy_builds(monkeypatch):
     """Wrap ``_Context.ensemble``; returns the dict of name -> ensemble it
-    handed out, and the list of contexts it was called on."""
-    built, contexts = {}, []
+    handed out, and the list of (reader, name) it was asked for."""
+    built, asked = {}, []
     build = acceptance._Context.ensemble
 
     def spied(ctx, name):
+        asked.append((ctx.reader, name))
         built[name] = build(ctx, name)
-        contexts.append(ctx)
         return built[name]
 
     monkeypatch.setattr(acceptance._Context, "ensemble", spied)
-    return built, contexts
+    return built, asked
 
 
-def test_each_criterion_reads_exactly_what_it_declares(monkeypatch):
+@pytest.fixture(scope="module")
+def spied_reads():
+    """One ``verify("all")`` on the 200-path plan; returns the ensembles
+    built, criterion -> names it asked for, and criterion -> the nonzero
+    (ensemble, time) pairs it read."""
+    with pytest.MonkeyPatch.context() as mp:
+        _small_plan(mp)
+        built, asked = _spy_builds(mp)
+        read = {}
+        index = stochastic.PathEnsemble.snapshot_index
+
+        def spied(ens, t):
+            # a criterion asks for an ensemble before it reads a snapshot
+            name = next(n for n, e in built.items() if e is ens)
+            if round(float(t), 9) != 0.0:
+                read.setdefault(asked[-1][0], set()).add((name, round(float(t), 9)))
+            return index(ens, t)
+
+        mp.setattr(stochastic.PathEnsemble, "snapshot_index", spied)
+        acceptance.verify("all")
+    names = {}
+    for fn, name in asked:
+        names.setdefault(fn, set()).add(name)
+    return built, names, read
+
+
+def _suite(name):
+    crit = acceptance._CRITERIA
+    return crit["paper-examples"] + crit["properties"] if name == "all" else crit[name]
+
+
+def test_reads_table_names_what_each_criterion_reads(spied_reads):
+    # verify drops an ensemble after the last criterion READS declares it
+    # for and refuses an undeclared one; a declared one no row asks for
+    # would be simulated or held for nothing
+    _, names, _ = spied_reads
+    for fn in _suite("all"):
+        assert names.get(fn, set()) == set(acceptance.READS.get(fn, {})), fn.__name__
+
+
+def test_plan_records_only_what_verify_reads(spied_reads):
     # READS is the one declaration: an ensemble records the times declared
-    # for it, and verify holds it until its last declared reader.  So a
-    # declared (ensemble, time) pair that no row reads is a snapshot kept
-    # for nothing, and an undeclared one is refused or missing.  t = 0 is
-    # exempt: simulate always keeps it, and stopped_increment_residual reads it
-    _small_plan(monkeypatch)
-    built, contexts = _spy_builds(monkeypatch)
-    read = {}
-    index = stochastic.PathEnsemble.snapshot_index
-
-    def spied(ens, t):
-        name = next(n for n, e in built.items() if e is ens)
-        if round(float(t), 9) != 0.0:
-            read.setdefault(contexts[-1].reader, set()).add((name, round(float(t), 9)))
-        return index(ens, t)
-
-    monkeypatch.setattr(stochastic.PathEnsemble, "snapshot_index", spied)
-    acceptance.verify("all")
+    # for it, so each criterion reads exactly the (ensemble, time) pairs it
+    # declares, and every snapshot an ensemble keeps is read by some row.
+    # t = 0 is exempt: simulate always keeps it, and
+    # stopped_increment_residual reads it
+    built, _, read = spied_reads
     declared = {
         fn: {(name, round(t, 9)) for name, ts in reads.items() for t in ts}
         for fn, reads in acceptance.READS.items()
     }
     assert read == declared
+    recorded = {
+        name: {round(float(t), 9) for t in ens.times} - {0.0} for name, ens in built.items()
+    }
+    assert recorded == {
+        name: {t for pairs in read.values() for n, t in pairs if n == name} for name in built
+    }
 
 
 @pytest.mark.parametrize("suite", ["paper-examples", "all"])
@@ -164,11 +198,6 @@ def test_record_times_do_not_depend_on_the_suite(suite, monkeypatch):
     built, _ = _spy_builds(monkeypatch)
     acceptance.verify(suite)
     assert built["ens-line-t4"].times.tolist() == [0.0, 0.25, 0.5, 1.0, 4.0]
-
-
-def _suite(name):
-    crit = acceptance._CRITERIA
-    return crit["paper-examples"] + crit["properties"] if name == "all" else crit[name]
 
 
 @pytest.mark.parametrize("suite", ["all", "properties", "paper-examples"])
